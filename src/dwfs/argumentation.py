@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from . import residual
 from .core import Hypothesis, ModelState, Program, Rule, canonicalize, _fset
 from .fixpoint import tps_lfp
 
@@ -53,7 +54,8 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 
 class _Session:
-    """Memoized per-program support sets and saturation."""
+    """Memoized per-program saturation, and per-hypothesis support sets and
+    superseded facts."""
 
     def __init__(self, program: Program, engine: Engine, cap: int | None = None):
         self.program = program
@@ -61,6 +63,7 @@ class _Session:
         self.cap = cap
         self._support: dict[frozenset, tuple] = {}
         self._units: dict[frozenset, frozenset] = {}
+        self._superseded: dict[frozenset, frozenset] = {}
         self._saturation = None
 
     def support(self, lits: frozenset) -> tuple:
@@ -110,10 +113,15 @@ class _Session:
 
     def saturation(self) -> frozenset:
         if self._saturation is None:
-            from .residual import lft
-
-            self._saturation = lft(self.program, self.cap)
+            self._saturation = residual.lft(self.program, self.cap)
         return self._saturation
+
+    def superseded(self, lits: frozenset) -> frozenset:
+        got = self._superseded.get(lits)
+        if got is None:
+            got = residual.superseded(self.saturation(), lits)
+            self._superseded[lits] = got
+        return got
 
     def fact_disarmed(self, delta_lits: frozenset, fact: Rule, atom: int) -> bool:
         """No hypothesis turns this conditional fact into an unanswerable
@@ -126,9 +134,7 @@ class _Session:
         false (the fact's negated atoms and remaining head atoms not
         already assumed false).
         """
-        from .residual import superseded
-
-        if superseded(fact, self.saturation(), delta_lits):
+        if fact in self.superseded(delta_lits):
             return True
         target = (fact.neg_body | (fact.head - {atom})) - delta_lits
         if not target:

@@ -64,8 +64,6 @@ def _build_parser() -> _Parser:
         choices=["wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs", "all"],
         default="all",
     )
-    p_sem.add_argument("--engine", choices=["canonical", "raw"], default="canonical",
-                       help="derivation engine for --method wfds")
     p_sem.add_argument("--format", choices=["text", "json"], default="text")
 
     p_res = sub.add_parser("residual", help="print the reduced residual program")
@@ -132,8 +130,7 @@ def _cmd_semantics(args, out) -> int:
                 out.write(f"divergence: {n1} vs {n2} on {kind}{names}\n")
         return EXIT_OK if report.equal else EXIT_DIVERGENCE
     if args.method == "wfds":
-        engine = Engine.RAW if args.engine == "raw" else Engine.CANONICAL
-        state = wfds(program, engine)
+        state = wfds(program)
     elif args.method == "wfds-raw":
         state = wfds(program, Engine.RAW)
     elif args.method == "dwfs-star":

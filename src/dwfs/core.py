@@ -44,6 +44,14 @@ def _fset(xs) -> frozenset:
     return xs if isinstance(xs, frozenset) else frozenset(xs)
 
 
+def atom_mask(atoms) -> int:
+    """The atom set as an int with bit a set for each atom id a."""
+    m = 0
+    for a in atoms:
+        m |= 1 << a
+    return m
+
+
 @dataclass(frozen=True)
 class Rule:
     """head <- pos_body, not neg_body, each part a duplicate-free atom set."""

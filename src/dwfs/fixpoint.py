@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .core import CapacityError, Program, canonicalize, env_bound, _fset
+from .core import CapacityError, Program, atom_mask, canonicalize, env_bound, _fset
 
 DEFAULT_ORACLE_BOUND = 20
 
@@ -77,14 +77,8 @@ def entails_classical(p: Program, d, bound: int | None = None) -> bool:
     if n > limit:
         raise CapacityError(f"entailment oracle limited to {limit} atoms, got {n}")
 
-    def mask(atoms):
-        m = 0
-        for a in atoms:
-            m |= 1 << a
-        return m
-
-    rules = [(mask(r.pos_body), mask(r.head)) for r in p.rules]
-    dmask = mask(d)
+    rules = [(atom_mask(r.pos_body), atom_mask(r.head)) for r in p.rules]
+    dmask = atom_mask(d)
     for bits in range(1 << n):
         if any((bits & pm) == pm and not (bits & hm) for pm, hm in rules):
             continue

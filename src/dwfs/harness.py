@@ -4,7 +4,7 @@ well-founded model), and cross-semantics equivalence checking."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator
 
 from .argumentation import Engine, wfds
@@ -13,11 +13,13 @@ from .core import (
     ModelState,
     Program,
     Rule,
+    atom_mask,
     env_bound,
     satisfies_negative,
     satisfies_positive,
 )
 from .fixpoint import DEFAULT_ORACLE_BOUND, _require_positive
+from .parser import render_program, state_json
 from .residual import dwfs_star
 from .unfounded import uwfs
 
@@ -90,13 +92,7 @@ def minimal_models(p: Program, bound: int | None = None) -> frozenset:
     if n > limit:
         raise CapacityError(f"minimal-model oracle limited to {limit} atoms, got {n}")
 
-    def mask(atoms):
-        m = 0
-        for a in atoms:
-            m |= 1 << a
-        return m
-
-    rules = [(mask(r.pos_body), mask(r.head)) for r in p.rules]
+    rules = [(atom_mask(r.pos_body), atom_mask(r.head)) for r in p.rules]
     models = []
     for bits in sorted(range(1 << n), key=lambda b: bin(b).count("1")):
         if any((bits & pm) == pm and not (bits & hm) for pm, hm in rules):
@@ -262,16 +258,7 @@ def fuzz_reports(
     are re-run on a shrunk program when shrinking is enabled."""
     programs = degenerate_programs(min(cfg.num_atoms, 4))
     for i in range(count):
-        sub = GeneratorConfig(
-            seed=cfg.seed + i,
-            num_atoms=cfg.num_atoms,
-            num_rules=cfg.num_rules,
-            max_head=cfg.max_head,
-            max_pos_body=cfg.max_pos_body,
-            max_neg_body=cfg.max_neg_body,
-            neg_probability=cfg.neg_probability,
-        )
-        programs.append(random_program(sub))
+        programs.append(random_program(replace(cfg, seed=cfg.seed + i)))
     for prog in programs:
         report = check_equivalence(prog)
         if not report.equal and shrink:
@@ -282,8 +269,6 @@ def fuzz_reports(
 
 def report_json(report: EquivalenceReport) -> dict:
     """JSON-line form of a report: program text plus machine-form states."""
-    from .parser import render_program, state_json
-
     names = report.program.atom_names
     doc = {
         "program": render_program(report.program),

@@ -11,8 +11,16 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Iterable
 
-from .core import CapacityError, ModelState, Program, Rule, canonicalize, env_bound
-from .transforms import TransformKind, TransformStep, is_s_implication
+from .core import (
+    CapacityError,
+    ModelState,
+    Program,
+    Rule,
+    atom_mask,
+    canonicalize,
+    env_bound,
+)
+from .transforms import TransformKind, TransformStep, s_implies
 
 DEFAULT_LFT_CAP = 1_000_000
 
@@ -116,17 +124,19 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     return frozenset(facts)
 
 
-def superseded(fact: Rule, others: Iterable[Rule], assumed_false: frozenset) -> bool:
-    """A strictly stronger conditional fact holds whenever this one does,
-    once negative literals on assumed-false atoms are discounted."""
-    red = Rule(fact.head, frozenset(), fact.neg_body - assumed_false)
-    for g in others:
-        if not g.is_conditional_fact:
-            continue
-        gred = Rule(g.head, frozenset(), g.neg_body - assumed_false)
-        if gred != red and is_s_implication(red, gred):
-            return True
-    return False
+def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
+    """The conditional facts that a strictly stronger one s-implies, once
+    negative literals on assumed-false atoms are discounted."""
+    off = ~atom_mask(assumed_false)
+    by_form: dict[tuple, list[Rule]] = defaultdict(list)
+    for r in facts:
+        by_form[atom_mask(r.head), atom_mask(r.neg_body) & off].append(r)
+    forms = list(by_form)
+    out = []
+    for h1, n1 in forms:
+        if any(s_implies(h1, 0, n1, h2, 0, n2) for h2, n2 in forms):
+            out.extend(by_form[h1, n1])
+    return frozenset(out)
 
 
 def strong_reduction(n: Iterable[Rule]) -> frozenset:
@@ -134,8 +144,10 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
     negative literal whose atom heads no fact of the input."""
     n = _check_facts(n)
     heads = heads_of(n)
-    kept = (r for r in n if not any(is_s_implication(r, r2) for r2 in n if r2 != r))
-    return frozenset(Rule(r.head, frozenset(), r.neg_body & heads) for r in kept)
+    dropped = superseded(n)
+    return frozenset(
+        Rule(r.head, frozenset(), r.neg_body & heads) for r in n if r not in dropped
+    )
 
 
 def strong_residual(p: Program, cap: int | None = None) -> frozenset:
@@ -202,10 +214,11 @@ def reduction_steps(n: Iterable[Rule]) -> list[TransformStep]:
     deleted body literal."""
     n = _check_facts(n)
     heads = heads_of(n)
+    dropped = superseded(n)
     steps: list[TransformStep] = []
     kept = []
     for r in sorted(n, key=lambda r: (sorted(r.head), sorted(r.neg_body))):
-        if any(is_s_implication(r, r2) for r2 in n if r2 != r):
+        if r in dropped:
             steps.append(TransformStep(TransformKind.ELIM_S_IMPLICATION, frozenset((r,))))
         else:
             kept.append(r)

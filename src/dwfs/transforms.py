@@ -11,10 +11,12 @@ from .core import (
     ModelState,
     Program,
     Rule,
+    atom_mask,
     rule_key,
     satisfies_negative,
     satisfies_positive,
 )
+from .parser import render_rule
 
 
 class TransformKind(enum.Enum):
@@ -38,21 +40,30 @@ class TransformStep:
         object.__setattr__(self, "added", frozenset(self.added))
 
 
-def is_s_implication(r1: Rule, r2: Rule) -> bool:
-    """True iff r1 is redundant given the stronger rule r2.
+def s_implies(h1: int, p1: int, n1: int, h2: int, p2: int, n2: int) -> bool:
+    """True iff the rule with head, positive-body and negative-body masks
+    (h1, p1, n1) is redundant given the stronger rule (h2, p2, n2).
 
-    Plain form: r2's head and body are contained in r1's. Moved form: some
-    negative body literals of r1, read as head atoms, cover r2's extra head
-    atoms; the witness r2 must then be an unconditional fact, otherwise the
-    move would trade r1's firing direction for conditions of r2's own and
-    derive more than the well-founded semantics allows.
+    Plain form: rule 2's head and body are contained in rule 1's. Moved form:
+    some negative body literals of rule 1, read as head atoms, cover rule 2's
+    extra head atoms; the witness must then be an unconditional fact,
+    otherwise the move would trade rule 1's firing direction for conditions
+    of its own and derive more than the well-founded semantics allows.
     """
-    if r1 == r2:
+    if h1 == h2 and p1 == p2 and n1 == n2:
         return False
-    moved = r2.head - r1.head
+    moved = h2 & ~h1
     if moved:
-        return moved <= r1.neg_body and r2.is_fact
-    return r2.pos_body <= r1.pos_body and r2.neg_body <= r1.neg_body
+        return not (moved & ~n1 or p2 or n2)
+    return not (p2 & ~p1 or n2 & ~n1)
+
+
+def is_s_implication(r1: Rule, r2: Rule) -> bool:
+    """True iff r1 is redundant given the stronger rule r2 (see s_implies)."""
+    return s_implies(
+        atom_mask(r1.head), atom_mask(r1.pos_body), atom_mask(r1.neg_body),
+        atom_mask(r2.head), atom_mask(r2.pos_body), atom_mask(r2.neg_body),
+    )
 
 
 def _unfold(r: Rule, b: int, other: Rule) -> Rule:
@@ -126,7 +137,6 @@ def bd_semantics_axioms(s: ModelState, p: Program) -> bool:
 
 def render_step(step: TransformStep, names) -> str:
     """Trace line: kind, removed rules as '-rule', added rules as '+rule'."""
-    from .parser import render_rule
 
     def keyed(rules):
         return sorted(rules, key=rule_key)

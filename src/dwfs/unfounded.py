@@ -19,15 +19,15 @@ only the saturated form exposes rule-locally.
 
 from __future__ import annotations
 
+from . import residual
 from .core import (
     ModelState,
     Program,
-    Rule,
     Truth,
+    atom_mask,
     body_status,
     canonicalize,
     env_bound,
-    _fset,
 )
 
 DEFAULT_UNFOUNDED_ORACLE_BOUND = 14
@@ -55,138 +55,101 @@ class NoGreatestUnfoundedSetError(RuntimeError):
     exists."""
 
 
-def _conditional_facts(p: Program) -> list[Rule]:
-    return [r for r in p.rules if r.is_conditional_fact]
+def _members(m: int) -> list:
+    """The atom ids in the mask m, ascending."""
+    return [a for a in range(m.bit_length()) if m >> a & 1]
 
 
-def _rule_blocked(facts, s: ModelState, r: Rule, x: frozenset) -> bool:
-    from .residual import superseded
-
-    if body_status(s, r) is Truth.FALSE:
-        return True
-    if r.pos_body & x:
-        return True
-    if not r.pos_body and superseded(r, facts, s.false_atoms):
-        return True
-    enabling = r.neg_body | s.false_atoms
-    scope = r.head | enabling
-    free = r.head - enabling
-    for d in s.pos:
-        if d <= scope and (d & (r.head | r.neg_body)) and not (d & free & x):
-            return True
-    return False
-
-
-def is_unfounded(p: Program, s: ModelState, x) -> bool:
-    """True iff every rule whose head meets x is blocked with respect to s."""
-    x = _fset(x)
-    facts = _conditional_facts(p)
-    return all(
-        _rule_blocked(facts, s, r, x) for r in p.rules if r.head & x
-    )
-
-
-def _rule_masks(p: Program, s: ModelState):
-    """Per rule: head mask, positive-body mask, body-false flag, and witness
+def _rule_rows(p: Program, s: ModelState) -> list:
+    """Per rule: head mask, positive-body mask, a flag for being blocked
+    whatever X is (false body, or a superseded conditional fact), and witness
     masks; a witness blocks the rule for X iff its mask is disjoint from X."""
-
-    def mask(atoms):
-        m = 0
-        for a in atoms:
-            m |= 1 << a
-        return m
-
-    from .residual import superseded
-
-    facts = _conditional_facts(p)
-    out = []
+    dropped = residual.superseded(
+        (r for r in p.rules if r.is_conditional_fact), s.false_atoms
+    )
+    rows = []
     for r in p.rules:
-        blocked = body_status(s, r) is Truth.FALSE or (
-            not r.pos_body and superseded(r, facts, s.false_atoms)
-        )
+        blocked = body_status(s, r) is Truth.FALSE or r in dropped
         enabling = r.neg_body | s.false_atoms
         scope = r.head | enabling
         free = r.head - enabling
         witnesses = [
-            mask(d & free)
+            atom_mask(d & free)
             for d in s.pos
             if d <= scope and (d & (r.head | r.neg_body))
         ]
-        out.append((mask(r.head), mask(r.pos_body), blocked, witnesses))
-    return out
+        rows.append((atom_mask(r.head), atom_mask(r.pos_body), blocked, witnesses))
+    return rows
 
 
-def _union_of_unfounded(p: Program, s: ModelState) -> frozenset:
+def _unfounded(rows: list, x: int) -> bool:
+    """True iff every row whose head meets the atom mask x is blocked for x."""
+    return all(
+        blocked or pm & x or not all(w & x for w in witnesses)
+        for hm, pm, blocked, witnesses in rows
+        if hm & x
+    )
+
+
+def is_unfounded(p: Program, s: ModelState, x) -> bool:
+    """True iff every rule whose head meets x is blocked with respect to s."""
+    return _unfounded(_rule_rows(p, s), atom_mask(x))
+
+
+def _union_of_unfounded(rows: list, n: int) -> int:
     """Union of all unfounded sets, by exhaustive subset enumeration."""
-    n = len(p.atom_names)
-    rules = _rule_masks(p, s)
-
-    def unfounded(xmask: int) -> bool:
-        for hm, pm, blocked, wit in rules:
-            if not (hm & xmask):
-                continue
-            if blocked:
-                continue
-            if pm & xmask:
-                continue
-            if any(not (w & xmask) for w in wit):
-                continue
-            return False
-        return True
-
     union = 0
     for m in range(1, 1 << n):
-        if m | union == union:
-            continue
-        if unfounded(m):
+        if m | union != union and _unfounded(rows, m):
             union |= m
-    return frozenset(a for a in range(n) if union >> a & 1)
+    return union
 
 
-def _eliminate(p: Program, s: ModelState) -> frozenset:
+def _eliminate(p: Program, s: ModelState, rows: list) -> int:
     """Heuristic for large bases: shrink a candidate set until every member
     is blocked everywhere, then greedily absorb single atoms."""
-    facts = _conditional_facts(p)
-    cand = set(p.base - s.unit_true_atoms())
+    n = len(p.atom_names)
+    by_head = [[row for row in rows if row[0] >> a & 1] for a in range(n)]
+    cand = atom_mask(p.base - s.unit_true_atoms())
     changed = True
     while changed:
         changed = False
-        for a in sorted(cand):
-            rules = [r for r in p.rules if a in r.head]
-            if all(_rule_blocked(facts, s, r, frozenset(cand)) for r in rules):
-                continue
-            cand.discard(a)
-            changed = True
+        for a in _members(cand):
+            if not _unfounded(by_head[a], cand):
+                cand &= ~(1 << a)
+                changed = True
     grown = True
     while grown:
         grown = False
-        for a in sorted(p.base - cand):
-            if is_unfounded(p, s, cand | {a}):
-                cand.add(a)
+        for a in _members(((1 << n) - 1) & ~cand):
+            if _unfounded(rows, cand | 1 << a):
+                cand |= 1 << a
                 grown = True
-    return frozenset(cand)
+    return cand
 
 
 def greatest_unfounded(p: Program, s: ModelState, bound: int | None = None):
     """The unfounded set containing every unfounded set, or NO_GREATEST.
 
-    Exhaustive and exact up to the configured base bound; beyond it a
-    verified elimination heuristic answers, raising a diagnostic if its
-    result fails verification.
+    Exhaustive and exact up to the base bound (`bound`, else
+    DWFS_ORACLE_BOUND, else 14 atoms). Beyond it the elimination heuristic
+    answers; its result is checked to be unfounded, not to be the greatest,
+    and a failed check raises RuntimeError.
     """
+    rows = _rule_rows(p, s)
     n = len(p.atom_names)
     if n <= env_bound(bound, DEFAULT_UNFOUNDED_ORACLE_BOUND):
-        union = _union_of_unfounded(p, s)
-        if is_unfounded(p, s, union):
-            return union
+        union = _union_of_unfounded(rows, n)
+        if _unfounded(rows, union):
+            return frozenset(_members(union))
         return NO_GREATEST
-    guess = _eliminate(p, s)
-    if not is_unfounded(p, s, guess):
+    guess = _eliminate(p, s, rows)
+    if not _unfounded(rows, guess):
         raise RuntimeError(
             "elimination produced a non-unfounded candidate; base too large "
             "for the exhaustive check"
         )
-    return guess
+    return frozenset(_members(guess))
 
 
 def t_operator(p: Program, s: ModelState) -> frozenset:
@@ -215,9 +178,7 @@ def w_operator(p: Program, s: ModelState, bound: int | None = None) -> ModelStat
 def uwfs(p: Program, bound: int | None = None, cap: int | None = None) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts."""
-    from .residual import as_program, lft
-
-    saturated = as_program(p, lft(p, cap))
+    saturated = residual.as_program(p, residual.lft(p, cap))
     state = ModelState()
     while True:
         nxt = w_operator(saturated, state, bound)

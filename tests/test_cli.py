@@ -64,7 +64,7 @@ def test_semantics_classic_method_lacks_negative(travel_file):
 
 
 def test_semantics_raw_engine_flag(travel_file):
-    code, out = _run(["semantics", travel_file, "--method", "wfds", "--engine", "raw"])
+    code, out = _run(["semantics", travel_file, "--method", "wfds-raw"])
     assert code == 0
     assert out == "l | p\nnot b\n"
 

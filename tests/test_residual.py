@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from dwfs import (
@@ -9,6 +11,7 @@ from dwfs import (
     apply,
     bd_semantics_axioms,
     classic_reduction,
+    is_s_implication,
     dwfs_classic,
     dwfs_star,
     lft,
@@ -19,7 +22,7 @@ from dwfs import (
     tpg_step,
     wfds,
 )
-from dwfs.residual import as_program, classic_residual, residual_trace
+from dwfs.residual import as_program, classic_residual, residual_trace, superseded
 from conftest import (
     ATTACK_DEMO,
     GUARD,
@@ -221,3 +224,28 @@ def test_trace_reaches_residual():
     assert steps
     assert all(s.kind in (TransformKind.ELIM_S_IMPLICATION, TransformKind.POSITIVE_REDUCTION) for s in steps)
     assert after == strong_reduction(saturated)
+
+
+def _superseded_by_rules(fact, others, assumed_false):
+    red = Rule(fact.head, frozenset(), fact.neg_body - assumed_false)
+    for g in others:
+        gred = Rule(g.head, frozenset(), g.neg_body - assumed_false)
+        if gred != red and is_s_implication(red, gred):
+            return True
+    return False
+
+
+def test_superseded_matches_rule_definition():
+    rnd = random.Random(11)
+    hits = 0
+    for seed in range(80):
+        p = random_program(GeneratorConfig(seed + 3100, num_atoms=5, num_rules=6))
+        facts = lft(p)
+        for _ in range(3):
+            assumed_false = frozenset(a for a in p.base if rnd.random() < 0.3)
+            want = frozenset(
+                f for f in facts if _superseded_by_rules(f, facts, assumed_false)
+            )
+            assert superseded(facts, assumed_false) == want
+            hits += bool(want)
+    assert hits > 50

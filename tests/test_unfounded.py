@@ -86,6 +86,19 @@ def test_elimination_path_agrees_with_exhaustive():
             continue
         heuristic = greatest_unfounded(p, s, bound=0)
         assert heuristic == exhaustive
+    # The states uwfs visits: W-reachable states of saturated programs,
+    # sparse (8 atoms) and dense (6 atoms).
+    checked = 0
+    for seed in range(60):
+        sparse = GeneratorConfig(seed + 3300, num_atoms=8, num_rules=8, max_head=2,
+                                 max_pos_body=1, max_neg_body=2)
+        dense = GeneratorConfig(seed + 3400, num_atoms=6, num_rules=9, max_head=2,
+                                max_pos_body=2, max_neg_body=2)
+        for cfg in (sparse, dense):
+            for n, s in _w_sequence(random_program(cfg)):
+                assert greatest_unfounded(n, s, bound=0) == greatest_unfounded(n, s)
+                checked += 1
+    assert checked > 200
 
 
 def test_t_operator_fires_true_bodies_only():
