@@ -52,6 +52,7 @@ from .residual import (
     dwfs_classic,
     dwfs_star,
     lft,
+    saturation,
     strong_reduction,
     strong_residual,
     tpg_step,

@@ -54,8 +54,8 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 
 class _Session:
-    """Memoized per-program saturation, and per-hypothesis support sets and
-    superseded facts."""
+    """Memoized per-hypothesis support sets and superseded facts over the
+    program's saturation (kept on the Program, see residual.saturation)."""
 
     def __init__(self, program: Program, engine: Engine, cap: int | None = None):
         self.program = program
@@ -64,15 +64,18 @@ class _Session:
         self._support: dict[frozenset, tuple] = {}
         self._units: dict[frozenset, frozenset] = {}
         self._superseded: dict[frozenset, frozenset] = {}
-        self._saturation = None
 
     def support(self, lits: frozenset) -> tuple:
         got = self._support.get(lits)
         if got is None:
-            red = reduct(self.program, Hypothesis(lits))
-            full = tps_lfp(red)
             if self.engine is Engine.CANONICAL:
-                full = canonicalize(full)
+                # The reduct's least model state, read off the saturation:
+                # its facts with negative body in lits, negation dropped.
+                full = canonicalize(
+                    f.head for f in self.saturation() if f.neg_body <= lits
+                )
+            else:
+                full = tps_lfp(reduct(self.program, Hypothesis(lits)))
             got = tuple(sorted(full, key=sorted))
             self._support[lits] = got
         return got
@@ -112,9 +115,7 @@ class _Session:
         return None
 
     def saturation(self) -> frozenset:
-        if self._saturation is None:
-            self._saturation = residual.lft(self.program, self.cap)
-        return self._saturation
+        return residual.saturation(self.program, self.cap)
 
     def superseded(self, lits: frozenset) -> frozenset:
         got = self._superseded.get(lits)

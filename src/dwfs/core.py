@@ -98,7 +98,7 @@ class Program:
     equality.
     """
 
-    __slots__ = ("rules", "atom_names", "_names_key", "_head_atoms")
+    __slots__ = ("rules", "atom_names", "_names_key", "_head_atoms", "_saturation")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -114,6 +114,7 @@ class Program:
         self.atom_names = names
         self._names_key = None
         self._head_atoms = None
+        self._saturation = None  # (facts, peak stored rules), see residual.saturation
 
     @property
     def base(self) -> frozenset:

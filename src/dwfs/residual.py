@@ -72,35 +72,52 @@ def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
     return frozenset(out)
 
 
-def lft(p: Program, cap: int | None = None) -> frozenset:
-    """Least fixpoint transformation: all conditional facts derivable by
-    resolving away positive body atoms.
-
-    Computed by a binary-resolution worklist (one body atom at a time, in id
-    order); this reaches exactly the saturation of tpg_step, which the tests
-    cross-check, without materializing whole premise tuples.
-    """
-    limit = env_bound(cap, DEFAULT_LFT_CAP)
-    facts: set[Rule] = set()
+def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
+    """The binary-resolution worklist behind lft and saturation: resolve one
+    positive body atom at a time, in id order, against stored conditional
+    facts. With prune, a new fact that a stored fact subsumes (head and
+    negative body both subsets) is not stored, and storing a fact evicts the
+    stored facts it subsumes. Returns the stored facts and the peak number
+    of stored rules; CapacityError once that number exceeds limit."""
+    facts: dict[Rule, tuple[int, int]] = {}  # fact -> (head mask, neg mask)
     facts_by_head: dict[int, set[Rule]] = defaultdict(set)
     partials: set[Rule] = set()
     partials_by_slot: dict[int, set[Rule]] = defaultdict(set)
     work: deque[tuple[str, Rule]] = deque()
+    peak = 0
+
+    def subsumed(r: Rule, hm: int, nm: int) -> bool:
+        """True if a stored fact subsumes r; else evict those r subsumes."""
+        for a in r.head:
+            for f in facts_by_head.get(a, ()):
+                hf, nf = facts[f]
+                if not (hf & ~hm or nf & ~nm):
+                    return True
+        bucket = min((facts_by_head.get(a, ()) for a in r.head), key=len)
+        for f in [f for f in bucket if not (hm & ~facts[f][0] or nm & ~facts[f][1])]:
+            del facts[f]
+            for a in f.head:
+                facts_by_head[a].discard(f)
+        return False
 
     def push(r: Rule):
+        nonlocal peak
         if r.pos_body:
             if r not in partials:
                 partials.add(r)
                 partials_by_slot[min(r.pos_body)].add(r)
                 work.append(("partial", r))
-        else:
-            if r not in facts:
-                facts.add(r)
+        elif r not in facts:
+            hm, nm = atom_mask(r.head), atom_mask(r.neg_body)
+            if not (prune and subsumed(r, hm, nm)):
+                facts[r] = hm, nm
                 for a in r.head:
                     facts_by_head[a].add(r)
                 work.append(("fact", r))
-        if len(facts) + len(partials) > limit:
+        stored = len(facts) + len(partials)
+        if stored > limit:
             raise CapacityError(f"saturation exceeded {limit} stored rules")
+        peak = max(peak, stored)
 
     def resolve(partial: Rule, fact: Rule, b: int) -> Rule:
         return Rule(
@@ -114,6 +131,8 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     while work:
         tag, r = work.popleft()
         if tag == "fact":
+            if r not in facts:  # evicted while waiting
+                continue
             for a in sorted(r.head):
                 for q in list(partials_by_slot.get(a, ())):
                     push(resolve(q, r, a))
@@ -121,7 +140,41 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
             b = min(r.pos_body)
             for f in list(facts_by_head.get(b, ())):
                 push(resolve(r, f, b))
-    return frozenset(facts)
+    return frozenset(facts), peak
+
+
+def lft(p: Program, cap: int | None = None) -> frozenset:
+    """Least fixpoint transformation: all conditional facts derivable by
+    resolving away positive body atoms.
+
+    Computed by a binary-resolution worklist (one body atom at a time, in id
+    order); this reaches exactly the saturation of tpg_step, which the tests
+    cross-check, without materializing whole premise tuples. Nothing is
+    pruned, so this is the specification that `saturation` is checked
+    against and what `dwfs lft` and `dwfs trace` print; the routes read
+    `saturation` instead. CapacityError once more than `cap` rules (else
+    DWFS_ORACLE_BOUND, else DEFAULT_LFT_CAP) are stored.
+    """
+    return _saturate(p, env_bound(cap, DEFAULT_LFT_CAP), prune=False)[0]
+
+
+def saturation(p: Program, cap: int | None = None) -> frozenset:
+    """The subsumption-minimal facts of lft(p): those no other fact of
+    lft(p) subsumes with a head and a negative body that are both subsets.
+
+    The same worklist as lft, pruned forward and backward by subsumption as
+    facts are stored (Brass and Dix's residual-program computation). Every
+    route reads this saturation. It is computed once per Program instance
+    and kept on it, with the peak number of rules stored on the way, so a
+    later call whose cap lies below that peak still raises CapacityError.
+    """
+    limit = env_bound(cap, DEFAULT_LFT_CAP)
+    if p._saturation is None:
+        p._saturation = _saturate(p, limit, prune=True)
+    facts, peak = p._saturation
+    if peak > limit:
+        raise CapacityError(f"saturation exceeded {limit} stored rules")
+    return facts
 
 
 def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
@@ -152,7 +205,7 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
 
 def strong_residual(p: Program, cap: int | None = None) -> frozenset:
     """Fixpoint of the strong reduction over the saturation of p."""
-    n = lft(p, cap)
+    n = saturation(p, cap)
     while True:
         nxt = strong_reduction(n)
         if nxt == n:
@@ -166,23 +219,24 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
     literals. Strictly weaker than strong_reduction."""
     n = _check_facts(n)
     heads = heads_of(n)
-    plain_facts = [r for r in n if r.is_fact]
+    forms = {r: (atom_mask(r.head), atom_mask(r.neg_body)) for r in n}
+    fact_heads = [h for h, m in forms.values() if not m]
 
-    def removable(r: Rule) -> bool:
-        if any(
-            r2 != r and r2.head <= r.head and r2.neg_body <= r.neg_body
-            for r2 in n
-        ):
-            return True
-        return any(f.head <= r.neg_body for f in plain_facts)
+    def removable(h1: int, n1: int) -> bool:
+        return any(
+            not (h2 & ~h1 or n2 & ~n1) and (h2, n2) != (h1, n1)
+            for h2, n2 in forms.values()
+        ) or any(not h & ~n1 for h in fact_heads)
 
     return frozenset(
-        Rule(r.head, frozenset(), r.neg_body & heads) for r in n if not removable(r)
+        Rule(r.head, frozenset(), r.neg_body & heads)
+        for r, form in forms.items()
+        if not removable(*form)
     )
 
 
 def classic_residual(p: Program, cap: int | None = None) -> frozenset:
-    n = lft(p, cap)
+    n = saturation(p, cap)
     while True:
         nxt = classic_reduction(n)
         if nxt == n:

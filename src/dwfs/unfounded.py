@@ -178,7 +178,7 @@ def w_operator(p: Program, s: ModelState, bound: int | None = None) -> ModelStat
 def uwfs(p: Program, bound: int | None = None, cap: int | None = None) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts."""
-    saturated = residual.as_program(p, residual.lft(p, cap))
+    saturated = residual.as_program(p, residual.saturation(p, cap))
     state = ModelState()
     while True:
         nxt = w_operator(saturated, state, bound)

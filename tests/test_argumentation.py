@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from dwfs import (
     attacks,
     cons,
     derives,
+    least_model_state,
     parse_program,
     random_program,
     reduct,
@@ -18,6 +20,7 @@ from dwfs import (
     wfdh,
     wfds,
 )
+from dwfs.argumentation import _Session
 from conftest import (
     ATTACK_DEMO,
     EVEN_LOOP,
@@ -91,6 +94,13 @@ def test_cons_on_travel_program():
     assert cons(p, lits(p, "b")) == {disj(p, "l p")}
 
 
+def _support_is_reduct_least_model_state(p, delta):
+    # The canonical engine reads its support set off the saturation; by
+    # definition it is the least model state of the reduct.
+    got = _Session(p, Engine.CANONICAL).support(delta.literal_assumptions)
+    return set(got) == least_model_state(reduct(p, delta))
+
+
 def test_cons_equals_canonical_derivable_set():
     # Dual route: enumerate every positive disjunction and compare against
     # the member-wise cancellation.
@@ -107,6 +117,16 @@ def test_cons_equals_canonical_derivable_set():
                 if derives(p, delta, frozenset(c))
             }
             assert cons(p, delta) == canonicalize(derived)
+            assert _support_is_reduct_least_model_state(p, delta)
+    rnd = random.Random(5)
+    for seed in range(40):
+        p = random_program(
+            GeneratorConfig(seed + 700, num_atoms=6, num_rules=8, max_head=3,
+                            max_pos_body=2, max_neg_body=2)
+        )
+        for _ in range(5):
+            delta = Hypothesis(frozenset(a for a in p.base if rnd.random() < 0.5))
+            assert _support_is_reduct_least_model_state(p, delta)
 
 
 def test_attack_on_assumption_pair():

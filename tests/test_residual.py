@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -20,9 +21,16 @@ from dwfs import (
     strong_reduction,
     strong_residual,
     tpg_step,
+    uwfs,
     wfds,
 )
-from dwfs.residual import as_program, classic_residual, residual_trace, superseded
+from dwfs.residual import (
+    as_program,
+    classic_residual,
+    residual_trace,
+    saturation,
+    superseded,
+)
 from conftest import (
     ATTACK_DEMO,
     GUARD,
@@ -75,6 +83,16 @@ def test_saturation_of_negative_program_is_itself():
     assert lft(p) == frozenset(p.rules)
 
 
+def _subsumption_minimal(facts):
+    return frozenset(
+        f
+        for f in facts
+        if not any(
+            g != f and g.head <= f.head and g.neg_body <= f.neg_body for g in facts
+        )
+    )
+
+
 def test_saturation_agrees_with_naive_iteration():
     for seed in range(15):
         p = random_program(GeneratorConfig(seed, num_atoms=4, num_rules=5))
@@ -85,12 +103,50 @@ def test_saturation_agrees_with_naive_iteration():
                 break
             naive = nxt
         assert lft(p) == naive
+        assert saturation(p) == _subsumption_minimal(naive)
+    pruned = 0
+    for seed in range(60):
+        p = random_program(
+            GeneratorConfig(seed + 3300, num_atoms=6, num_rules=8, max_head=3,
+                            max_pos_body=2, max_neg_body=2)
+        )
+        full = lft(p)
+        assert saturation(p) == _subsumption_minimal(full)
+        pruned += len(saturation(p)) < len(full)
+    assert pruned > 20
 
 
 def test_saturation_capacity_cap():
     p = parse_program("a | b. c | d :- not e.")
     with pytest.raises(CapacityError):
         lft(p, cap=1)
+    with pytest.raises(CapacityError):
+        saturation(p, cap=1)
+
+
+def test_saturation_cap_holds_after_memo():
+    p = parse_program(SATURATE)
+    facts = saturation(p)
+    assert saturation(p, cap=100) is facts
+    with pytest.raises(CapacityError):
+        saturation(p, cap=1)
+    assert saturation(p) is facts
+
+
+def test_blow_up_program_saturates_small_and_fast():
+    # Its unpruned lft keeps 5,213 facts and runs for minutes.
+    p = random_program(
+        GeneratorConfig(seed=0, num_atoms=10, num_rules=16, max_head=2,
+                        max_pos_body=2, max_neg_body=2)
+    )
+    start = time.perf_counter()
+    assert len(saturation(p)) == 10
+    states = [wfds(p), dwfs_star(p), dwfs_classic(p), uwfs(p)]
+    elapsed = time.perf_counter() - start
+    assert all(s == states[0] for s in states)
+    # wfds-raw is left out: the raw engine is defined by tps_lfp on each
+    # reduct, not by the saturation, and that still takes seconds here.
+    assert elapsed < 2.0
 
 
 def test_strong_reduction_removes_moved_implication():
