@@ -68,10 +68,6 @@ class Rule:
             raise ValueError("rule head must be nonempty")
 
     @property
-    def is_positive(self) -> bool:
-        return not self.neg_body
-
-    @property
     def is_fact(self) -> bool:
         return not self.pos_body and not self.neg_body
 
@@ -196,9 +192,6 @@ class ModelState:
         return frozenset(a for d in self.pos if len(d) == 1 for a in d)
 
 
-EMPTY_STATE = ModelState()
-
-
 def satisfies_positive(s: ModelState, d) -> bool:
     """True iff the positive disjunction d belongs to the closure of s."""
     d = _fset(d)
@@ -225,13 +218,6 @@ class Hypothesis:
             if len(d) < 2:
                 raise ValueError("disjunctive assumptions must have at least two atoms")
         object.__setattr__(self, "disjunctive_assumptions", disj)
-
-    @classmethod
-    def of_literals(cls, atoms) -> "Hypothesis":
-        return cls(frozenset(atoms))
-
-
-EMPTY_HYPOTHESIS = Hypothesis()
 
 
 def state_consistent(s: ModelState) -> bool:

@@ -18,7 +18,6 @@ from .core import (
     Rule,
     atom_mask,
     canonicalize,
-    env_bound,
 )
 from .transforms import TransformKind, TransformStep, s_implies
 
@@ -153,9 +152,9 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     pruned, so this is the specification that `saturation` is checked
     against and what `dwfs lft` and `dwfs trace` print; the routes read
     `saturation` instead. CapacityError once more than `cap` rules (else
-    DWFS_ORACLE_BOUND, else DEFAULT_LFT_CAP) are stored.
+    DEFAULT_LFT_CAP) are stored.
     """
-    return _saturate(p, env_bound(cap, DEFAULT_LFT_CAP), prune=False)[0]
+    return _saturate(p, DEFAULT_LFT_CAP if cap is None else cap, prune=False)[0]
 
 
 def saturation(p: Program, cap: int | None = None) -> frozenset:
@@ -168,7 +167,7 @@ def saturation(p: Program, cap: int | None = None) -> frozenset:
     and kept on it, with the peak number of rules stored on the way, so a
     later call whose cap lies below that peak still raises CapacityError.
     """
-    limit = env_bound(cap, DEFAULT_LFT_CAP)
+    limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturation is None:
         p._saturation = _saturate(p, limit, prune=True)
     facts, peak = p._saturation

@@ -15,12 +15,28 @@ union is itself unfounded; otherwise none exists, which is a value here,
 not a fault. The well-founded fixpoint runs over the program's saturation
 into conditional facts: positive body atoms carry support information that
 only the saturated form exposes rule-locally.
+
+On a program of conditional facts that union takes one test per atom, not
+one per subset. With no positive body, a rule is blocked for X exactly when
+it is blocked whatever X is (false body, or superseded) or the state
+satisfies a disjunction inside its negated atoms, the false atoms and its
+head atoms outside X. Neither stops holding when X shrinks, and a subset of
+X meets the heads of fewer rules, so every subset of an unfounded set is
+unfounded. The union of all unfounded sets is therefore the set of atoms a
+with {a} unfounded, and one more test tells whether that union is itself
+unfounded. The result is exact at every base size. Only programs that keep
+positive bodies, on which the definition is also stated, fall back to
+enumerating every subset: a desk-scale oracle with a capacity cap.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
+
 from . import residual
 from .core import (
+    CapacityError,
     ModelState,
     Program,
     Truth,
@@ -105,51 +121,44 @@ def _union_of_unfounded(rows: list, n: int) -> int:
     return union
 
 
-def _eliminate(p: Program, s: ModelState, rows: list) -> int:
-    """Heuristic for large bases: shrink a candidate set until every member
-    is blocked everywhere, then greedily absorb single atoms."""
-    n = len(p.atom_names)
-    by_head = [[row for row in rows if row[0] >> a & 1] for a in range(n)]
-    cand = atom_mask(p.base - s.unit_true_atoms())
-    changed = True
-    while changed:
-        changed = False
-        for a in _members(cand):
-            if not _unfounded(by_head[a], cand):
-                cand &= ~(1 << a)
-                changed = True
-    grown = True
-    while grown:
-        grown = False
-        for a in _members(((1 << n) - 1) & ~cand):
-            if _unfounded(rows, cand | 1 << a):
-                cand |= 1 << a
-                grown = True
-    return cand
+def _union_of_unfounded_singletons(rows: list, n: int) -> int:
+    """The atoms a with {a} unfounded, for rows with no positive body: a row
+    whose head holds a is blocked for {a} unless it is blocked for no X and
+    every witness contains a."""
+    founded = 0
+    for hm, _, blocked, witnesses in rows:
+        if not blocked:
+            founded |= reduce(and_, witnesses, hm)
+    return ((1 << n) - 1) & ~founded
 
 
 def greatest_unfounded(p: Program, s: ModelState, bound: int | None = None):
     """The unfounded set containing every unfounded set, or NO_GREATEST.
 
-    Exhaustive and exact up to the base bound (`bound`, else
-    DWFS_ORACLE_BOUND, else 14 atoms). Beyond it the elimination heuristic
-    answers; its result is checked to be unfounded, not to be the greatest,
-    and a failed check raises RuntimeError.
+    When no rule of p has a positive body, as on the saturation that uwfs
+    reads, a rule blocked for X stays blocked for every subset of X, so
+    every subset of an unfounded set is unfounded (the module docstring
+    gives the argument). The union of all unfounded sets is then the set of
+    atoms whose singleton is unfounded, read off the row table in one pass
+    and exact at every size. Otherwise every subset of the base is enumerated, an oracle
+    limited to `bound` atoms (else DWFS_ORACLE_BOUND, else 14);
+    CapacityError beyond.
     """
     rows = _rule_rows(p, s)
     n = len(p.atom_names)
-    if n <= env_bound(bound, DEFAULT_UNFOUNDED_ORACLE_BOUND):
+    if any(pm for _, pm, _, _ in rows):
+        limit = env_bound(bound, DEFAULT_UNFOUNDED_ORACLE_BOUND)
+        if n > limit:
+            raise CapacityError(
+                f"unfounded-set oracle limited to {limit} atoms on programs "
+                f"with positive bodies, got {n}"
+            )
         union = _union_of_unfounded(rows, n)
-        if _unfounded(rows, union):
-            return frozenset(_members(union))
-        return NO_GREATEST
-    guess = _eliminate(p, s, rows)
-    if not _unfounded(rows, guess):
-        raise RuntimeError(
-            "elimination produced a non-unfounded candidate; base too large "
-            "for the exhaustive check"
-        )
-    return frozenset(_members(guess))
+    else:
+        union = _union_of_unfounded_singletons(rows, n)
+    if _unfounded(rows, union):
+        return frozenset(_members(union))
+    return NO_GREATEST
 
 
 def t_operator(p: Program, s: ModelState) -> frozenset:
@@ -164,10 +173,10 @@ def t_operator(p: Program, s: ModelState) -> frozenset:
     return canonicalize(out)
 
 
-def w_operator(p: Program, s: ModelState, bound: int | None = None) -> ModelState:
+def w_operator(p: Program, s: ModelState) -> ModelState:
     """One well-founded step: add immediate consequences and negate the
     greatest unfounded set, accumulating the given state."""
-    u = greatest_unfounded(p, s, bound)
+    u = greatest_unfounded(p, s)
     if isinstance(u, NoGreatest):
         raise NoGreatestUnfoundedSetError(
             "well-founded operator undefined: no greatest unfounded set"
@@ -175,13 +184,13 @@ def w_operator(p: Program, s: ModelState, bound: int | None = None) -> ModelStat
     return ModelState(s.pos | t_operator(p, s), s.false_atoms | u)
 
 
-def uwfs(p: Program, bound: int | None = None, cap: int | None = None) -> ModelState:
+def uwfs(p: Program, cap: int | None = None) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts."""
     saturated = residual.as_program(p, residual.saturation(p, cap))
     state = ModelState()
     while True:
-        nxt = w_operator(saturated, state, bound)
+        nxt = w_operator(saturated, state)
         if nxt == state:
             return state
         state = nxt

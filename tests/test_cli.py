@@ -143,6 +143,24 @@ def test_capacity_exit_code(tmp_path, capsys):
     assert "capacity" in capsys.readouterr().err
 
 
+def test_routes_ignore_oracle_bound(tmp_path, monkeypatch):
+    # DWFS_ORACLE_BOUND caps the exhaustive oracles only; no route and no
+    # saturation reads it, even when it lies below the program's size.
+    path = tmp_path / "pipe.lp"
+    path.write_text(PIPELINE)
+    commands = [
+        ["semantics", str(path), "--method", method, "--format", fmt]
+        for method in ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs", "all")
+        for fmt in ("text", "json")
+    ]
+    commands += [["residual", str(path)], ["lft", str(path)], ["trace", str(path)]]
+    monkeypatch.delenv("DWFS_ORACLE_BOUND", raising=False)
+    unset = [_run(argv) for argv in commands]
+    assert all(code == 0 for code, _ in unset)
+    monkeypatch.setenv("DWFS_ORACLE_BOUND", "3")
+    assert [_run(argv) for argv in commands] == unset
+
+
 def test_fuzz_runs_clean():
     code, out = _run(
         ["fuzz", "--count", "15", "--atoms", "4", "--rules", "5", "--seed", "11"]

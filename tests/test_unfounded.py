@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from dwfs import (
+    CapacityError,
     GeneratorConfig,
     ModelState,
     NO_GREATEST,
-    NoGreatest,
     greatest_unfounded,
     is_unfounded,
     parse_program,
@@ -16,8 +17,8 @@ from dwfs import (
     w_operator,
     wfds,
 )
-from dwfs.residual import as_program, lft
-from dwfs.unfounded import NoGreatestUnfoundedSetError
+from dwfs.residual import as_program, lft, saturation
+from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
 
 
@@ -59,46 +60,116 @@ def test_greatest_unfounded_examples():
     assert greatest_unfounded(loop, ModelState()) == frozenset()
 
 
+def _subset_union(p, s):
+    """The greatest unfounded set by definition: the union of every subset of
+    the base that is_unfounded accepts, if that union is accepted too."""
+    base = sorted(p.base)
+    union = frozenset()
+    for k in range(1, len(base) + 1):
+        for combo in itertools.combinations(base, k):
+            x = frozenset(combo)
+            if is_unfounded(p, s, x):
+                union |= x
+    return union if is_unfounded(p, s, union) else NO_GREATEST
+
+
+def _random_state(rng, n):
+    """Unit atoms and two-atom disjunctions true, atoms false, at random:
+    units on both sides of a disjunctive head leave no greatest set."""
+    pos = [frozenset((a,)) for a in range(n) if rng.random() < 0.5]
+    if n >= 2:
+        pos += [frozenset(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+    false = frozenset(a for a in range(n) if rng.random() < 0.15)
+    return ModelState(frozenset(pos), false)
+
+
 def test_greatest_unfounded_matches_exhaustive_union():
+    # Raw programs, which keep positive bodies, at their wfds state.
     for seed in range(20):
         p = random_program(GeneratorConfig(seed, num_atoms=4, num_rules=5))
         s = wfds(p)
-        base = sorted(p.base)
-        union = frozenset()
-        for k in range(1, len(base) + 1):
-            for combo in itertools.combinations(base, k):
-                x = frozenset(combo)
-                if is_unfounded(p, s, x):
-                    union |= x
-        got = greatest_unfounded(p, s)
-        if is_unfounded(p, s, union):
-            assert got == union
-        else:
-            assert got is NO_GREATEST
+        assert greatest_unfounded(p, s) == _subset_union(p, s)
+    # Saturated programs at random states that no W-sequence need reach.
+    rng = random.Random(4100)
+    verdicts = []
+    for seed in range(240):
+        cfg = GeneratorConfig(seed + 4100, num_atoms=3 + seed % 4, num_rules=5,
+                              max_head=2, max_pos_body=2, max_neg_body=2)
+        p = random_program(cfg)
+        n = as_program(p, saturation(p))
+        s = _random_state(rng, len(n.atom_names))
+        got = greatest_unfounded(n, s)
+        assert got == _subset_union(n, s)
+        verdicts.append(got)
+    assert sum(v is NO_GREATEST for v in verdicts) >= 10
+    assert sum(v is not NO_GREATEST and bool(v) for v in verdicts) >= 150
+    # Positive bodies need the exhaustive union, capped at 14 atoms; the
+    # saturation of the same program has none left and no cap applies.
+    chain = parse_program(" ".join(f"a{i + 1} :- a{i}." for i in range(15)))
+    assert len(chain.atom_names) == 16
+    with pytest.raises(CapacityError):
+        greatest_unfounded(chain, ModelState())
+    n = as_program(chain, saturation(chain))
+    assert greatest_unfounded(n, ModelState()) == n.base
 
 
-def test_elimination_path_agrees_with_exhaustive():
-    for seed in range(12):
-        p = random_program(GeneratorConfig(seed + 70, num_atoms=5, num_rules=6))
-        s = wfds(p)
-        exhaustive = greatest_unfounded(p, s)
-        if isinstance(exhaustive, NoGreatest):
-            continue
-        heuristic = greatest_unfounded(p, s, bound=0)
-        assert heuristic == exhaustive
-    # The states uwfs visits: W-reachable states of saturated programs,
-    # sparse (8 atoms) and dense (6 atoms).
-    checked = 0
+def _truth_table_union(rows, n):
+    """The union of every unfounded subset of an n-atom base, all 2^n subsets
+    tested at once: bit m of a truth table is the verdict on the subset with
+    atom mask m, so each row's condition is a few operations on 2^n-bit ints.
+    This is the subset enumeration with no appeal to closure under subsets."""
+    full = (1 << (1 << n)) - 1
+    member = []  # member[a]: the truth table of "a is in the subset"
+    for a in range(n):
+        half = 1 << a
+        period = ((1 << half) - 1) << half
+        member.append(period * (full // ((1 << 2 * half) - 1)))
+
+    def meets(mask):
+        table = 0
+        for a in range(n):
+            if mask >> a & 1:
+                table |= member[a]
+        return table
+
+    verdict = full
+    for hm, pm, blocked, witnesses in rows:
+        if not blocked:
+            ok = full ^ meets(hm) | meets(pm)
+            for w in witnesses:
+                ok |= full ^ meets(w)
+            verdict &= ok
+    return frozenset(a for a in range(n) if verdict & member[a])
+
+
+def test_reachable_states_agree_with_exhaustive_union():
+    # W-reachable states of saturated programs: sparse (8 atoms) and dense
+    # (6 atoms) over lft, and sparse at 15-18 atoms over the pruned
+    # saturation that uwfs reads.
+    runs = []
     for seed in range(60):
         sparse = GeneratorConfig(seed + 3300, num_atoms=8, num_rules=8, max_head=2,
                                  max_pos_body=1, max_neg_body=2)
         dense = GeneratorConfig(seed + 3400, num_atoms=6, num_rules=9, max_head=2,
                                 max_pos_body=2, max_neg_body=2)
-        for cfg in (sparse, dense):
-            for n, s in _w_sequence(random_program(cfg)):
-                assert greatest_unfounded(n, s, bound=0) == greatest_unfounded(n, s)
-                checked += 1
+        runs += [(sparse, lft), (dense, lft)]
+    for seed in range(12):
+        size = 15 + seed % 4
+        large_sparse = GeneratorConfig(seed + 5000, num_atoms=size, num_rules=size,
+                                       max_head=2, max_pos_body=1, max_neg_body=2)
+        runs.append((large_sparse, saturation))
+    checked = large = 0
+    for cfg, saturate in runs:
+        for n, s in _w_sequence(random_program(cfg), saturate):
+            size = len(n.atom_names)
+            rows = _rule_rows(n, s)
+            union = _truth_table_union(rows, size)
+            expected = union if is_unfounded(n, s, union) else NO_GREATEST
+            assert greatest_unfounded(n, s) == expected
+            checked += 1
+            large += size >= 15
     assert checked > 200
+    assert large >= 20
 
 
 def test_t_operator_fires_true_bodies_only():
@@ -156,8 +227,8 @@ def test_uwfs_matches_wfds():
         assert uwfs(p) == wfds(p)
 
 
-def _w_sequence(p):
-    saturated = as_program(p, lft(p))
+def _w_sequence(p, saturate=lft):
+    saturated = as_program(p, saturate(p))
     states = []
     s = ModelState()
     while True:
