@@ -8,6 +8,7 @@ from .core import (
     Hypothesis,
     ModelState,
     Program,
+    RouteError,
     Rule,
     Truth,
     body_status,
@@ -27,6 +28,7 @@ from .parser import (
 )
 from .fixpoint import entails_classical, least_model_state, tps_lfp, tps_step
 from .argumentation import (
+    AdmissibilityError,
     AttackWitness,
     Engine,
     admissible,
@@ -60,6 +62,7 @@ from .residual import (
 from .unfounded import (
     NO_GREATEST,
     NoGreatest,
+    NoGreatestUnfoundedSetError,
     greatest_unfounded,
     is_unfounded,
     t_operator,

@@ -21,8 +21,13 @@ import enum
 from dataclasses import dataclass
 
 from . import residual
-from .core import Hypothesis, ModelState, Program, Rule, canonicalize, _fset
+from .core import Hypothesis, ModelState, Program, RouteError, Rule, canonicalize, _fset
 from .fixpoint import tps_lfp
+
+
+class AdmissibilityError(RouteError):
+    """The admissibility iteration broke its invariant: a round dropped an
+    assumption, or the rounds outnumbered the atoms."""
 
 
 class Engine(enum.Enum):
@@ -168,11 +173,11 @@ class _Session:
                 )
             )
             if not delta <= nxt:
-                raise RuntimeError("admissibility iteration lost assumptions")
+                raise AdmissibilityError("admissibility iteration lost assumptions")
             if nxt == delta:
                 return delta
             delta = nxt
-        raise RuntimeError("admissibility iteration exceeded the atom-count bound")
+        raise AdmissibilityError("admissibility iteration exceeded the atom-count bound")
 
     def cons(self, delta: Hypothesis) -> frozenset:
         lits = delta.literal_assumptions

@@ -2,7 +2,8 @@
 programs, reduction traces, and equivalence fuzzing.
 
 Exit codes: 0 success (and agreement), 1 usage or parse error, 2 divergence
-found, 3 capacity exceeded.
+found, 3 capacity exceeded, 4 a route failed (no greatest unfounded set, or
+the admissibility iteration broke its invariant).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import sys
 
 from .argumentation import Engine, wfds
-from .core import CapacityError, Program
+from .core import CapacityError, Program, RouteError
 from .harness import (
     GeneratorConfig,
     check_equivalence,
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGENCE = 2
 EXIT_CAPACITY = 3
+EXIT_ROUTE = 4
 
 
 class _UsageError(Exception):
@@ -119,6 +121,8 @@ def _cmd_semantics(args, out) -> int:
                 out.write(f"[{name}]\n")
                 if name in report.states:
                     out.write(render_state(report.states[name], program.atom_names))
+                elif name in report.route_errors:
+                    out.write(f"route error: {report.errors[name]}\n")
                 else:
                     out.write(f"capacity error: {report.errors[name]}\n")
                 out.write("\n")
@@ -128,7 +132,9 @@ def _cmd_semantics(args, out) -> int:
                 names = " | ".join(sorted(program.atom_names[a] for a in atoms))
                 kind = "" if sign == "pos" else "not "
                 out.write(f"divergence: {n1} vs {n2} on {kind}{names}\n")
-        return EXIT_OK if report.equal else EXIT_DIVERGENCE
+        if not report.equal:
+            return EXIT_DIVERGENCE
+        return EXIT_ROUTE if report.route_errors else EXIT_OK
     if args.method == "wfds":
         state = wfds(program)
     elif args.method == "wfds-raw":
@@ -187,14 +193,21 @@ def _cmd_fuzz(args, out) -> int:
         neg_probability=args.neg_prob,
     )
     failures = 0
+    route_failures = 0
     total = 0
     for report in fuzz_reports(args.count, cfg):
         total += 1
-        if not report.equal:
-            failures += 1
+        failures += not report.equal
+        route_failures += bool(report.route_errors)
+        if not report.equal or report.route_errors:
             out.write(json.dumps(report_json(report), sort_keys=True) + "\n")
-    out.write(f"fuzz: {total} programs, {failures} divergences\n")
-    return EXIT_DIVERGENCE if failures else EXIT_OK
+    summary = f"fuzz: {total} programs, {failures} divergences"
+    if route_failures:
+        summary += f", {route_failures} with a route error"
+    out.write(summary + "\n")
+    if failures:
+        return EXIT_DIVERGENCE
+    return EXIT_ROUTE if route_failures else EXIT_OK
 
 
 def run(argv) -> int:
@@ -227,6 +240,9 @@ def run(argv) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except RouteError as exc:
+        print(f"route error: {exc}", file=sys.stderr)
+        return EXIT_ROUTE
 
 
 def main(argv=None) -> int:

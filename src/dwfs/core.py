@@ -24,6 +24,11 @@ class CapacityError(RuntimeError):
     """An exhaustive oracle, enumeration, or saturation exceeded its bound."""
 
 
+class RouteError(RuntimeError):
+    """A route stopped without a state for a reason other than capacity: a
+    fixpoint iteration found its operator undefined or broke an invariant."""
+
+
 def env_bound(explicit: int | None, default: int) -> int:
     """Resolve a size cap: explicit argument, else DWFS_ORACLE_BOUND, else default."""
     if explicit is not None:
@@ -50,6 +55,14 @@ def atom_mask(atoms) -> int:
     for a in atoms:
         m |= 1 << a
     return m
+
+
+def mask_atoms(m: int) -> frozenset:
+    """The atom set of the mask m: the inverse of atom_mask."""
+    # Built through a set: on CPython 3.11 that gives a smaller frozenset
+    # than one built from a list at most sizes (472 against 728 bytes at 5
+    # to 7 atoms), and the raw engine keeps thousands of them.
+    return frozenset({a for a in range(m.bit_length()) if m >> a & 1})
 
 
 @dataclass(frozen=True)

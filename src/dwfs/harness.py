@@ -12,9 +12,11 @@ from .core import (
     CapacityError,
     ModelState,
     Program,
+    RouteError,
     Rule,
     atom_mask,
     env_bound,
+    mask_atoms,
     satisfies_negative,
     satisfies_positive,
 )
@@ -100,9 +102,7 @@ def minimal_models(p: Program, bound: int | None = None) -> frozenset:
         if any(m & bits == m for m in models):
             continue
         models.append(bits)
-    return frozenset(
-        frozenset(a for a in range(n) if m >> a & 1) for m in models
-    )
+    return frozenset(mask_atoms(m) for m in models)
 
 
 def gcwa_negatives(p: Program, bound: int | None = None) -> frozenset:
@@ -183,20 +183,26 @@ def find_divergence(a: ModelState, b: ModelState):
 class EquivalenceReport:
     program: Program
     states: dict = field(default_factory=dict)
-    errors: dict = field(default_factory=dict)
+    errors: dict = field(default_factory=dict)  # name -> CapacityError or RouteError
     equal: bool = True
     first_divergence: tuple | None = None
+
+    @property
+    def route_errors(self) -> dict:
+        """The recorded errors that are route failures, not capacity limits."""
+        return {n: e for n, e in self.errors.items() if isinstance(e, RouteError)}
 
 
 def check_equivalence(p: Program) -> EquivalenceReport:
     """Compute every semantics on p and compare them pairwise; capacity
-    failures are recorded per semantics and equality judged on the rest."""
+    limits and route failures are recorded per semantics and equality
+    judged on the rest."""
     report = EquivalenceReport(p)
     for name in SEMANTICS_NAMES:
         try:
             report.states[name] = compute_semantics(p, name)
-        except CapacityError as exc:
-            report.errors[name] = str(exc)
+        except (CapacityError, RouteError) as exc:
+            report.errors[name] = exc
     names = [n for n in SEMANTICS_NAMES if n in report.states]
     for i, n1 in enumerate(names):
         for n2 in names[i + 1 :]:
@@ -228,7 +234,8 @@ def remove_atom(p: Program, aid: int) -> Program:
 
 
 def shrink_divergence(p: Program, still_divergent: Callable[[Program], bool]) -> Program:
-    """Greedily remove rules, then atoms, while the divergence persists."""
+    """Greedily remove rules, then atoms, while still_divergent holds of the
+    smaller program (a divergence, or a route failure, persists)."""
     changed = True
     while changed:
         changed = False
@@ -254,8 +261,9 @@ def fuzz_reports(
     cfg: GeneratorConfig,
     shrink: bool = True,
 ) -> Iterator[EquivalenceReport]:
-    """Degenerate programs first, then seeded random ones; divergent reports
-    are re-run on a shrunk program when shrinking is enabled."""
+    """Degenerate programs first, then seeded random ones; divergent reports,
+    and reports with a route failure, are re-run on a shrunk program when
+    shrinking is enabled."""
     programs = degenerate_programs(min(cfg.num_atoms, 4))
     for i in range(count):
         programs.append(random_program(replace(cfg, seed=cfg.seed + i)))
@@ -263,6 +271,9 @@ def fuzz_reports(
         report = check_equivalence(prog)
         if not report.equal and shrink:
             small = shrink_divergence(prog, lambda q: not check_equivalence(q).equal)
+            report = check_equivalence(small)
+        elif report.route_errors and shrink:
+            small = shrink_divergence(prog, lambda q: bool(check_equivalence(q).route_errors))
             report = check_equivalence(small)
         yield report
 
@@ -279,7 +290,7 @@ def report_json(report: EquivalenceReport) -> dict:
         "first_divergence": None,
     }
     if report.errors:
-        doc["errors"] = dict(sorted(report.errors.items()))
+        doc["errors"] = {name: str(exc) for name, exc in sorted(report.errors.items())}
     if report.first_divergence is not None:
         (n1, n2), witness = report.first_divergence
         sign, atoms = witness

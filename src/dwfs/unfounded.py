@@ -39,11 +39,13 @@ from .core import (
     CapacityError,
     ModelState,
     Program,
+    RouteError,
     Truth,
     atom_mask,
     body_status,
     canonicalize,
     env_bound,
+    mask_atoms,
 )
 
 DEFAULT_UNFOUNDED_ORACLE_BOUND = 14
@@ -66,14 +68,9 @@ class NoGreatest:
 NO_GREATEST = NoGreatest()
 
 
-class NoGreatestUnfoundedSetError(RuntimeError):
+class NoGreatestUnfoundedSetError(RouteError):
     """The well-founded operator was applied where no greatest unfounded set
     exists."""
-
-
-def _members(m: int) -> list:
-    """The atom ids in the mask m, ascending."""
-    return [a for a in range(m.bit_length()) if m >> a & 1]
 
 
 def _rule_rows(p: Program, s: ModelState) -> list:
@@ -157,7 +154,7 @@ def greatest_unfounded(p: Program, s: ModelState, bound: int | None = None):
     else:
         union = _union_of_unfounded_singletons(rows, n)
     if _unfounded(rows, union):
-        return frozenset(_members(union))
+        return mask_atoms(union)
     return NO_GREATEST
 
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from dwfs import Hypothesis, ModelState, parse_program
+import dwfs.unfounded as unfounded
+from dwfs import NO_GREATEST, Hypothesis, ModelState, parse_program
+from dwfs.argumentation import _Session
 
 # Reduct / least-model-state demo: one positive chain plus a guarded
 # disjunctive fact.
@@ -114,4 +116,22 @@ def state(p, pos=(), false: str = "") -> ModelState:
     return ModelState(
         frozenset(atoms(p, d) for d in pos),
         atoms(p, false),
+    )
+
+
+def no_greatest_when_atom_a(monkeypatch):
+    """Make uwfs's W operator undefined on every program with an atom a."""
+    real = unfounded.greatest_unfounded
+
+    def patched(p, s, bound=None):
+        return NO_GREATEST if "a" in p.atom_names else real(p, s, bound)
+
+    monkeypatch.setattr(unfounded, "greatest_unfounded", patched)
+
+
+def admissibility_loses_assumptions(monkeypatch):
+    """Disarm every fact for the empty hypothesis only, so the second
+    admissibility round drops assumptions."""
+    monkeypatch.setattr(
+        _Session, "fact_disarmed", lambda self, delta, fact, atom: not delta
     )

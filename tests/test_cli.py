@@ -5,7 +5,15 @@ from contextlib import redirect_stdout
 import pytest
 
 from dwfs.cli import run
-from conftest import ATTACK_DEMO, GUARD, PIPELINE, SATURATE, TRAVEL
+from conftest import (
+    ATTACK_DEMO,
+    GUARD,
+    PIPELINE,
+    SATURATE,
+    TRAVEL,
+    admissibility_loses_assumptions,
+    no_greatest_when_atom_a,
+)
 
 
 @pytest.fixture
@@ -141,6 +149,33 @@ def test_capacity_exit_code(tmp_path, capsys):
     code, _ = _run(["residual", str(path), "--lft-cap", "1"])
     assert code == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_route_failure_exit_code(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "a.lp"
+    path.write_text("a | b :- not c. c.")
+    no_greatest_when_atom_a(monkeypatch)
+    code, out = _run(["semantics", str(path), "--method", "uwfs"])
+    assert (code, out) == (4, "")
+    assert "route error: well-founded operator undefined" in capsys.readouterr().err
+    code, out = _run(["semantics", str(path)])
+    assert code == 4
+    assert "[uwfs]\nroute error: well-founded operator undefined" in out
+    assert "equal: true" in out
+    code, out = _run(["semantics", str(path), "--format", "json"])
+    assert code == 4 and set(json.loads(out)["errors"]) == {"uwfs"}
+    code, out = _run(["fuzz", "--count", "2", "--atoms", "3", "--rules", "3"])
+    lines = out.splitlines()
+    assert code == 4
+    assert lines[-1] == "fuzz: 4 programs, 0 divergences, 4 with a route error"
+    assert all(set(json.loads(line)["errors"]) == {"uwfs"} for line in lines[:-1])
+
+    monkeypatch.undo()
+    admissibility_loses_assumptions(monkeypatch)
+    for method in ("wfds", "wfds-raw"):
+        code, out = _run(["semantics", str(path), "--method", method])
+        assert (code, out) == (4, "")
+        assert "route error: admissibility iteration" in capsys.readouterr().err
 
 
 def test_routes_ignore_oracle_bound(tmp_path, monkeypatch):

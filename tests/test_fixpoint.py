@@ -1,9 +1,12 @@
 import itertools
+import random
 
 import pytest
 
+import dwfs.argumentation as argumentation
 from dwfs import (
     CapacityError,
+    Engine,
     GeneratorConfig,
     entails_classical,
     least_model_state,
@@ -12,8 +15,108 @@ from dwfs import (
     subsumes,
     tps_lfp,
     tps_step,
+    wfds,
 )
 from conftest import atoms
+
+
+def _oracle_round(p, j):
+    """One hyperresolution round on frozensets, every premise combination
+    enumerated: the operator's definition, independent of the mask kernel."""
+    j = frozenset(frozenset(d) for d in j)
+    by_atom = {}
+    for d in j:
+        for b in d:
+            by_atom.setdefault(b, []).append(d)
+    out = set()
+    for r in p.rules:
+        slots = []
+        for b in sorted(r.pos_body):
+            cands = by_atom.get(b)
+            if not cands:
+                slots = None
+                break
+            slots.append((b, cands))
+        if slots is None:
+            continue
+        for combo in itertools.product(*(c for _, c in slots)):
+            acc = set(r.head)
+            for (b, _), d in zip(slots, combo):
+                acc |= d - {b}
+            out.add(frozenset(acc))
+    return frozenset(out)
+
+
+def _oracle_lfp(p):
+    cur = frozenset()
+    while True:
+        nxt = cur | _oracle_round(p, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _random_positive_programs(count):
+    rnd = random.Random(5)
+    for seed in range(count):
+        n = rnd.randint(1, 7)
+        yield random_program(
+            GeneratorConfig(
+                seed,
+                num_atoms=n,
+                num_rules=rnd.randint(0, 10),
+                max_head=rnd.randint(1, min(3, n)),
+                max_pos_body=rnd.randint(0, min(3, n)),
+                max_neg_body=0,
+                neg_probability=0.0,
+            )
+        )
+
+
+def _raw_engine_reducts(monkeypatch, seeds):
+    """Every reduct the raw engine takes the fixpoint of, on dense programs."""
+    requested = []
+    real = argumentation.tps_lfp
+
+    def spy(q):
+        requested.append(q)
+        return real(q)
+
+    monkeypatch.setattr(argumentation, "tps_lfp", spy)
+    for seed in seeds:
+        wfds(
+            random_program(
+                GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                                max_pos_body=2, max_neg_body=2)
+            ),
+            Engine.RAW,
+        )
+    monkeypatch.undo()
+    return requested
+
+
+def test_lfp_matches_naive_oracle_iteration(monkeypatch):
+    reducts = _raw_engine_reducts(monkeypatch, range(1, 41))
+    assert len(reducts) > 40
+    programs = list(_random_positive_programs(200)) + reducts
+    for q in programs:
+        assert tps_lfp(q) == _oracle_lfp(q)
+
+
+def test_step_matches_oracle_round():
+    rnd = random.Random(9)
+    for p in _random_positive_programs(200):
+        clauses = sorted(_oracle_lfp(p), key=sorted)
+        for _ in range(3):
+            j = [d for d in clauses if rnd.random() < 0.5]
+            j += [frozenset(rnd.sample(sorted(p.base), rnd.randint(1, len(p.base))))]
+            assert tps_step(p, j) == _oracle_round(p, j)
+
+
+def test_lfp_requires_positive_program():
+    p = parse_program("a :- not b.")
+    with pytest.raises(ValueError):
+        tps_lfp(p)
 
 
 def test_step_requires_positive_program():

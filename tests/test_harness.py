@@ -2,8 +2,11 @@ import itertools
 
 import pytest
 
+import dwfs.unfounded as unfounded
 from dwfs import (
+    AdmissibilityError,
     CapacityError,
+    NoGreatestUnfoundedSetError,
     GeneratorConfig,
     check_equivalence,
     dwfs_classic,
@@ -21,7 +24,17 @@ from dwfs.harness import (
     shrink_divergence,
     states_agree,
 )
-from conftest import ATTACK_DEMO, GUARD, HALF_LOOP, REDUCT_DEMO, TRAVEL, atoms, state
+from conftest import (
+    ATTACK_DEMO,
+    GUARD,
+    HALF_LOOP,
+    REDUCT_DEMO,
+    TRAVEL,
+    admissibility_loses_assumptions,
+    atoms,
+    no_greatest_when_atom_a,
+    state,
+)
 
 
 def test_generator_is_deterministic():
@@ -172,3 +185,41 @@ def test_report_json_shape():
         "undefined_atoms": ["l", "p"],
     }
     assert "b | l :- not p." in doc["program"]
+
+
+def test_check_equivalence_records_route_failures(monkeypatch):
+    p = parse_program(TRAVEL)
+    no_greatest_when_atom_a(monkeypatch)
+    assert check_equivalence(parse_program("b :- not c.")).errors == {}
+    report = check_equivalence(parse_program("a | b :- not c. c."))
+    assert set(report.errors) == {"uwfs"}
+    assert isinstance(report.errors["uwfs"], NoGreatestUnfoundedSetError)
+    assert report.route_errors == report.errors
+    assert report.equal and set(report.states) == {"wfds", "wfds-raw", "dwfs-star"}
+    assert "well-founded operator undefined" in report_json(report)["errors"]["uwfs"]
+
+    monkeypatch.undo()
+    admissibility_loses_assumptions(monkeypatch)
+    report = check_equivalence(p)
+    assert set(report.errors) == {"wfds", "wfds-raw"}
+    assert all(isinstance(e, AdmissibilityError) for e in report.errors.values())
+    assert report_json(report)["errors"]["wfds"] == "admissibility iteration lost assumptions"
+
+
+def test_capacity_errors_are_not_route_failures(monkeypatch):
+    def capped(p, s, bound=None):
+        raise CapacityError("capped")
+
+    monkeypatch.setattr(unfounded, "greatest_unfounded", capped)
+    report = check_equivalence(parse_program(TRAVEL))
+    assert set(report.errors) == {"uwfs"} and report.route_errors == {}
+    assert report_json(report)["errors"] == {"uwfs": "capped"}
+
+
+def test_fuzz_reports_shrink_route_failures(monkeypatch):
+    no_greatest_when_atom_a(monkeypatch)
+    reports = list(fuzz_reports(3, GeneratorConfig(seed=3, num_atoms=4, num_rules=4)))
+    assert len(reports) == 5
+    for rep in reports:
+        assert set(rep.route_errors) == {"uwfs"}
+        assert not rep.program.rules and rep.program.atom_names == ("a",)
