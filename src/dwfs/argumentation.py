@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import residual
 from .core import Hypothesis, ModelState, Program, RouteError, Rule, canonicalize, _fset
@@ -60,13 +61,15 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 class _Session:
     """Memoized per-hypothesis support sets and superseded facts over the
-    program's saturation (kept on the Program, see residual.saturation)."""
+    program's saturation (kept on the Program, see residual.saturation); the
+    raw engine's support sets are also memoized per reduct, which many
+    literal sets share."""
 
-    def __init__(self, program: Program, engine: Engine, cap: int | None = None):
+    def __init__(self, program: Program, engine: Engine):
         self.program = program
         self.engine = engine
-        self.cap = cap
         self._support: dict[frozenset, tuple] = {}
+        self._raw: dict[tuple, tuple] = {}  # reduct rules -> support
         self._units: dict[frozenset, frozenset] = {}
         self._superseded: dict[frozenset, frozenset] = {}
 
@@ -79,9 +82,13 @@ class _Session:
                 full = canonicalize(
                     f.head for f in self.saturation() if f.neg_body <= lits
                 )
+                got = tuple(sorted(full, key=sorted))
             else:
-                full = tps_lfp(reduct(self.program, Hypothesis(lits)))
-            got = tuple(sorted(full, key=sorted))
+                red = reduct(self.program, Hypothesis(lits))
+                got = self._raw.get(red.rules)
+                if got is None:
+                    got = tuple(sorted(tps_lfp(red), key=sorted))
+                    self._raw[red.rules] = got
             self._support[lits] = got
         return got
 
@@ -96,13 +103,6 @@ class _Session:
 
     def derives(self, lits: frozenset, a: frozenset) -> bool:
         return any(a <= b and (b - a) <= lits for b in self.support(lits))
-
-    def attacks_literals(self, delta_lits: frozenset, target_lits: frozenset) -> bool:
-        """Clause-2 test specialized to literal-only targets."""
-        return any(
-            (b & target_lits) and (b - target_lits) <= delta_lits
-            for b in self.support(delta_lits)
-        )
 
     def attack_witness(self, delta: Hypothesis, target: Hypothesis):
         delta_lits = delta.literal_assumptions
@@ -120,7 +120,16 @@ class _Session:
         return None
 
     def saturation(self) -> frozenset:
-        return residual.saturation(self.program, self.cap)
+        return residual.saturation(self.program)
+
+    @cached_property
+    def facts_by_atom(self) -> dict[int, list[Rule]]:
+        """The saturation's facts under each of their head atoms."""
+        index: dict[int, list[Rule]] = {}
+        for fact in self.saturation():
+            for a in fact.head:
+                index.setdefault(a, []).append(fact)
+        return index
 
     def superseded(self, lits: frozenset) -> frozenset:
         got = self._superseded.get(lits)
@@ -153,25 +162,14 @@ class _Session:
     def admissible(self, delta_lits: frozenset, atom: int) -> bool:
         return all(
             self.fact_disarmed(delta_lits, fact, atom)
-            for fact in self.saturation()
-            if atom in fact.head
+            for fact in self.facts_by_atom.get(atom, ())
         )
 
     def wfdh_literals(self) -> frozenset:
         base = sorted(self.program.base)
-        by_atom: dict[int, list[Rule]] = {}
-        for fact in self.saturation():
-            for a in fact.head:
-                by_atom.setdefault(a, []).append(fact)
         delta: frozenset = frozenset()
         for _ in range(len(base) + 2):
-            nxt = frozenset(
-                a
-                for a in base
-                if all(
-                    self.fact_disarmed(delta, fact, a) for fact in by_atom.get(a, ())
-                )
-            )
+            nxt = frozenset(a for a in base if self.admissible(delta, a))
             if not delta <= nxt:
                 raise AdmissibilityError("admissibility iteration lost assumptions")
             if nxt == delta:
@@ -229,20 +227,19 @@ def admissible(
     delta: Hypothesis,
     atom: int,
     engine: Engine = Engine.CANONICAL,
-    cap: int | None = None,
 ) -> bool:
     """True iff the assumption "not atom" is admissible with respect to delta:
     every attacker deriving the atom is superseded or counterattacked."""
-    return _Session(p, engine, cap).admissible(delta.literal_assumptions, atom)
+    return _Session(p, engine).admissible(delta.literal_assumptions, atom)
 
 
-def wfdh(p: Program, engine: Engine = Engine.CANONICAL, cap: int | None = None) -> Hypothesis:
+def wfdh(p: Program, engine: Engine = Engine.CANONICAL) -> Hypothesis:
     """Least fixpoint of the admissibility operator (literal core)."""
-    return Hypothesis(_Session(p, engine, cap).wfdh_literals())
+    return Hypothesis(_Session(p, engine).wfdh_literals())
 
 
-def wfds(p: Program, engine: Engine = Engine.CANONICAL, cap: int | None = None) -> ModelState:
+def wfds(p: Program, engine: Engine = Engine.CANONICAL) -> ModelState:
     """The well-founded state: admissible assumptions plus what they support."""
-    session = _Session(p, engine, cap)
+    session = _Session(p, engine)
     lits = session.wfdh_literals()
     return ModelState(session.cons(Hypothesis(lits)), lits)

@@ -12,26 +12,18 @@ import argparse
 import json
 import sys
 
-from .argumentation import Engine, wfds
 from .core import CapacityError, Program, RouteError
 from .harness import (
+    SEMANTICS_NAMES,
     GeneratorConfig,
     check_equivalence,
+    compute_semantics,
     fuzz_reports,
     report_json,
 )
 from .parser import ParseError, parse_program, render_program, render_state, state_json
-from .residual import (
-    as_program,
-    classic_residual,
-    dwfs_classic,
-    dwfs_star,
-    lft,
-    residual_trace,
-    strong_residual,
-)
+from .residual import classic_residual, lft, residual_trace, strong_residual
 from .transforms import render_step
-from .unfounded import uwfs
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,6 +34,10 @@ EXIT_ROUTE = 4
 
 class _UsageError(Exception):
     pass
+
+
+class _InputError(Exception):
+    """The program file could not be read or decoded."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,15 +90,19 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str) -> Program:
-    if path == "-":
-        return parse_program(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InputError(exc) from exc
+    return parse_program(text)
 
 
 def _print_negative_program(p: Program, facts, out):
-    text = render_program(as_program(p, facts))
-    out.write(text)
+    out.write(render_program(p.with_rules(facts)))
 
 
 def _cmd_check(args, out) -> int:
@@ -117,7 +117,7 @@ def _cmd_semantics(args, out) -> int:
         if args.format == "json":
             out.write(json.dumps(report_json(report), sort_keys=True) + "\n")
         else:
-            for name in ("wfds", "wfds-raw", "dwfs-star", "uwfs"):
+            for name in SEMANTICS_NAMES:
                 out.write(f"[{name}]\n")
                 if name in report.states:
                     out.write(render_state(report.states[name], program.atom_names))
@@ -135,16 +135,7 @@ def _cmd_semantics(args, out) -> int:
         if not report.equal:
             return EXIT_DIVERGENCE
         return EXIT_ROUTE if report.route_errors else EXIT_OK
-    if args.method == "wfds":
-        state = wfds(program)
-    elif args.method == "wfds-raw":
-        state = wfds(program, Engine.RAW)
-    elif args.method == "dwfs-star":
-        state = dwfs_star(program)
-    elif args.method == "dwfs-classic":
-        state = dwfs_classic(program)
-    else:
-        state = uwfs(program)
+    state = compute_semantics(program, args.method)
     if args.format == "json":
         out.write(json.dumps(state_json(state, program.atom_names), sort_keys=True) + "\n")
     else:
@@ -183,15 +174,18 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_fuzz(args, out) -> int:
-    cfg = GeneratorConfig(
-        seed=args.seed,
-        num_atoms=args.atoms,
-        num_rules=args.rules,
-        max_head=min(args.max_head, args.atoms),
-        max_pos_body=min(args.max_pos_body, args.atoms),
-        max_neg_body=min(args.max_neg_body, args.atoms),
-        neg_probability=args.neg_prob,
-    )
+    try:
+        cfg = GeneratorConfig(
+            seed=args.seed,
+            num_atoms=args.atoms,
+            num_rules=args.rules,
+            max_head=min(args.max_head, args.atoms),
+            max_pos_body=min(args.max_pos_body, args.atoms),
+            max_neg_body=min(args.max_neg_body, args.atoms),
+            neg_probability=args.neg_prob,
+        )
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
     failures = 0
     route_failures = 0
     total = 0
@@ -213,14 +207,6 @@ def _cmd_fuzz(args, out) -> int:
 def run(argv) -> int:
     """Execute one command; returns the exit code and writes to stdout/stderr."""
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "check": _cmd_check,
         "semantics": _cmd_semantics,
@@ -230,11 +216,18 @@ def run(argv) -> int:
         "fuzz": _cmd_fuzz,
     }
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
         return handlers[args.command](args, sys.stdout)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapacityError as exc:

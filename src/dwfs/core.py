@@ -11,7 +11,6 @@ instead of being materialized.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -27,16 +26,6 @@ class CapacityError(RuntimeError):
 class RouteError(RuntimeError):
     """A route stopped without a state for a reason other than capacity: a
     fixpoint iteration found its operator undefined or broke an invariant."""
-
-
-def env_bound(explicit: int | None, default: int) -> int:
-    """Resolve a size cap: explicit argument, else DWFS_ORACLE_BOUND, else default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("DWFS_ORACLE_BOUND")
-    if env:
-        return int(env)
-    return default
 
 
 class Truth(enum.Enum):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable
 
-from .core import CapacityError, Program, atom_mask, canonicalize, env_bound, mask_atoms, _fset
+from .core import CapacityError, Program, atom_mask, canonicalize, mask_atoms, _fset
 
 DEFAULT_ORACLE_BOUND = 20
 
@@ -117,18 +117,17 @@ def least_model_state(p: Program) -> frozenset:
     return canonicalize(tps_lfp(p))
 
 
-def entails_classical(p: Program, d, bound: int | None = None) -> bool:
+def entails_classical(p: Program, d, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
     """Truth-table oracle: every assignment over the base satisfying all
     rules (as material implications) satisfies the positive disjunction d.
 
-    Desk-scale only; raises CapacityError beyond the configured bound.
+    Desk-scale only; raises CapacityError beyond `bound` atoms.
     """
     _require_positive(p)
     d = _fset(d)
     n = len(p.atom_names)
-    limit = env_bound(bound, DEFAULT_ORACLE_BOUND)
-    if n > limit:
-        raise CapacityError(f"entailment oracle limited to {limit} atoms, got {n}")
+    if n > bound:
+        raise CapacityError(f"entailment oracle limited to {bound} atoms, got {n}")
 
     rules = [(atom_mask(r.pos_body), atom_mask(r.head)) for r in p.rules]
     dmask = atom_mask(d)

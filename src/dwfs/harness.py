@@ -15,14 +15,13 @@ from .core import (
     RouteError,
     Rule,
     atom_mask,
-    env_bound,
     mask_atoms,
     satisfies_negative,
     satisfies_positive,
 )
 from .fixpoint import DEFAULT_ORACLE_BOUND, _require_positive
 from .parser import render_program, state_json
-from .residual import dwfs_star
+from .residual import dwfs_classic, dwfs_star
 from .unfounded import uwfs
 
 
@@ -41,6 +40,8 @@ class GeneratorConfig:
             raise ValueError("num_atoms must be positive")
         if self.max_head < 1:
             raise ValueError("max_head must be at least 1")
+        if min(self.max_pos_body, self.max_neg_body) < 0:
+            raise ValueError("body bounds cannot be negative")
         for bound in (self.max_head, self.max_pos_body, self.max_neg_body):
             if bound > self.num_atoms:
                 raise ValueError("size bounds cannot exceed the atom count")
@@ -85,14 +86,13 @@ def degenerate_programs(num_atoms: int = 4) -> list[Program]:
     return [empty, facts]
 
 
-def minimal_models(p: Program, bound: int | None = None) -> frozenset:
+def minimal_models(p: Program, bound: int = DEFAULT_ORACLE_BOUND) -> frozenset:
     """All subset-minimal classical models of a positive program, by
     exhaustive assignment enumeration."""
     _require_positive(p)
     n = len(p.atom_names)
-    limit = env_bound(bound, DEFAULT_ORACLE_BOUND)
-    if n > limit:
-        raise CapacityError(f"minimal-model oracle limited to {limit} atoms, got {n}")
+    if n > bound:
+        raise CapacityError(f"minimal-model oracle limited to {bound} atoms, got {n}")
 
     rules = [(atom_mask(r.pos_body), atom_mask(r.head)) for r in p.rules]
     models = []
@@ -105,7 +105,7 @@ def minimal_models(p: Program, bound: int | None = None) -> frozenset:
     return frozenset(mask_atoms(m) for m in models)
 
 
-def gcwa_negatives(p: Program, bound: int | None = None) -> frozenset:
+def gcwa_negatives(p: Program, bound: int = DEFAULT_ORACLE_BOUND) -> frozenset:
     """Atoms false in every minimal model of a positive program."""
     covered = set()
     for m in minimal_models(p, bound):
@@ -150,12 +150,16 @@ SEMANTICS_NAMES = ("wfds", "wfds-raw", "dwfs-star", "uwfs")
 
 
 def compute_semantics(p: Program, name: str) -> ModelState:
+    """The state one route computes: a name in SEMANTICS_NAMES, or the
+    baseline "dwfs-classic", which check_equivalence leaves out."""
     if name == "wfds":
         return wfds(p, Engine.CANONICAL)
     if name == "wfds-raw":
         return wfds(p, Engine.RAW)
     if name == "dwfs-star":
         return dwfs_star(p)
+    if name == "dwfs-classic":
+        return dwfs_classic(p)
     if name == "uwfs":
         return uwfs(p)
     raise ValueError(f"unknown semantics {name!r}")

@@ -39,11 +39,6 @@ def heads_of(n: Iterable[Rule]) -> frozenset:
     return frozenset(acc)
 
 
-def as_program(p: Program, facts: Iterable[Rule]) -> Program:
-    """Wrap a negative program over p's atom table."""
-    return p.with_rules(facts)
-
-
 def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
     """One saturation round: resolve every rule's positive body atoms against
     conditional facts from j whose heads contain them, delaying negation."""
@@ -202,14 +197,16 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
     )
 
 
+def _fixpoint(reduction, n: frozenset) -> frozenset:
+    """Apply one reduction pass until the program stops changing."""
+    while (nxt := reduction(n)) != n:
+        n = nxt
+    return n
+
+
 def strong_residual(p: Program, cap: int | None = None) -> frozenset:
     """Fixpoint of the strong reduction over the saturation of p."""
-    n = saturation(p, cap)
-    while True:
-        nxt = strong_reduction(n)
-        if nxt == n:
-            return n
-        n = nxt
+    return _fixpoint(strong_reduction, saturation(p, cap))
 
 
 def classic_reduction(n: Iterable[Rule]) -> frozenset:
@@ -235,12 +232,8 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
 
 
 def classic_residual(p: Program, cap: int | None = None) -> frozenset:
-    n = saturation(p, cap)
-    while True:
-        nxt = classic_reduction(n)
-        if nxt == n:
-            return n
-        n = nxt
+    """Fixpoint of the classic reduction over the saturation of p."""
+    return _fixpoint(classic_reduction, saturation(p, cap))
 
 
 def read_off(p: Program, n: Iterable[Rule]) -> ModelState:
@@ -251,20 +244,20 @@ def read_off(p: Program, n: Iterable[Rule]) -> ModelState:
     return ModelState(pos, p.base - heads_of(n))
 
 
-def dwfs_star(p: Program, cap: int | None = None) -> ModelState:
+def dwfs_star(p: Program) -> ModelState:
     """Transformation-based semantics via the strong residual program."""
-    return read_off(p, strong_residual(p, cap))
+    return read_off(p, strong_residual(p))
 
 
-def dwfs_classic(p: Program, cap: int | None = None) -> ModelState:
+def dwfs_classic(p: Program) -> ModelState:
     """Baseline semantics via the classic reduction fixpoint."""
-    return read_off(p, classic_residual(p, cap))
+    return read_off(p, classic_residual(p))
 
 
-def reduction_steps(n: Iterable[Rule]) -> list[TransformStep]:
-    """Decompose one strong-reduction pass into elementary transformation
-    steps: one elimination per dropped fact, then one positive reduction per
-    deleted body literal."""
+def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
+    """One strong-reduction pass, decomposed into elementary transformation
+    steps (one elimination per dropped fact, then one positive reduction per
+    deleted body literal), with the program it yields: strong_reduction(n)."""
     n = _check_facts(n)
     heads = heads_of(n)
     dropped = superseded(n)
@@ -275,6 +268,7 @@ def reduction_steps(n: Iterable[Rule]) -> list[TransformStep]:
             steps.append(TransformStep(TransformKind.ELIM_S_IMPLICATION, frozenset((r,))))
         else:
             kept.append(r)
+    out = set()
     for r in kept:
         cur = r
         for c in sorted(r.neg_body - heads):
@@ -287,7 +281,8 @@ def reduction_steps(n: Iterable[Rule]) -> list[TransformStep]:
                 )
             )
             cur = reduced
-    return steps
+        out.add(cur)
+    return steps, frozenset(out)
 
 
 def residual_trace(p: Program, cap: int | None = None):
@@ -297,8 +292,8 @@ def residual_trace(p: Program, cap: int | None = None):
     n = saturated
     passes = []
     while True:
-        nxt = strong_reduction(n)
+        steps, nxt = reduction_pass(n)
         if nxt == n:
             return saturated, passes, n
-        passes.append((reduction_steps(n), nxt))
+        passes.append((steps, nxt))
         n = nxt

@@ -44,7 +44,6 @@ from .core import (
     atom_mask,
     body_status,
     canonicalize,
-    env_bound,
     mask_atoms,
 )
 
@@ -129,7 +128,7 @@ def _union_of_unfounded_singletons(rows: list, n: int) -> int:
     return ((1 << n) - 1) & ~founded
 
 
-def greatest_unfounded(p: Program, s: ModelState, bound: int | None = None):
+def greatest_unfounded(p: Program, s: ModelState, bound: int = DEFAULT_UNFOUNDED_ORACLE_BOUND):
     """The unfounded set containing every unfounded set, or NO_GREATEST.
 
     When no rule of p has a positive body, as on the saturation that uwfs
@@ -137,17 +136,15 @@ def greatest_unfounded(p: Program, s: ModelState, bound: int | None = None):
     every subset of an unfounded set is unfounded (the module docstring
     gives the argument). The union of all unfounded sets is then the set of
     atoms whose singleton is unfounded, read off the row table in one pass
-    and exact at every size. Otherwise every subset of the base is enumerated, an oracle
-    limited to `bound` atoms (else DWFS_ORACLE_BOUND, else 14);
-    CapacityError beyond.
+    and exact at every size. Otherwise every subset of the base is
+    enumerated, an oracle limited to `bound` atoms; CapacityError beyond.
     """
     rows = _rule_rows(p, s)
     n = len(p.atom_names)
     if any(pm for _, pm, _, _ in rows):
-        limit = env_bound(bound, DEFAULT_UNFOUNDED_ORACLE_BOUND)
-        if n > limit:
+        if n > bound:
             raise CapacityError(
-                f"unfounded-set oracle limited to {limit} atoms on programs "
+                f"unfounded-set oracle limited to {bound} atoms on programs "
                 f"with positive bodies, got {n}"
             )
         union = _union_of_unfounded(rows, n)
@@ -181,10 +178,10 @@ def w_operator(p: Program, s: ModelState) -> ModelState:
     return ModelState(s.pos | t_operator(p, s), s.false_atoms | u)
 
 
-def uwfs(p: Program, cap: int | None = None) -> ModelState:
+def uwfs(p: Program) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts."""
-    saturated = residual.as_program(p, residual.saturation(p, cap))
+    saturated = p.with_rules(residual.saturation(p))
     state = ModelState()
     while True:
         nxt = w_operator(saturated, state)

@@ -123,8 +123,8 @@ def no_greatest_when_atom_a(monkeypatch):
     """Make uwfs's W operator undefined on every program with an atom a."""
     real = unfounded.greatest_unfounded
 
-    def patched(p, s, bound=None):
-        return NO_GREATEST if "a" in p.atom_names else real(p, s, bound)
+    def patched(p, s):
+        return NO_GREATEST if "a" in p.atom_names else real(p, s)
 
     monkeypatch.setattr(unfounded, "greatest_unfounded", patched)
 

@@ -39,7 +39,7 @@ from dwfs import (
     wfds,
 )
 from dwfs.harness import fuzz_reports
-from dwfs.residual import as_program, lft
+from dwfs.residual import lft
 from conftest import (
     ATTACK_DEMO,
     GUARD,
@@ -136,7 +136,7 @@ def test_criterion_1_golden_examples():
     _note(p5, s5)
 
     p6 = parse_program(SATURATE)
-    check("saturation exact", as_program(p6, lft(p6)) == parse_program(SATURATE_LFT))
+    check("saturation exact", p6.with_rules(lft(p6)) == parse_program(SATURATE_LFT))
 
     p7 = parse_program(GUARD)
     s7 = uwfs(p7)
@@ -292,7 +292,7 @@ def test_criterion_7_unfounded_oracle_agreement():
                             max_head=3, max_pos_body=2, max_neg_body=2,
                             neg_probability=0.6)
         )
-        saturated = as_program(p, lft(p))
+        saturated = p.with_rules(lft(p))
         current = ModelState()
         while pairs < 200:
             base = sorted(saturated.base)

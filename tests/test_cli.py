@@ -4,7 +4,9 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from dwfs import check_equivalence, parse_program, render_state, state_json
 from dwfs.cli import run
+from dwfs.harness import SEMANTICS_NAMES, compute_semantics, report_json
 from conftest import (
     ATTACK_DEMO,
     GUARD,
@@ -47,6 +49,30 @@ def test_check_reports_parse_error(tmp_path, capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _ = _run(["check", "/nonexistent/never.lp"])
     assert code == 1
+
+
+@pytest.mark.parametrize("kind", ["directory", "undecodable"])
+def test_unreadable_input_is_error(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "undecodable":
+        path = tmp_path / "bytes.lp"
+        path.write_bytes(b"\xff\xfe")
+    assert _run(["check", str(path)]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--atoms", "0"], "num_atoms must be positive"),
+        (["--max-head", "0"], "max_head must be at least 1"),
+        (["--max-pos-body", "-1"], "body bounds cannot be negative"),
+    ],
+    ids=["atoms-0", "max-head-0", "max-pos-body-negative"],
+)
+def test_rejected_fuzz_config_is_usage_error(capsys, flags, message):
+    assert _run(["fuzz", "--count", "1", *flags]) == (1, "")
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_usage_error_on_bad_method(travel_file):
@@ -178,22 +204,33 @@ def test_route_failure_exit_code(tmp_path, monkeypatch, capsys):
         assert "route error: admissibility iteration" in capsys.readouterr().err
 
 
-def test_routes_ignore_oracle_bound(tmp_path, monkeypatch):
-    # DWFS_ORACLE_BOUND caps the exhaustive oracles only; no route and no
-    # saturation reads it, even when it lies below the program's size.
-    path = tmp_path / "pipe.lp"
-    path.write_text(PIPELINE)
-    commands = [
-        ["semantics", str(path), "--method", method, "--format", fmt]
-        for method in ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs", "all")
-        for fmt in ("text", "json")
-    ]
-    commands += [["residual", str(path)], ["lft", str(path)], ["trace", str(path)]]
-    monkeypatch.delenv("DWFS_ORACLE_BOUND", raising=False)
-    unset = [_run(argv) for argv in commands]
-    assert all(code == 0 for code, _ in unset)
-    monkeypatch.setenv("DWFS_ORACLE_BOUND", "3")
-    assert [_run(argv) for argv in commands] == unset
+def test_semantics_prints_compute_semantics(tmp_path):
+    # Every --method prints the state compute_semantics returns for it, and
+    # "all" prints check_equivalence's report over SEMANTICS_NAMES.
+    path = tmp_path / "p.lp"
+    for text in (PIPELINE, TRAVEL, ATTACK_DEMO):
+        path.write_text(text)
+        p = parse_program(text)
+        names = p.atom_names
+        for method in ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs"):
+            state = compute_semantics(p, method)
+            argv = ["semantics", str(path), "--method", method]
+            assert _run(argv) == (0, render_state(state, names))
+            assert _run(argv + ["--format", "json"]) == (
+                0,
+                json.dumps(state_json(state, names), sort_keys=True) + "\n",
+            )
+        blocks = [
+            f"[{n}]\n{render_state(compute_semantics(p, n), names)}\n"
+            for n in SEMANTICS_NAMES
+        ]
+        assert _run(["semantics", str(path)]) == (0, "".join(blocks) + "equal: true\n")
+        assert _run(["semantics", str(path), "--format", "json"]) == (
+            0,
+            json.dumps(report_json(check_equivalence(p)), sort_keys=True) + "\n",
+        )
+        for command in ("residual", "lft", "trace"):
+            assert _run([command, str(path)])[0] == 0
 
 
 def test_fuzz_runs_clean():

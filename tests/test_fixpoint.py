@@ -103,6 +103,14 @@ def test_lfp_matches_naive_oracle_iteration(monkeypatch):
         assert tps_lfp(q) == _oracle_lfp(q)
 
 
+def test_raw_engine_computes_each_reduct_once(monkeypatch):
+    # Literal sets that keep the same rules share one reduct; its fixpoint
+    # is computed once per wfds call.
+    for seed in range(1, 41):
+        rules = [q.rules for q in _raw_engine_reducts(monkeypatch, [seed])]
+        assert len(rules) == len(set(rules)), seed
+
+
 def test_step_matches_oracle_round():
     rnd = random.Random(9)
     for p in _random_positive_programs(200):
@@ -180,15 +188,6 @@ def test_entailment_bound_raises():
     p = parse_program("a.")
     with pytest.raises(CapacityError):
         entails_classical(p, atoms(p, "a"), bound=0)
-
-
-def test_entailment_bound_env_override(monkeypatch):
-    p = parse_program("a.")
-    monkeypatch.setenv("DWFS_ORACLE_BOUND", "0")
-    with pytest.raises(CapacityError):
-        entails_classical(p, atoms(p, "a"))
-    monkeypatch.setenv("DWFS_ORACLE_BOUND", "5")
-    assert entails_classical(p, atoms(p, "a"))
 
 
 def test_lfp_monotone_in_program():

@@ -207,7 +207,7 @@ def test_check_equivalence_records_route_failures(monkeypatch):
 
 
 def test_capacity_errors_are_not_route_failures(monkeypatch):
-    def capped(p, s, bound=None):
+    def capped(p, s):
         raise CapacityError("capped")
 
     monkeypatch.setattr(unfounded, "greatest_unfounded", capped)

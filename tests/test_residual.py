@@ -26,7 +26,6 @@ from dwfs import (
     wfds,
 )
 from dwfs.residual import (
-    as_program,
     classic_residual,
     residual_trace,
     saturation,
@@ -76,7 +75,7 @@ def test_tpg_step_resolution_carries_delayed_negation():
 
 def test_saturation_of_worked_example_is_exact():
     p = parse_program(SATURATE)
-    assert as_program(p, lft(p)) == parse_program(SATURATE_LFT)
+    assert p.with_rules(lft(p)) == parse_program(SATURATE_LFT)
 
 
 def test_saturation_of_negative_program_is_itself():
@@ -221,7 +220,7 @@ def test_read_off_satisfies_structural_axioms():
 def test_semantics_invariant_under_saturation():
     for seed in range(15):
         p = random_program(GeneratorConfig(seed + 40, num_atoms=5, num_rules=5))
-        saturated = as_program(p, lft(p))
+        saturated = p.with_rules(lft(p))
         assert wfds(saturated) == wfds(p)
         assert dwfs_star(saturated) == dwfs_star(p)
 

@@ -17,7 +17,7 @@ from dwfs import (
     w_operator,
     wfds,
 )
-from dwfs.residual import as_program, lft, saturation
+from dwfs.residual import lft, saturation
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
 
@@ -96,7 +96,7 @@ def test_greatest_unfounded_matches_exhaustive_union():
         cfg = GeneratorConfig(seed + 4100, num_atoms=3 + seed % 4, num_rules=5,
                               max_head=2, max_pos_body=2, max_neg_body=2)
         p = random_program(cfg)
-        n = as_program(p, saturation(p))
+        n = p.with_rules(saturation(p))
         s = _random_state(rng, len(n.atom_names))
         got = greatest_unfounded(n, s)
         assert got == _subset_union(n, s)
@@ -109,7 +109,7 @@ def test_greatest_unfounded_matches_exhaustive_union():
     assert len(chain.atom_names) == 16
     with pytest.raises(CapacityError):
         greatest_unfounded(chain, ModelState())
-    n = as_program(chain, saturation(chain))
+    n = chain.with_rules(saturation(chain))
     assert greatest_unfounded(n, ModelState()) == n.base
 
 
@@ -228,7 +228,7 @@ def test_uwfs_matches_wfds():
 
 
 def _w_sequence(p, saturate=lft):
-    saturated = as_program(p, saturate(p))
+    saturated = p.with_rules(saturate(p))
     states = []
     s = ModelState()
     while True:
