@@ -22,8 +22,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import residual
-from .core import Hypothesis, ModelState, Program, RouteError, Rule, canonicalize, _fset
-from .fixpoint import tps_lfp
+from .core import (
+    Hypothesis,
+    ModelState,
+    Program,
+    RouteError,
+    Rule,
+    atom_mask,
+    mask_atoms,
+    mask_bits,
+    minimal_masks,
+)
+from .fixpoint import _lfp_masks
 
 
 class AdmissibilityError(RouteError):
@@ -61,62 +71,85 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 class _Session:
     """Memoized per-hypothesis support sets and superseded facts over the
-    program's saturation (kept on the Program, see residual.saturation); the
-    raw engine's support sets are also memoized per reduct, which many
-    literal sets share."""
+    program's saturation (kept on the Program, see residual.saturation).
+
+    Literal sets and support sets are atom masks (core.atom_mask): a literal
+    set is one mask, a support set a tuple of masks, decoded to atom sets
+    only at the API edge (cons, attack witnesses). The canonical engine reads
+    a support set off the saturation's fact masks. The raw engine takes the
+    fixpoint kernel of the reduct's rule masks; a reduct is named by the
+    indices of the distinct positive rules it keeps, and many literal sets
+    share one.
+    """
 
     def __init__(self, program: Program, engine: Engine):
         self.program = program
         self.engine = engine
-        self._support: dict[frozenset, tuple] = {}
-        self._raw: dict[tuple, tuple] = {}  # reduct rules -> support
-        self._units: dict[frozenset, frozenset] = {}
-        self._superseded: dict[frozenset, frozenset] = {}
+        self._support: dict[int, tuple] = {}
+        self._raw: dict[frozenset, tuple] = {}  # kept positive rules -> support
+        self._remainders: dict[int, dict] = {}
+        self._superseded: dict[int, frozenset] = {}
 
-    def support(self, lits: frozenset) -> tuple:
+    def support(self, lits: int) -> tuple:
         got = self._support.get(lits)
         if got is None:
             if self.engine is Engine.CANONICAL:
                 # The reduct's least model state, read off the saturation:
                 # its facts with negative body in lits, negation dropped.
-                full = canonicalize(
-                    f.head for f in self.saturation() if f.neg_body <= lits
+                got = tuple(
+                    minimal_masks(
+                        f.head_mask for f in self.saturation() if not f.neg_mask & ~lits
+                    )
                 )
-                got = tuple(sorted(full, key=sorted))
             else:
-                red = reduct(self.program, Hypothesis(lits))
-                got = self._raw.get(red.rules)
+                positive, rules = self.reduct_rules
+                kept = frozenset(i for i, n in rules if not n & ~lits)
+                got = self._raw.get(kept)
                 if got is None:
-                    got = tuple(sorted(tps_lfp(red), key=sorted))
-                    self._raw[red.rules] = got
+                    got = tuple(_lfp_masks(positive[i] for i in sorted(kept)))
+                    self._raw[kept] = got
             self._support[lits] = got
         return got
 
-    def unit_support(self, lits: frozenset) -> frozenset:
-        got = self._units.get(lits)
-        if got is None:
-            got = frozenset(
-                a for b in self.support(lits) for a in b if (b - {a}) <= lits
-            )
-            self._units[lits] = got
-        return got
+    @cached_property
+    def reduct_rules(self) -> tuple[list, list]:
+        """The program's distinct positive parts as (head, body) mask pairs,
+        and per rule the index of its positive part with its negative body
+        mask."""
+        index: dict[tuple, int] = {}
+        rules = []
+        for r in self.program.rules:
+            i = index.setdefault((r.head_mask, r.pos_mask), len(index))
+            rules.append((i, r.neg_mask))
+        return list(index), rules
 
-    def derives(self, lits: frozenset, a: frozenset) -> bool:
-        return any(a <= b and (b - a) <= lits for b in self.support(lits))
+    def unit_support(self, lits: int) -> int:
+        """The atoms a with {a} supported: some member is a plus atoms in lits."""
+        units = 0
+        for b in self.support(lits):
+            rest = b & ~lits
+            if not rest & (rest - 1):  # at most one atom outside lits
+                units |= rest or b
+        return units
+
+    def derives(self, lits: int, a: int) -> bool:
+        return any(not a & ~b and not b & ~(a | lits) for b in self.support(lits))
 
     def attack_witness(self, delta: Hypothesis, target: Hypothesis):
-        delta_lits = delta.literal_assumptions
+        delta_lits = atom_mask(delta.literal_assumptions)
         units = self.unit_support(delta_lits)
         for beta in sorted(target.disjunctive_assumptions, key=sorted):
-            if beta <= units:
+            if not atom_mask(beta) & ~units:
                 return AttackWitness(
                     1, beta, tuple(frozenset((b,)) for b in sorted(beta))
                 )
-        tl = target.literal_assumptions
-        for b in self.support(delta_lits):
+        tl = atom_mask(target.literal_assumptions)
+        # Members in the order of their sorted atom lists, which picks the
+        # witness.
+        for b in sorted(self.support(delta_lits), key=lambda m: sorted(mask_atoms(m))):
             used = b & tl
-            if used and (b - tl) <= delta_lits:
-                return AttackWitness(2, used, (used,))
+            if used and not b & ~(tl | delta_lits):
+                return AttackWitness(2, mask_atoms(used), (mask_atoms(used),))
         return None
 
     def saturation(self) -> frozenset:
@@ -131,14 +164,26 @@ class _Session:
                 index.setdefault(a, []).append(fact)
         return index
 
-    def superseded(self, lits: frozenset) -> frozenset:
+    def superseded(self, lits: int) -> frozenset:
         got = self._superseded.get(lits)
         if got is None:
-            got = residual.superseded(self.saturation(), lits)
+            got = residual.superseded(self.saturation(), mask_atoms(lits))
             self._superseded[lits] = got
         return got
 
-    def fact_disarmed(self, delta_lits: frozenset, fact: Rule, atom: int) -> bool:
+    def remainders(self, lits: int) -> dict[int, list]:
+        """The subset-minimal nonempty support members minus lits, under the
+        one-atom mask of their lowest atom."""
+        got = self._remainders.get(lits)
+        if got is None:
+            got = {}
+            rests = (rest for b in self.support(lits) if (rest := b & ~lits))
+            for rest in minimal_masks(rests):
+                got.setdefault(rest & -rest, []).append(rest)
+            self._remainders[lits] = got
+        return got
+
+    def fact_disarmed(self, delta_lits: int, fact: Rule, atom: int) -> bool:
         """No hypothesis turns this conditional fact into an unanswerable
         derivation of the atom.
 
@@ -147,46 +192,50 @@ class _Session:
         the derivation is never minimal. Counterattacked: the hypothesis
         derives a disjunction lying inside what an attacker must assume
         false (the fact's negated atoms and remaining head atoms not
-        already assumed false).
+        already assumed false): a support member whose atoms outside
+        delta_lits form a nonempty subset of that target. A minimal such
+        remainder has its lowest atom in the target, so only the
+        remainders indexed under the target's atoms are tested.
         """
         if fact in self.superseded(delta_lits):
             return True
-        target = (fact.neg_body | (fact.head - {atom})) - delta_lits
-        if not target:
-            return False
+        target = (fact.neg_mask | fact.head_mask & ~(1 << atom)) & ~delta_lits
+        remainders = self.remainders(delta_lits)
         return any(
-            (b & target) and (b - target) <= delta_lits
-            for b in self.support(delta_lits)
+            not rest & ~target
+            for a in mask_bits(target)
+            for rest in remainders.get(a, ())
         )
 
-    def admissible(self, delta_lits: frozenset, atom: int) -> bool:
+    def admissible(self, delta_lits: int, atom: int) -> bool:
         return all(
             self.fact_disarmed(delta_lits, fact, atom)
             for fact in self.facts_by_atom.get(atom, ())
         )
 
-    def wfdh_literals(self) -> frozenset:
-        base = sorted(self.program.base)
-        delta: frozenset = frozenset()
+    def wfdh_literals(self) -> int:
+        base = range(len(self.program.atom_names))
+        delta = 0
         for _ in range(len(base) + 2):
-            nxt = frozenset(a for a in base if self.admissible(delta, a))
-            if not delta <= nxt:
+            nxt = atom_mask(a for a in base if self.admissible(delta, a))
+            if delta & ~nxt:
                 raise AdmissibilityError("admissibility iteration lost assumptions")
             if nxt == delta:
                 return delta
             delta = nxt
         raise AdmissibilityError("admissibility iteration exceeded the atom-count bound")
 
-    def cons(self, delta: Hypothesis) -> frozenset:
-        lits = delta.literal_assumptions
-        core = set()
+    def cons(self, lits: int) -> frozenset:
+        """Canonical core of everything lits supports: each support member
+        minus lits, or, when nothing is left, each of its atoms alone."""
+        core = []
         for b in self.support(lits):
-            rem = b - lits
-            if rem:
-                core.add(rem)
+            rest = b & ~lits
+            if rest:
+                core.append(rest)
             else:
-                core.update(frozenset((x,)) for x in b)
-        return canonicalize(core)
+                core.extend(mask_bits(b))
+        return frozenset(mask_atoms(m) for m in minimal_masks(core))
 
 
 def derives(
@@ -194,12 +243,13 @@ def derives(
 ) -> bool:
     """True iff delta supports the positive disjunction a: some support-set
     member equals a plus atoms cancelled by delta's literal assumptions."""
-    return _Session(p, engine).derives(delta.literal_assumptions, _fset(a))
+    lits = atom_mask(delta.literal_assumptions)
+    return _Session(p, engine).derives(lits, atom_mask(a))
 
 
 def cons(p: Program, delta: Hypothesis, engine: Engine = Engine.CANONICAL) -> frozenset:
     """Canonical core of everything delta supports."""
-    return _Session(p, engine).cons(delta)
+    return _Session(p, engine).cons(atom_mask(delta.literal_assumptions))
 
 
 def attacks(
@@ -230,16 +280,16 @@ def admissible(
 ) -> bool:
     """True iff the assumption "not atom" is admissible with respect to delta:
     every attacker deriving the atom is superseded or counterattacked."""
-    return _Session(p, engine).admissible(delta.literal_assumptions, atom)
+    return _Session(p, engine).admissible(atom_mask(delta.literal_assumptions), atom)
 
 
 def wfdh(p: Program, engine: Engine = Engine.CANONICAL) -> Hypothesis:
     """Least fixpoint of the admissibility operator (literal core)."""
-    return Hypothesis(_Session(p, engine).wfdh_literals())
+    return Hypothesis(mask_atoms(_Session(p, engine).wfdh_literals()))
 
 
 def wfds(p: Program, engine: Engine = Engine.CANONICAL) -> ModelState:
     """The well-founded state: admissible assumptions plus what they support."""
     session = _Session(p, engine)
     lits = session.wfdh_literals()
-    return ModelState(session.cons(Hypothesis(lits)), lits)
+    return ModelState(session.cons(lits), mask_atoms(lits))

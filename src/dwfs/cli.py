@@ -92,7 +92,10 @@ def _build_parser() -> _Parser:
 def _load(path: str) -> Program:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            # Decoded here, strictly, whatever the locale's stdin encoding
+            # and error handler; stdin translates no newlines on POSIX, so
+            # neither does this.
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -220,6 +223,10 @@ def run(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        for flag in ("lft_cap", "count"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise _UsageError(f"--{flag.replace('_', '-')} cannot be negative")
         return handlers[args.command](args, sys.stdout)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

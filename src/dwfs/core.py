@@ -11,8 +11,8 @@ instead of being materialized.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 Atom = int
 Disjunction = frozenset
@@ -46,28 +46,85 @@ def atom_mask(atoms) -> int:
     return m
 
 
+def mask_bits(m: int) -> Iterator[int]:
+    """The one-atom masks of m's atoms, lowest atom first: one lowest set bit
+    at a time, so the cost follows the atoms in m, not its highest atom id."""
+    while m:
+        low = m & -m
+        yield low
+        m ^= low
+
+
 def mask_atoms(m: int) -> frozenset:
     """The atom set of the mask m: the inverse of atom_mask."""
-    # Built through a set: on CPython 3.11 that gives a smaller frozenset
-    # than one built from a list at most sizes (472 against 728 bytes at 5
-    # to 7 atoms), and the raw engine keeps thousands of them.
-    return frozenset({a for a in range(m.bit_length()) if m >> a & 1})
+    # mask_bits inlined, which halves the time of a decode. Built through a
+    # set: on CPython 3.11 that gives a smaller frozenset than one built from
+    # a list at most sizes (472 against 728 bytes at 5 to 7 atoms).
+    out = set()
+    while m:
+        low = m & -m
+        out.add(low.bit_length() - 1)
+        m ^= low
+    return frozenset(out)
+
+
+def minimal_masks(masks: Iterable[int]) -> list:
+    """The subset-minimal members of a collection of atom masks, fewest
+    atoms first.
+
+    Only a member with fewer atoms can be a strict subset of m, and its
+    lowest atom then lies in m, so each m is tested against the members
+    kept so far under the one-atom masks of its own atoms.
+    """
+    masks = set(masks)
+    if 0 in masks:
+        return [0]
+    kept: list[int] = []
+    by_lowest: dict[int, list[int]] = {}
+    for m in sorted(masks, key=int.bit_count):
+        # mask_bits inlined: on CPython 3.11 that takes 17% off this
+        # function's time over the calls the five routes make on sparse
+        # 18-24 atom programs.
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            group = by_lowest.get(low)
+            if group and not all(k & ~m for k in group):
+                break
+        else:
+            kept.append(m)
+            by_lowest.setdefault(m & -m, []).append(m)
+    return kept
 
 
 @dataclass(frozen=True)
 class Rule:
-    """head <- pos_body, not neg_body, each part a duplicate-free atom set."""
+    """head <- pos_body, not neg_body, each part a duplicate-free atom set.
+
+    Each part is also kept as an atom mask (head_mask, pos_mask, neg_mask),
+    computed once here, for the set algebra of the hot layer; the masks take
+    no part in equality, hashing or repr.
+    """
 
     head: frozenset
     pos_body: frozenset = frozenset()
     neg_body: frozenset = frozenset()
+    head_mask: int = field(init=False, compare=False, repr=False)
+    pos_mask: int = field(init=False, compare=False, repr=False)
+    neg_mask: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "head", _fset(self.head))
-        object.__setattr__(self, "pos_body", _fset(self.pos_body))
-        object.__setattr__(self, "neg_body", _fset(self.neg_body))
-        if not self.head:
+        head, pos, neg = _fset(self.head), _fset(self.pos_body), _fset(self.neg_body)
+        if not head:
             raise ValueError("rule head must be nonempty")
+        put = object.__setattr__
+        put(self, "head", head)
+        put(self, "pos_body", pos)
+        put(self, "neg_body", neg)
+        put(self, "head_mask", atom_mask(head))
+        put(self, "pos_mask", atom_mask(pos))
+        put(self, "neg_mask", atom_mask(neg))
 
     @property
     def is_fact(self) -> bool:
@@ -165,9 +222,11 @@ class Program:
 
 
 def canonicalize(ds: Iterable[frozenset]) -> frozenset:
-    """Keep only subset-minimal disjunctions (the antichain core). Idempotent."""
-    items = {_fset(d) for d in ds}
-    return frozenset(a for a in items if not any(b < a for b in items))
+    """Keep only subset-minimal disjunctions (the antichain core). Idempotent.
+    The atom-set form of minimal_masks."""
+    # Maps each minimal mask back to its disjunction instead of decoding it.
+    by_mask = {atom_mask(d): _fset(d) for d in ds}
+    return frozenset(by_mask[m] for m in minimal_masks(by_mask))
 
 
 def subsumes(a: frozenset, b: frozenset) -> bool:

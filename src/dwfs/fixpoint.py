@@ -2,19 +2,29 @@
 operator, its accumulated fixpoint, canonical form, and a truth-table
 entailment oracle for cross-checking.
 
-Both the operator and its fixpoint run on one kernel over int atom masks
-(see core.atom_mask): a rule is its head mask and its sorted body atoms, a
-clause is a mask. A body slot resolving atom b on premise d contributes
-d minus b minus the rule's head, so premises that differ only there merge
-before any join, and the slots are joined one at a time into a set.
+Both the operator and its fixpoint run on int atom masks (see
+core.atom_mask): a rule is its head mask and its body mask, a clause is a
+mask, and each body atom is a slot. A slot resolving atom b on premise d
+contributes d minus b minus the rule's head, so premises that differ only
+there merge before any join, and the slots are joined one at a time into a
+set. The fixpoint kernel, _lfp_masks, is semi-naive and keeps each rule
+slot's contributions from earlier rounds as a running set, so a round
+touches only its new clauses.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable
 
-from .core import CapacityError, Program, atom_mask, canonicalize, mask_atoms, _fset
+from .core import (
+    CapacityError,
+    Program,
+    atom_mask,
+    canonicalize,
+    mask_atoms,
+    mask_bits,
+    _fset,
+)
 
 DEFAULT_ORACLE_BOUND = 20
 
@@ -24,13 +34,10 @@ def _require_positive(p: Program):
         raise ValueError("operation requires a positive program (no default negation)")
 
 
-def _mask_rules(p: Program) -> list:
-    return [(atom_mask(r.head), sorted(r.pos_body)) for r in p.rules]
-
-
 def _slot(premises: Iterable[int], b: int, head: int) -> set:
-    """What the premises contribute to a body slot resolving atom b."""
-    drop = ~(1 << b) & ~head
+    """What the premises contribute to a body slot resolving the atom whose
+    one-atom mask is b."""
+    drop = ~(b | head)
     return {d & drop for d in premises}
 
 
@@ -42,10 +49,13 @@ def _join(head: int, slots: list) -> set:
     return acc
 
 
-def _index(clauses: Iterable[int], by_atom: dict) -> None:
+def _index(clauses: Iterable[int]) -> dict[int, list[int]]:
+    """The clauses under the one-atom mask of each of their atoms."""
+    by_atom: dict[int, list[int]] = {}
     for d in clauses:
-        for b in mask_atoms(d):
+        for b in mask_bits(d):
             by_atom.setdefault(b, []).append(d)
+    return by_atom
 
 
 def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
@@ -59,57 +69,68 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
     cur | tps_step(p, cur).
     """
     _require_positive(p)
-    by_atom: dict[int, list[int]] = {}
-    _index({atom_mask(d) for d in j}, by_atom)
+    by_atom = _index({atom_mask(d) for d in j})
     out: set[int] = set()
-    for head, body in _mask_rules(p):
-        out |= _join(head, [_slot(by_atom.get(b, ()), b, head) for b in body])
+    for r in p.rules:
+        head = r.head_mask
+        slots = [_slot(by_atom.get(b, ()), b, head) for b in mask_bits(r.pos_mask)]
+        out |= _join(head, slots)
     return frozenset(mask_atoms(d) for d in out)
 
 
-def tps_lfp(p: Program) -> frozenset:
-    """Accumulated limit of the hyperresolution operator from the empty set.
+def _lfp_masks(rules: Iterable[tuple[int, int]]) -> set:
+    """The accumulated limit of the hyperresolution operator from the empty
+    set, for rules given as (head mask, body mask) pairs: every clause mask
+    derived, non-minimal members included.
 
-    Semi-naive, on masks, with the same sequence of accumulated sets as
-    iterating cur | tps_step(p, cur): a round derives only what joins at
-    least one clause new in the previous round. Per rule and body slot i,
-    slot i draws the clauses that were new, the slots before it the older
-    ones and the slots after it all of them, so every such join is made
-    once, under the first slot that draws a new clause. One atom-to-clauses
-    index grows by appending; a per-atom length marker splits older from
-    new. Non-minimal members are kept.
+    Semi-naive, with the same sequence of accumulated sets as iterating
+    cur | tps_step(p, cur): a round derives only what joins at least one
+    clause new in the previous round. Each round indexes its new clauses
+    alone. Per rule, each body slot keeps as a running set what the clauses
+    of earlier rounds contribute to it (Bancilhon and Ramakrishnan's
+    semi-naive differential, kept per slot). Slot i draws the new
+    contributions that no earlier clause makes, the slots before it the
+    earlier contributions and the slots after it both, so every such join is
+    made once, under the first slot that draws a new clause. A new
+    contribution that an earlier clause already makes joins nothing the
+    earlier rounds missed. After the round, each slot's new contributions
+    join its running set.
     """
-    _require_positive(p)
-    rules = _mask_rules(p)
+    rules = list(rules)
     known = {head for head, body in rules if not body}
+    slots = [list(mask_bits(body)) for _, body in rules]
+    older = [[set() for _ in body] for body in slots]
     fresh = list(known)
-    by_atom: dict[int, list[int]] = {}
-    older: dict[int, int] = {}
     while fresh:
-        for b, clauses in by_atom.items():
-            older[b] = len(clauses)
-        _index(fresh, by_atom)
+        by_atom = _index(fresh)
+        touched = 0  # the atoms of the new clauses
+        for d in fresh:
+            touched |= d
         derived: set[int] = set()
-        for head, body in rules:
-            if not body or any(b not in by_atom for b in body):
+        for (head, body), body_atoms, old in zip(rules, slots, older):
+            if not body & touched:
                 continue
-            if all(older.get(b, 0) == len(by_atom[b]) for b in body):
-                continue
-            old, new = [], []
-            for b in body:
-                clauses, k = by_atom[b], older.get(b, 0)
-                old.append(_slot(islice(clauses, k), b, head))
-                new.append(_slot(islice(clauses, k, None), b, head))
-            for i in range(len(body)):
-                # A new clause whose contribution an older one already makes
-                # joins nothing the previous rounds missed.
-                slot = new[i] - old[i]
+            new = [_slot(by_atom.get(b, ()), b, head) for b in body_atoms]
+            for i, slot in enumerate(new):
+                slot = slot - old[i]
                 if slot:
                     later = [o | n for o, n in zip(old[i + 1 :], new[i + 1 :])]
                     derived |= _join(head, old[:i] + [slot] + later)
+            for o, n in zip(old, new):
+                o |= n
         fresh = [d for d in derived if d not in known]
         known.update(fresh)
-    return frozenset(mask_atoms(d) for d in known)
+    return known
+
+
+def tps_lfp(p: Program) -> frozenset:
+    """Accumulated limit of the hyperresolution operator from the empty set
+    (the _lfp_masks kernel, read back as atom sets). Non-minimal members are
+    kept."""
+    _require_positive(p)
+    return frozenset(
+        mask_atoms(d) for d in _lfp_masks((r.head_mask, r.pos_mask) for r in p.rules)
+    )
 
 
 def least_model_state(p: Program) -> frozenset:

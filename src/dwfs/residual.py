@@ -18,6 +18,8 @@ from .core import (
     Rule,
     atom_mask,
     canonicalize,
+    mask_atoms,
+    mask_bits,
 )
 from .transforms import TransformKind, TransformStep, s_implies
 
@@ -33,10 +35,14 @@ def _check_facts(n: Iterable[Rule]) -> frozenset:
 
 
 def heads_of(n: Iterable[Rule]) -> frozenset:
-    acc = set()
+    return mask_atoms(_head_mask(n))
+
+
+def _head_mask(n: Iterable[Rule]) -> int:
+    acc = 0
     for r in n:
-        acc |= r.head
-    return frozenset(acc)
+        acc |= r.head_mask
+    return acc
 
 
 def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
@@ -68,73 +74,74 @@ def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
 
 def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
     """The binary-resolution worklist behind lft and saturation: resolve one
-    positive body atom at a time, in id order, against stored conditional
-    facts. With prune, a new fact that a stored fact subsumes (head and
-    negative body both subsets) is not stored, and storing a fact evicts the
-    stored facts it subsumes. Returns the stored facts and the peak number
-    of stored rules; CapacityError once that number exceeds limit."""
-    facts: dict[Rule, tuple[int, int]] = {}  # fact -> (head mask, neg mask)
-    facts_by_head: dict[int, set[Rule]] = defaultdict(set)
-    partials: set[Rule] = set()
-    partials_by_slot: dict[int, set[Rule]] = defaultdict(set)
-    work: deque[tuple[str, Rule]] = deque()
+    positive body atom at a time, lowest atom first, against stored
+    conditional facts. With prune, a new fact that a stored fact subsumes
+    (head and negative body both subsets) is not stored, and storing a fact
+    evicts the stored facts it subsumes. Returns the stored facts and the
+    peak number of stored rules; CapacityError once that number exceeds
+    limit.
+
+    Works on atom masks: a fact is its (head, negative body) pair, a partial
+    rule its (head, positive body, negative body) triple, and the indexes
+    are keyed by one-atom masks. Rule values are built only for the result.
+    """
+    facts: set[tuple[int, int]] = set()
+    facts_by_head: dict[int, set] = defaultdict(set)  # head atom -> facts
+    partials: set[tuple[int, int, int]] = set()
+    partials_by_slot: dict[int, set] = defaultdict(set)  # lowest body atom
+    work: deque[tuple] = deque()
     peak = 0
 
-    def subsumed(r: Rule, hm: int, nm: int) -> bool:
-        """True if a stored fact subsumes r; else evict those r subsumes."""
-        for a in r.head:
-            for f in facts_by_head.get(a, ()):
-                hf, nf = facts[f]
-                if not (hf & ~hm or nf & ~nm):
+    def subsumed(h: int, n: int) -> bool:
+        """True if a stored fact subsumes (h, n); else evict those it subsumes."""
+        for a in mask_bits(h):
+            for hf, nf in facts_by_head.get(a, ()):
+                if not (hf & ~h or nf & ~n):
                     return True
-        bucket = min((facts_by_head.get(a, ()) for a in r.head), key=len)
-        for f in [f for f in bucket if not (hm & ~facts[f][0] or nm & ~facts[f][1])]:
-            del facts[f]
-            for a in f.head:
+        bucket = min((facts_by_head.get(a, ()) for a in mask_bits(h)), key=len)
+        for f in [f for f in bucket if not (h & ~f[0] or n & ~f[1])]:
+            facts.discard(f)
+            for a in mask_bits(f[0]):
                 facts_by_head[a].discard(f)
         return False
 
-    def push(r: Rule):
+    def push(h: int, pm: int, n: int):
         nonlocal peak
-        if r.pos_body:
+        if pm:
+            r = (h, pm, n)
             if r not in partials:
                 partials.add(r)
-                partials_by_slot[min(r.pos_body)].add(r)
-                work.append(("partial", r))
-        elif r not in facts:
-            hm, nm = atom_mask(r.head), atom_mask(r.neg_body)
-            if not (prune and subsumed(r, hm, nm)):
-                facts[r] = hm, nm
-                for a in r.head:
-                    facts_by_head[a].add(r)
-                work.append(("fact", r))
+                partials_by_slot[pm & -pm].add(r)
+                work.append(r)
+        elif (h, n) not in facts and not (prune and subsumed(h, n)):
+            f = (h, n)
+            facts.add(f)
+            for a in mask_bits(h):
+                facts_by_head[a].add(f)
+            work.append(f)
         stored = len(facts) + len(partials)
         if stored > limit:
             raise CapacityError(f"saturation exceeded {limit} stored rules")
         peak = max(peak, stored)
 
-    def resolve(partial: Rule, fact: Rule, b: int) -> Rule:
-        return Rule(
-            partial.head | (fact.head - {b}),
-            partial.pos_body - {b},
-            partial.neg_body | fact.neg_body,
-        )
-
     for r in p.rules:
-        push(r)
+        push(r.head_mask, r.pos_mask, r.neg_mask)
     while work:
-        tag, r = work.popleft()
-        if tag == "fact":
-            if r not in facts:  # evicted while waiting
+        item = work.popleft()
+        if len(item) == 2:
+            if item not in facts:  # evicted while waiting
                 continue
-            for a in sorted(r.head):
-                for q in list(partials_by_slot.get(a, ())):
-                    push(resolve(q, r, a))
+            hf, nf = item
+            for a in mask_bits(hf):
+                for h, pm, n in list(partials_by_slot.get(a, ())):
+                    push(h | (hf & ~a), pm & ~a, n | nf)
         else:
-            b = min(r.pos_body)
-            for f in list(facts_by_head.get(b, ())):
-                push(resolve(r, f, b))
-    return frozenset(facts), peak
+            h, pm, n = item
+            b = pm & -pm
+            for hf, nf in list(facts_by_head.get(b, ())):
+                push(h | (hf & ~b), pm & ~b, n | nf)
+    out = frozenset(Rule(mask_atoms(h), frozenset(), mask_atoms(n)) for h, n in facts)
+    return out, peak
 
 
 def lft(p: Program, cap: int | None = None) -> frozenset:
@@ -171,30 +178,56 @@ def saturation(p: Program, cap: int | None = None) -> frozenset:
     return facts
 
 
+def _by_lowest_head_atom(forms) -> dict[int, list]:
+    """(head, negative body) mask pairs under the one-atom mask of their
+    lowest head atom."""
+    index: dict[int, list] = defaultdict(list)
+    for h, n in forms:
+        index[h & -h].append((h, n))
+    return index
+
+
+def _candidates(index: dict, scope: int) -> list:
+    """The indexed forms whose lowest head atom lies in scope, which
+    include every form whose head lies within scope."""
+    return [f for a in mask_bits(scope) for f in index.get(a, ())]
+
+
 def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
     """The conditional facts that a strictly stronger one s-implies, once
-    negative literals on assumed-false atoms are discounted."""
+    negative literals on assumed-false atoms are discounted.
+
+    s_implies(h1, 0, n1, h2, 0, n2) needs h2 to lie within h1 | n1 (only
+    negated atoms of the weaker fact may cover the stronger one's extra
+    head atoms), so only forms whose lowest head atom lies in h1 | n1 are
+    tested, read off an index by lowest head atom.
+    """
     off = ~atom_mask(assumed_false)
     by_form: dict[tuple, list[Rule]] = defaultdict(list)
     for r in facts:
-        by_form[atom_mask(r.head), atom_mask(r.neg_body) & off].append(r)
-    forms = list(by_form)
+        by_form[r.head_mask, r.neg_mask & off].append(r)
+    index = _by_lowest_head_atom(by_form)
     out = []
-    for h1, n1 in forms:
-        if any(s_implies(h1, 0, n1, h2, 0, n2) for h2, n2 in forms):
+    for h1, n1 in by_form:
+        if any(s_implies(h1, 0, n1, h2, 0, n2) for h2, n2 in _candidates(index, h1 | n1)):
             out.extend(by_form[h1, n1])
     return frozenset(out)
+
+
+def _reduce_negation(r: Rule, heads: int) -> Rule:
+    """r without the negative literals on atoms outside the head mask heads."""
+    if r.neg_mask & ~heads:
+        return Rule(r.head, frozenset(), mask_atoms(r.neg_mask & heads))
+    return r
 
 
 def strong_reduction(n: Iterable[Rule]) -> frozenset:
     """Drop facts that are s-implications of other facts, then delete every
     negative literal whose atom heads no fact of the input."""
     n = _check_facts(n)
-    heads = heads_of(n)
+    heads = _head_mask(n)
     dropped = superseded(n)
-    return frozenset(
-        Rule(r.head, frozenset(), r.neg_body & heads) for r in n if r not in dropped
-    )
+    return frozenset(_reduce_negation(r, heads) for r in n if r not in dropped)
 
 
 def _fixpoint(reduction, n: frozenset) -> frozenset:
@@ -214,20 +247,19 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
     negatively blocked by an unconditional fact, then delete dead negative
     literals. Strictly weaker than strong_reduction."""
     n = _check_facts(n)
-    heads = heads_of(n)
-    forms = {r: (atom_mask(r.head), atom_mask(r.neg_body)) for r in n}
-    fact_heads = [h for h, m in forms.values() if not m]
+    heads = _head_mask(n)
+    index = _by_lowest_head_atom({(r.head_mask, r.neg_mask) for r in n})
 
     def removable(h1: int, n1: int) -> bool:
+        # A plain implication's head lies within h1, a blocking fact's head
+        # within n1.
         return any(
             not (h2 & ~h1 or n2 & ~n1) and (h2, n2) != (h1, n1)
-            for h2, n2 in forms.values()
-        ) or any(not h & ~n1 for h in fact_heads)
+            for h2, n2 in _candidates(index, h1)
+        ) or any(not n2 and not h2 & ~n1 for h2, n2 in _candidates(index, n1))
 
     return frozenset(
-        Rule(r.head, frozenset(), r.neg_body & heads)
-        for r, form in forms.items()
-        if not removable(*form)
+        _reduce_negation(r, heads) for r in n if not removable(r.head_mask, r.neg_mask)
     )
 
 

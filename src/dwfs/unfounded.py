@@ -43,8 +43,8 @@ from .core import (
     Truth,
     atom_mask,
     body_status,
-    canonicalize,
     mask_atoms,
+    minimal_masks,
 )
 
 DEFAULT_UNFOUNDED_ORACLE_BOUND = 14
@@ -75,22 +75,30 @@ class NoGreatestUnfoundedSetError(RouteError):
 def _rule_rows(p: Program, s: ModelState) -> list:
     """Per rule: head mask, positive-body mask, a flag for being blocked
     whatever X is (false body, or a superseded conditional fact), and witness
-    masks; a witness blocks the rule for X iff its mask is disjoint from X."""
+    masks; a witness blocks the rule for X iff its mask is disjoint from X.
+
+    The state's false atoms and core members are encoded once. A conditional
+    fact's body is false when a core member lies within its negated atoms
+    and not every negated atom is false; a rule with a positive body goes
+    through body_status.
+    """
     dropped = residual.superseded(
         (r for r in p.rules if r.is_conditional_fact), s.false_atoms
     )
+    false = atom_mask(s.false_atoms)
+    core = [atom_mask(d) for d in s.pos]
     rows = []
     for r in p.rules:
-        blocked = body_status(s, r) is Truth.FALSE or r in dropped
-        enabling = r.neg_body | s.false_atoms
-        scope = r.head | enabling
-        free = r.head - enabling
-        witnesses = [
-            atom_mask(d & free)
-            for d in s.pos
-            if d <= scope and (d & (r.head | r.neg_body))
-        ]
-        rows.append((atom_mask(r.head), atom_mask(r.pos_body), blocked, witnesses))
+        h, n = r.head_mask, r.neg_mask
+        if r.pos_mask:
+            false_body = body_status(s, r) is Truth.FALSE
+        else:
+            false_body = bool(n & ~false) and any(not c & ~n for c in core)
+        enabling = n | false
+        scope = h | enabling
+        free = h & ~enabling
+        witnesses = [c & free for c in core if not c & ~scope and c & (h | n)]
+        rows.append((h, r.pos_mask, false_body or r in dropped, witnesses))
     return rows
 
 
@@ -158,13 +166,18 @@ def greatest_unfounded(p: Program, s: ModelState, bound: int = DEFAULT_UNFOUNDED
 def t_operator(p: Program, s: ModelState) -> frozenset:
     """Immediate consequences: for every rule with a true body, the head
     minus already-false atoms, canonically."""
+    false = atom_mask(s.false_atoms)
     out = []
     for r in p.rules:
-        if body_status(s, r) is Truth.TRUE:
-            rest = r.head - s.false_atoms
+        if r.pos_mask:
+            true_body = body_status(s, r) is Truth.TRUE
+        else:  # a conditional fact: true when its negated atoms are false
+            true_body = not r.neg_mask & ~false
+        if true_body:
+            rest = r.head_mask & ~false
             if rest:
                 out.append(rest)
-    return canonicalize(out)
+    return frozenset(mask_atoms(m) for m in minimal_masks(out))
 
 
 def w_operator(p: Program, s: ModelState) -> ModelState:

@@ -21,6 +21,7 @@ from dwfs import (
     wfds,
 )
 from dwfs.argumentation import _Session
+from dwfs.core import atom_mask, mask_atoms
 from conftest import (
     ATTACK_DEMO,
     EVEN_LOOP,
@@ -97,8 +98,9 @@ def test_cons_on_travel_program():
 def _support_is_reduct_least_model_state(p, delta):
     # The canonical engine reads its support set off the saturation; by
     # definition it is the least model state of the reduct.
-    got = _Session(p, Engine.CANONICAL).support(delta.literal_assumptions)
-    return set(got) == least_model_state(reduct(p, delta))
+    # Literal and support sets are atom masks inside the session.
+    got = _Session(p, Engine.CANONICAL).support(atom_mask(delta.literal_assumptions))
+    return {mask_atoms(m) for m in got} == least_model_state(reduct(p, delta))
 
 
 def test_cons_equals_canonical_derivable_set():

@@ -61,14 +61,29 @@ def test_unreadable_input_is_error(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_undecodable_stdin_is_error(monkeypatch, capsys):
+    # As under a C locale: stdin's own decoding would escape the bytes.
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe"), "ascii", "surrogateescape")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert _run(["check", "-"]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize("command", ["lft", "trace", "residual"])
+def test_negative_lft_cap_is_usage_error(travel_file, capsys, command):
+    assert _run([command, travel_file, "--lft-cap", "-1"]) == (1, "")
+    assert capsys.readouterr().err == "usage error: --lft-cap cannot be negative\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--atoms", "0"], "num_atoms must be positive"),
         (["--max-head", "0"], "max_head must be at least 1"),
         (["--max-pos-body", "-1"], "body bounds cannot be negative"),
+        (["--count", "-5"], "--count cannot be negative"),
     ],
-    ids=["atoms-0", "max-head-0", "max-pos-body-negative"],
+    ids=["atoms-0", "max-head-0", "max-pos-body-negative", "count-negative"],
 )
 def test_rejected_fuzz_config_is_usage_error(capsys, flags, message):
     assert _run(["fuzz", "--count", "1", *flags]) == (1, "")

@@ -8,6 +8,8 @@ from dwfs import (
     CapacityError,
     Engine,
     GeneratorConfig,
+    Program,
+    Rule,
     entails_classical,
     least_model_state,
     parse_program,
@@ -17,6 +19,8 @@ from dwfs import (
     tps_step,
     wfds,
 )
+from dwfs.core import mask_atoms
+from dwfs.harness import atom_names
 from conftest import atoms
 
 
@@ -74,15 +78,19 @@ def _random_positive_programs(count):
 
 
 def _raw_engine_reducts(monkeypatch, seeds):
-    """Every reduct the raw engine takes the fixpoint of, on dense programs."""
+    """The rules of every reduct the raw engine takes the fixpoint of, on
+    dense programs, as (head mask, body mask) pairs, each with the kernel's
+    result."""
     requested = []
-    real = argumentation.tps_lfp
+    real = argumentation._lfp_masks
 
-    def spy(q):
-        requested.append(q)
-        return real(q)
+    def spy(rules):
+        rules = list(rules)
+        got = real(rules)
+        requested.append((rules, got))
+        return got
 
-    monkeypatch.setattr(argumentation, "tps_lfp", spy)
+    monkeypatch.setattr(argumentation, "_lfp_masks", spy)
     for seed in seeds:
         wfds(
             random_program(
@@ -95,10 +103,20 @@ def _raw_engine_reducts(monkeypatch, seeds):
     return requested
 
 
+def _as_program(rules):
+    """A positive program over ten atoms from (head mask, body mask) pairs."""
+    return Program(
+        [Rule(mask_atoms(h), mask_atoms(b)) for h, b in rules], atom_names(10)
+    )
+
+
 def test_lfp_matches_naive_oracle_iteration(monkeypatch):
     reducts = _raw_engine_reducts(monkeypatch, range(1, 41))
     assert len(reducts) > 40
-    programs = list(_random_positive_programs(200)) + reducts
+    for rules, got in reducts:
+        assert {mask_atoms(d) for d in got} == _oracle_lfp(_as_program(rules))
+    programs = list(_random_positive_programs(200))
+    programs += [_as_program(rules) for rules, _ in reducts]
     for q in programs:
         assert tps_lfp(q) == _oracle_lfp(q)
 
@@ -107,7 +125,7 @@ def test_raw_engine_computes_each_reduct_once(monkeypatch):
     # Literal sets that keep the same rules share one reduct; its fixpoint
     # is computed once per wfds call.
     for seed in range(1, 41):
-        rules = [q.rules for q in _raw_engine_reducts(monkeypatch, [seed])]
+        rules = [frozenset(r) for r, _ in _raw_engine_reducts(monkeypatch, [seed])]
         assert len(rules) == len(set(rules)), seed
 
 

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -25,12 +26,14 @@ from dwfs import (
     uwfs,
     wfds,
 )
+from dwfs.core import atom_mask
 from dwfs.residual import (
     classic_residual,
     residual_trace,
     saturation,
     superseded,
 )
+from dwfs.transforms import s_implies
 from conftest import (
     ATTACK_DEMO,
     GUARD,
@@ -303,3 +306,49 @@ def test_superseded_matches_rule_definition():
             assert superseded(facts, assumed_false) == want
             hits += bool(want)
     assert hits > 50
+
+
+def _superseded_all_pairs(facts, assumed_false):
+    """superseded with every pair of fact forms tested: the definition the
+    index by lowest head atom must reproduce."""
+    off = ~atom_mask(assumed_false)
+    by_form = defaultdict(list)
+    for r in facts:
+        by_form[atom_mask(r.head), atom_mask(r.neg_body) & off].append(r)
+    return frozenset(
+        r
+        for h1, n1 in by_form
+        if any(s_implies(h1, 0, n1, h2, 0, n2) for h2, n2 in by_form)
+        for r in by_form[h1, n1]
+    )
+
+
+def _classic_reduction_all_pairs(facts):
+    """classic_reduction with every pair of facts compared."""
+    heads = frozenset().union(*(r.head for r in facts))
+    return frozenset(
+        Rule(r.head, frozenset(), r.neg_body & heads)
+        for r in facts
+        if not any(
+            g != r and g.head <= r.head and g.neg_body <= r.neg_body for g in facts
+        )
+        and not any(not g.neg_body and g.head <= r.neg_body for g in facts)
+    )
+
+
+def test_indexed_scans_match_all_pairs_on_sparse_saturations():
+    rnd = random.Random(12)
+    hits = checked = 0
+    for seed in range(60):
+        size = 18 + seed % 7
+        p = random_program(GeneratorConfig(seed + 3700, num_atoms=size, num_rules=size,
+                                           max_head=2, max_pos_body=1, max_neg_body=2))
+        facts = saturation(p)
+        assert classic_reduction(facts) == _classic_reduction_all_pairs(facts)
+        for _ in range(4):
+            assumed_false = frozenset(a for a in p.base if rnd.random() < rnd.random())
+            want = _superseded_all_pairs(facts, assumed_false)
+            assert superseded(facts, assumed_false) == want
+            hits += bool(want)
+            checked += 1
+    assert checked == 240 and hits > 100
