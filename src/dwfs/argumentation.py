@@ -70,8 +70,8 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 
 class _Session:
-    """Memoized per-hypothesis support sets and superseded facts over the
-    program's saturation (kept on the Program, see residual.saturation).
+    """Memoized per-hypothesis support sets over the program's saturation
+    (kept on the Program, see residual.saturation).
 
     Literal sets and support sets are atom masks (core.atom_mask): a literal
     set is one mask, a support set a tuple of masks, decoded to atom sets
@@ -79,7 +79,9 @@ class _Session:
     a support set off the saturation's fact masks. The raw engine takes the
     fixpoint kernel of the reduct's rule masks; a reduct is named by the
     indices of the distinct positive rules it keeps, and many literal sets
-    share one.
+    share one. Superseded facts are not kept here: they come from the
+    saturation's supersession table (residual.superseded_in), which the
+    Program keeps and every route and engine shares.
     """
 
     def __init__(self, program: Program, engine: Engine):
@@ -88,7 +90,6 @@ class _Session:
         self._support: dict[int, tuple] = {}
         self._raw: dict[frozenset, tuple] = {}  # kept positive rules -> support
         self._remainders: dict[int, dict] = {}
-        self._superseded: dict[int, frozenset] = {}
 
     def support(self, lits: int) -> tuple:
         got = self._support.get(lits)
@@ -164,12 +165,12 @@ class _Session:
                 index.setdefault(a, []).append(fact)
         return index
 
+    @cached_property
+    def saturated(self) -> Program:
+        return residual.saturated_program(self.program)
+
     def superseded(self, lits: int) -> frozenset:
-        got = self._superseded.get(lits)
-        if got is None:
-            got = residual.superseded(self.saturation(), mask_atoms(lits))
-            self._superseded[lits] = got
-        return got
+        return residual.superseded_in(self.saturated, lits)
 
     def remainders(self, lits: int) -> dict[int, list]:
         """The subset-minimal nonempty support members minus lits, under the

@@ -3,7 +3,8 @@ programs, reduction traces, and equivalence fuzzing.
 
 Exit codes: 0 success (and agreement), 1 usage or parse error, 2 divergence
 found, 3 capacity exceeded, 4 a route failed (no greatest unfounded set, or
-the admissibility iteration broke its invariant).
+the admissibility iteration broke its invariant). A cross-check (`semantics
+--method all`, `fuzz`) exits with the first of 2, 4 and 3 that applies.
 """
 
 from __future__ import annotations
@@ -135,9 +136,9 @@ def _cmd_semantics(args, out) -> int:
                 names = " | ".join(sorted(program.atom_names[a] for a in atoms))
                 kind = "" if sign == "pos" else "not "
                 out.write(f"divergence: {n1} vs {n2} on {kind}{names}\n")
-        if not report.equal:
-            return EXIT_DIVERGENCE
-        return EXIT_ROUTE if report.route_errors else EXIT_OK
+        return _exit_code(
+            not report.equal, bool(report.route_errors), bool(report.capacity_errors)
+        )
     state = compute_semantics(program, args.method)
     if args.format == "json":
         out.write(json.dumps(state_json(state, program.atom_names), sort_keys=True) + "\n")
@@ -191,20 +192,32 @@ def _cmd_fuzz(args, out) -> int:
         raise _UsageError(exc) from exc
     failures = 0
     route_failures = 0
+    capacity_failures = 0
     total = 0
     for report in fuzz_reports(args.count, cfg):
         total += 1
         failures += not report.equal
         route_failures += bool(report.route_errors)
+        capacity_failures += bool(report.capacity_errors)
         if not report.equal or report.route_errors:
             out.write(json.dumps(report_json(report), sort_keys=True) + "\n")
     summary = f"fuzz: {total} programs, {failures} divergences"
     if route_failures:
         summary += f", {route_failures} with a route error"
+    if capacity_failures:
+        summary += f", {capacity_failures} with a capacity error"
     out.write(summary + "\n")
-    if failures:
+    return _exit_code(bool(failures), bool(route_failures), bool(capacity_failures))
+
+
+def _exit_code(divergence: bool, route_failure: bool, capacity: bool) -> int:
+    """The exit code of a cross-check: a divergence outranks a route
+    failure, which outranks a capacity error."""
+    if divergence:
         return EXIT_DIVERGENCE
-    return EXIT_ROUTE if route_failures else EXIT_OK
+    if route_failure:
+        return EXIT_ROUTE
+    return EXIT_CAPACITY if capacity else EXIT_OK
 
 
 def run(argv) -> int:

@@ -153,7 +153,15 @@ class Program:
     equality.
     """
 
-    __slots__ = ("rules", "atom_names", "_names_key", "_head_atoms", "_saturation")
+    __slots__ = (
+        "rules",
+        "atom_names",
+        "_names_key",
+        "_head_atoms",
+        "_saturation",
+        "_saturated",
+        "_superseded",
+    )
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -170,6 +178,8 @@ class Program:
         self._names_key = None
         self._head_atoms = None
         self._saturation = None  # (facts, peak stored rules), see residual.saturation
+        self._saturated = None  # the saturation as a Program, see residual.saturated_program
+        self._superseded: dict = {}  # false-atom mask -> facts, see residual.superseded_in
 
     @property
     def base(self) -> frozenset:

@@ -45,6 +45,9 @@ class GeneratorConfig:
         for bound in (self.max_head, self.max_pos_body, self.max_neg_body):
             if bound > self.num_atoms:
                 raise ValueError("size bounds cannot exceed the atom count")
+        # Written so that NaN fails too.
+        if not 0 <= self.neg_probability <= 1:
+            raise ValueError("neg_probability must lie in [0, 1]")
 
 
 def atom_names(n: int) -> list[str]:
@@ -195,6 +198,11 @@ class EquivalenceReport:
     def route_errors(self) -> dict:
         """The recorded errors that are route failures, not capacity limits."""
         return {n: e for n, e in self.errors.items() if isinstance(e, RouteError)}
+
+    @property
+    def capacity_errors(self) -> dict:
+        """The recorded errors that are capacity limits."""
+        return {n: e for n, e in self.errors.items() if isinstance(e, CapacityError)}
 
 
 def check_equivalence(p: Program) -> EquivalenceReport:

@@ -178,6 +178,16 @@ def saturation(p: Program, cap: int | None = None) -> frozenset:
     return facts
 
 
+def saturated_program(p: Program, cap: int | None = None) -> Program:
+    """saturation(p) as a program over p's atom table, built once and kept
+    on p beside the saturation. Its supersession tables (superseded_in) are
+    the ones every route reads."""
+    facts = saturation(p, cap)
+    if p._saturated is None:
+        p._saturated = p.with_rules(facts)
+    return p._saturated
+
+
 def _by_lowest_head_atom(forms) -> dict[int, list]:
     """(head, negative body) mask pairs under the one-atom mask of their
     lowest head atom."""
@@ -214,6 +224,20 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
     return frozenset(out)
 
 
+def superseded_in(q: Program, false: int = 0) -> frozenset:
+    """superseded over q's conditional facts, with the atoms of the mask
+    false assumed false. Computed once per program and mask and kept on q,
+    in a table keyed by the mask: on saturated_program(p), wfds reads it in
+    every admissibility round, uwfs in every W step and dwfs_star in its
+    first reduction pass."""
+    table = q._superseded
+    got = table.get(false)
+    if got is None:
+        facts = (r for r in q.rules if r.is_conditional_fact)
+        got = table[false] = superseded(facts, mask_atoms(false))
+    return got
+
+
 def _reduce_negation(r: Rule, heads: int) -> Rule:
     """r without the negative literals on atoms outside the head mask heads."""
     if r.neg_mask & ~heads:
@@ -225,8 +249,12 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
     """Drop facts that are s-implications of other facts, then delete every
     negative literal whose atom heads no fact of the input."""
     n = _check_facts(n)
+    return _strong_reduce(n, superseded(n))
+
+
+def _strong_reduce(n: frozenset, dropped: frozenset) -> frozenset:
+    """strong_reduction(n) given its superseded facts, dropped."""
     heads = _head_mask(n)
-    dropped = superseded(n)
     return frozenset(_reduce_negation(r, heads) for r in n if r not in dropped)
 
 
@@ -238,8 +266,11 @@ def _fixpoint(reduction, n: frozenset) -> frozenset:
 
 
 def strong_residual(p: Program, cap: int | None = None) -> frozenset:
-    """Fixpoint of the strong reduction over the saturation of p."""
-    return _fixpoint(strong_reduction, saturation(p, cap))
+    """Fixpoint of the strong reduction over the saturation of p. The first
+    pass takes its superseded facts from the saturation's shared table."""
+    n = saturation(p, cap)
+    first = _strong_reduce(n, superseded_in(saturated_program(p, cap)))
+    return n if first == n else _fixpoint(strong_reduction, first)
 
 
 def classic_reduction(n: Iterable[Rule]) -> frozenset:

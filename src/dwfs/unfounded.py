@@ -77,15 +77,16 @@ def _rule_rows(p: Program, s: ModelState) -> list:
     whatever X is (false body, or a superseded conditional fact), and witness
     masks; a witness blocks the rule for X iff its mask is disjoint from X.
 
+    The superseded conditional facts come from p's supersession table for
+    the state's false atoms (residual.superseded_in): on the saturated
+    program that uwfs reads, it is the table wfds and dwfs_star read too.
     The state's false atoms and core members are encoded once. A conditional
     fact's body is false when a core member lies within its negated atoms
     and not every negated atom is false; a rule with a positive body goes
     through body_status.
     """
-    dropped = residual.superseded(
-        (r for r in p.rules if r.is_conditional_fact), s.false_atoms
-    )
     false = atom_mask(s.false_atoms)
+    dropped = residual.superseded_in(p, false)
     core = [atom_mask(d) for d in s.pos]
     rows = []
     for r in p.rules:
@@ -193,8 +194,9 @@ def w_operator(p: Program, s: ModelState) -> ModelState:
 
 def uwfs(p: Program) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
-    saturation of the program into conditional facts."""
-    saturated = p.with_rules(residual.saturation(p))
+    saturation of the program into conditional facts (the saturated program
+    kept on p, see residual.saturated_program)."""
+    saturated = residual.saturated_program(p)
     state = ModelState()
     while True:
         nxt = w_operator(saturated, state)

@@ -4,7 +4,17 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from dwfs import check_equivalence, parse_program, render_state, state_json
+import dwfs.harness as harness
+import dwfs.residual as residual
+from dwfs import (
+    CapacityError,
+    ModelState,
+    RouteError,
+    check_equivalence,
+    parse_program,
+    render_state,
+    state_json,
+)
 from dwfs.cli import run
 from dwfs.harness import SEMANTICS_NAMES, compute_semantics, report_json
 from conftest import (
@@ -82,8 +92,19 @@ def test_negative_lft_cap_is_usage_error(travel_file, capsys, command):
         (["--max-head", "0"], "max_head must be at least 1"),
         (["--max-pos-body", "-1"], "body bounds cannot be negative"),
         (["--count", "-5"], "--count cannot be negative"),
+        (["--neg-prob", "1.5"], "neg_probability must lie in [0, 1]"),
+        (["--neg-prob", "-0.1"], "neg_probability must lie in [0, 1]"),
+        (["--neg-prob", "nan"], "neg_probability must lie in [0, 1]"),
     ],
-    ids=["atoms-0", "max-head-0", "max-pos-body-negative", "count-negative"],
+    ids=[
+        "atoms-0",
+        "max-head-0",
+        "max-pos-body-negative",
+        "count-negative",
+        "neg-prob-above-1",
+        "neg-prob-negative",
+        "neg-prob-nan",
+    ],
 )
 def test_rejected_fuzz_config_is_usage_error(capsys, flags, message):
     assert _run(["fuzz", "--count", "1", *flags]) == (1, "")
@@ -217,6 +238,60 @@ def test_route_failure_exit_code(tmp_path, monkeypatch, capsys):
         code, out = _run(["semantics", str(path), "--method", method])
         assert (code, out) == (4, "")
         assert "route error: admissibility iteration" in capsys.readouterr().err
+
+
+def test_capacity_in_every_route_exits_3(tmp_path, monkeypatch):
+    path = tmp_path / "pipe.lp"
+    path.write_text(PIPELINE)
+    monkeypatch.setattr(residual, "DEFAULT_LFT_CAP", 3)
+    assert _run(["semantics", str(path), "--method", "uwfs"]) == (3, "")
+    code, out = _run(["semantics", str(path)])
+    assert code == 3
+    assert out.count("capacity error: saturation exceeded 3 stored rules") == 4
+    assert out.endswith("equal: true\n")
+    code, out = _run(["semantics", str(path), "--format", "json"])
+    assert code == 3 and set(json.loads(out)["errors"]) == set(SEMANTICS_NAMES)
+    # The empty degenerate program stores no rule, so it passes a cap of 0.
+    monkeypatch.setattr(residual, "DEFAULT_LFT_CAP", 0)
+    code, out = _run(["fuzz", "--count", "2", "--atoms", "3", "--rules", "3"])
+    assert (code, out) == (3, "fuzz: 4 programs, 0 divergences, 3 with a capacity error\n")
+
+
+def _patched_routes(monkeypatch, failures):
+    """Make compute_semantics fail as failures says: route name -> "capacity",
+    "route" or "diverge" (a state no other route returns)."""
+    real = harness.compute_semantics
+
+    def patched(p, name):
+        kind = failures.get(name)
+        if kind == "capacity":
+            raise CapacityError("capped")
+        if kind == "route":
+            raise RouteError("broken")
+        if kind == "diverge":
+            return ModelState(frozenset(), p.base)
+        return real(p, name)
+
+    monkeypatch.setattr(harness, "compute_semantics", patched)
+
+
+@pytest.mark.parametrize(
+    "failures, code",
+    [
+        ({}, 0),
+        ({"uwfs": "capacity"}, 3),
+        ({"uwfs": "capacity", "wfds": "route"}, 4),
+        ({"uwfs": "capacity", "wfds": "diverge"}, 2),
+        ({"uwfs": "route", "wfds": "diverge"}, 2),
+    ],
+    ids=["clean", "capacity", "route-over-capacity", "divergence-over-capacity",
+         "divergence-over-route"],
+)
+def test_cross_check_exit_precedence(travel_file, monkeypatch, failures, code):
+    _patched_routes(monkeypatch, failures)
+    assert _run(["semantics", travel_file])[0] == code
+    assert _run(["semantics", travel_file, "--format", "json"])[0] == code
+    assert _run(["fuzz", "--count", "1", "--atoms", "3", "--rules", "3"])[0] == code
 
 
 def test_semantics_prints_compute_semantics(tmp_path):

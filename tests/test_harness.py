@@ -58,6 +58,14 @@ def test_generator_rejects_bad_bounds():
         GeneratorConfig(seed=1, num_atoms=2, max_head=3)
 
 
+@pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan"), float("inf")])
+def test_generator_rejects_neg_probability_outside_unit_interval(prob):
+    with pytest.raises(ValueError, match="neg_probability"):
+        GeneratorConfig(neg_probability=prob)
+    for edge in (0.0, 1.0):
+        GeneratorConfig(neg_probability=edge)
+
+
 def test_minimal_models_of_disjunctive_fact():
     p = parse_program("a | b.")
     assert minimal_models(p) == {atoms(p, "a"), atoms(p, "b")}
@@ -213,6 +221,7 @@ def test_capacity_errors_are_not_route_failures(monkeypatch):
     monkeypatch.setattr(unfounded, "greatest_unfounded", capped)
     report = check_equivalence(parse_program(TRAVEL))
     assert set(report.errors) == {"uwfs"} and report.route_errors == {}
+    assert report.capacity_errors == report.errors
     assert report_json(report)["errors"] == {"uwfs": "capped"}
 
 

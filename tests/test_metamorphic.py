@@ -8,12 +8,29 @@ exhaustive oracle, so they run at sizes the truth-table oracles cannot reach.
   s-implication crosses components, since it needs h2 within h1 | n1.
 - On normal programs of 100-300 atoms every route equals the alternating
   fixpoint (normal_wfs), which is polynomial and shares no code with them.
+- Routes run in any order, on programs that keep their saturation and
+  supersession tables between calls, give the states they give on a fresh
+  parse with the tables bypassed: no table leaks between false-atom sets,
+  routes or programs.
+- A rule whose head is one fresh atom, mentioned nowhere else, leaves every
+  route's state on the old atoms unchanged.
 """
 
 import random
 import time
 
-from dwfs import GeneratorConfig, ModelState, Program, Rule, normal_wfs, random_program
+from dwfs import (
+    GeneratorConfig,
+    ModelState,
+    Program,
+    Rule,
+    normal_wfs,
+    parse_program,
+    random_program,
+    render_program,
+)
+import dwfs.residual as residual
+from dwfs.core import mask_atoms
 from dwfs.harness import compute_semantics
 
 ROUTES = ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs")
@@ -30,6 +47,13 @@ def _dense(seed):
     return random_program(
         GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2, max_pos_body=2,
                         max_neg_body=2)
+    )
+
+
+def _criterion_2(seed):
+    return random_program(
+        GeneratorConfig(seed, num_atoms=6, num_rules=8, max_head=3, max_pos_body=3,
+                        max_neg_body=3)
     )
 
 
@@ -124,3 +148,47 @@ def test_every_route_equals_normal_wfs_at_scale():
             assert compute_semantics(p, name) == want, (cfg, name)
     assert undefined > 0
     assert time.perf_counter() - start < 60
+
+
+def _untabled(q, false=0):
+    """residual.superseded_in without its table."""
+    facts = (r for r in q.rules if r.is_conditional_fact)
+    return residual.superseded(facts, mask_atoms(false))
+
+
+def test_routes_in_any_order_on_shared_programs_match_fresh_parses(monkeypatch):
+    # The reference states come from a fresh parse per route with the
+    # supersession table bypassed, so a table that leaked even between
+    # Program instances would show.
+    programs = list(_corpus())[::2] + [_criterion_2(seed + 9600) for seed in range(60)]
+    texts = [render_program(p) for p in programs]
+    runs = [(i, name) for i in range(len(texts)) for name in ROUTES]
+    with monkeypatch.context() as patch:
+        patch.setattr(residual, "superseded_in", _untabled)
+        want = {(i, name): compute_semantics(parse_program(texts[i]), name) for i, name in runs}
+    shared = [parse_program(text) for text in texts]
+    random.Random(5).shuffle(runs)
+    for i, name in runs:
+        assert compute_semantics(shared[i], name) == want[i, name], (texts[i], name)
+
+
+def test_rule_for_a_fresh_atom_leaves_old_atoms_unchanged():
+    rnd = random.Random(6)
+    programs = (
+        [_criterion_2(seed + 9400) for seed in range(150)]
+        + [_sparse(seed + 9500, 20) for seed in range(50)]
+        + [_dense(seed + 9200) for seed in range(50)]
+    )
+    for p in programs:
+        n = len(p.atom_names)
+        body = rnd.sample(range(n), rnd.randint(0, 3))
+        cut = rnd.randint(0, len(body))
+        rule = Rule(frozenset((n,)), frozenset(body[:cut]), frozenset(body[cut:]))
+        q = Program(list(p.rules) + [rule], list(p.atom_names) + ["fresh_atom"])
+        want, got = _states(p), _states(q)
+        for name in ROUTES:
+            old_part = ModelState(
+                frozenset(d for d in got[name].pos if n not in d),
+                got[name].false_atoms - {n},
+            )
+            assert old_part == want[name], (q, name)

@@ -26,7 +26,9 @@ from dwfs import (
     uwfs,
     wfds,
 )
+import dwfs.residual as residual
 from dwfs.core import atom_mask
+from dwfs.harness import check_equivalence
 from dwfs.residual import (
     classic_residual,
     residual_trace,
@@ -352,3 +354,39 @@ def test_indexed_scans_match_all_pairs_on_sparse_saturations():
             hits += bool(want)
             checked += 1
     assert checked == 240 and hits > 100
+
+
+def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
+    # Every route reads the saturation's supersession table, so across
+    # check_equivalence's routes and rounds no (saturation, false set) pair
+    # reaches superseded twice.
+    real = residual.superseded
+    calls = []
+
+    def spy(facts, assumed_false=frozenset()):
+        facts = frozenset(facts)
+        calls.append((facts, frozenset(assumed_false)))
+        return real(facts, assumed_false)
+
+    monkeypatch.setattr(residual, "superseded", spy)
+    programs = [
+        random_program(GeneratorConfig(seed + 3700, num_atoms=18 + seed % 7,
+                                       num_rules=18 + seed % 7, max_head=2,
+                                       max_pos_body=1, max_neg_body=2))
+        for seed in range(30)
+    ] + [
+        random_program(GeneratorConfig(seed + 9200, num_atoms=10, num_rules=16,
+                                       max_head=2, max_pos_body=2, max_neg_body=2))
+        for seed in range(12)
+    ]
+    on_saturation = 0
+    for p in programs:
+        calls.clear()
+        report = check_equivalence(p)
+        assert report.equal and not report.errors
+        facts = saturation(p)
+        false_sets = [false for got, false in calls if got == facts]
+        assert len(false_sets) == len(set(false_sets)), p
+        assert frozenset() in false_sets
+        on_saturation += len(false_sets)
+    assert on_saturation > 2 * len(programs)
