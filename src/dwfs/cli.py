@@ -91,15 +91,16 @@ def _build_parser() -> _Parser:
 
 
 def _load(path: str) -> Program:
+    # A FILE and stdin are read as the same bytes and decoded here, strictly,
+    # whatever the locale, with no newline translation: only "\n" starts a
+    # line of the grammar, so a lone "\r" is a blank on both routes.
     try:
         if path == "-":
-            # Decoded here, strictly, whatever the locale's stdin encoding
-            # and error handler; stdin translates no newlines on POSIX, so
-            # neither does this.
-            text = sys.stdin.buffer.read().decode("utf-8")
+            data = sys.stdin.buffer.read()
         else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                data = fh.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _InputError(exc) from exc
     return parse_program(text)

@@ -170,9 +170,10 @@ class Program:
         rset = frozenset(rules)
         n = len(names)
         for r in rset:
-            for a in r.atoms():
-                if not 0 <= a < n:
-                    raise ValueError(f"atom id {a} outside table of size {n}")
+            # A Rule holds no negative atom id: its masks cannot be built.
+            if (r.head_mask | r.pos_mask | r.neg_mask) >> n:
+                a = next(a for a in r.atoms() if a >= n)
+                raise ValueError(f"atom id {a} outside table of size {n}")
         self.rules = tuple(sorted(rset, key=rule_key))
         self.atom_names = names
         self._names_key = None

@@ -38,6 +38,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.num_atoms < 1:
             raise ValueError("num_atoms must be positive")
+        if self.num_rules < 0:
+            raise ValueError("num_rules cannot be negative")
         if self.max_head < 1:
             raise ValueError("max_head must be at least 1")
         if min(self.max_pos_body, self.max_neg_body) < 0:

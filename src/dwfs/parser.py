@@ -8,12 +8,15 @@ Grammar:
     literal := atom | "not" atom
     atom    := [a-zA-Z_][a-zA-Z0-9_]*
 
-Whitespace is insignificant and "%" starts a line comment. Duplicate head
-atoms, duplicate body literals, and duplicate rules are silently merged.
+Blanks (space, tab, CR and LF) are insignificant and "%" starts a comment
+that runs to the next LF. Only LF starts a new line of an error position.
+Duplicate head atoms, duplicate body literals, and duplicate rules are
+silently merged.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import ModelState, Program, Rule
@@ -35,120 +38,98 @@ class ParseError(ValueError):
         self.span = span
 
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_ATOM = r"[A-Za-z_][A-Za-z0-9_]*"
+_IS_ATOM = re.compile(_ATOM).match
+# A comment matches with an empty group; any character that is neither a
+# blank nor the start of a token matches alone, as a stray token.
+_TOKEN = re.compile(rf"%[^\n]*|({_ATOM}|:-|[|,.]|[^ \t\r\n])")
+_PUNCT = frozenset(("|", ",", ".", ":-"))
 
 
-def _tokenize(text: str):
-    """Yield (kind, value, span) with kind in {ident, punct, eof}."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            yield "ident", text[i:j], span
-            col += j - i
-            i = j
-            continue
-        if ch in "|,.":
-            yield "punct", ch, span
-            i += 1
-            col += 1
-            continue
-        if ch == ":" and i + 1 < n and text[i + 1] == "-":
-            yield "punct", ":-", span
-            i += 2
-            col += 2
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    yield "eof", "", SourceSpan(line, col)
+def _error(text: str, tokens: list, k: int, message: str) -> ParseError:
+    """The error at token k (k == len(tokens) - 1 is the end of input).
+
+    The whole text is read as tokens before any rule is parsed, so the first
+    stray token, wherever it is, outranks the grammar error. Positions are
+    computed only here: only "\n" starts a line, and a column counts
+    characters.
+    """
+    for j, tok in enumerate(tokens[:-1]):
+        if tok not in _PUNCT and not _IS_ATOM(tok):
+            k, message = j, f"unexpected character {tok!r}"
+            break
+    offsets = [m.start() for m in _TOKEN.finditer(text) if m[1]]
+    offsets.append(len(text))
+    at = offsets[k]
+    line = text.count("\n", 0, at) + 1
+    return ParseError(message, SourceSpan(line, at - text.rfind("\n", 0, at)))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.names: list[str] = []
-        self.ids: dict[str, int] = {}
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def intern(self, name: str) -> int:
-        if name not in self.ids:
-            self.ids[name] = len(self.names)
-            self.names.append(name)
-        return self.ids[name]
-
-    def expect_atom(self, context: str) -> int:
-        kind, value, span = self.next()
-        if kind != "ident":
-            raise ParseError(f"expected an atom {context}, found {value or 'end of input'!r}", span)
-        if value == "not":
-            raise ParseError(f"'not' is not allowed {context}", span)
-        return self.intern(value)
-
-    def parse_rule(self) -> Rule:
-        head = {self.expect_atom("in a rule head")}
-        while self.peek()[:2] == ("punct", "|"):
-            self.next()
-            head.add(self.expect_atom("in a rule head"))
-        pos_body: set[int] = set()
-        neg_body: set[int] = set()
-        kind, value, span = self.next()
-        if (kind, value) == ("punct", ":-"):
-            while True:
-                k, v, sp = self.peek()
-                if k == "ident" and v == "not":
-                    self.next()
-                    neg_body.add(self.expect_atom("after 'not'"))
-                elif k == "ident":
-                    self.next()
-                    pos_body.add(self.intern(v))
-                else:
-                    raise ParseError(f"expected a body literal, found {v or 'end of input'!r}", sp)
-                k, v, sp = self.next()
-                if (k, v) == ("punct", ","):
-                    continue
-                if (k, v) == ("punct", "."):
-                    break
-                raise ParseError(f"expected ',' or '.', found {v or 'end of input'!r}", sp)
-        elif (kind, value) != ("punct", "."):
-            raise ParseError(f"expected ':-' or '.', found {value or 'end of input'!r}", span)
-        return Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body))
-
-    def parse_program(self) -> Program:
-        rules = set()
-        while self.peek()[0] != "eof":
-            rules.add(self.parse_rule())
-        return Program(rules, self.names)
+def _new_atom(text: str, tokens: list, i: int, ids: dict, context) -> int:
+    """Intern tokens[i], a name not seen before, or raise the error for a
+    token that is no atom. context says where the atom stands; None means a
+    body literal, where a "not" was already read as negation."""
+    tok = tokens[i]
+    if tok == "not":
+        raise _error(text, tokens, i, f"'not' is not allowed {context}")
+    if not _IS_ATOM(tok):
+        expected = f"an atom {context}" if context else "a body literal"
+        raise _error(text, tokens, i, f"expected {expected}, found {tok or 'end of input'!r}")
+    a = ids[tok] = len(ids)
+    return a
 
 
 def parse_program(text: str) -> Program:
     """Parse program text; atoms are interned in first-occurrence order."""
-    return _Parser(text).parse_program()
+    tokens = _TOKEN.findall(text)
+    if "" in tokens:
+        tokens = [tok for tok in tokens if tok]
+    tokens.append("")  # the end of input
+    end = len(tokens) - 1
+    ids: dict[str, int] = {}
+    rules = set()
+    i = 0
+    while i < end:
+        head = set()
+        while True:
+            a = ids.get(tokens[i])
+            if a is None:
+                a = _new_atom(text, tokens, i, ids, "in a rule head")
+            head.add(a)
+            i += 1
+            if tokens[i] != "|":
+                break
+            i += 1
+        pos_body = set()
+        neg_body = set()
+        tok = tokens[i]
+        i += 1
+        if tok == ":-":
+            while True:
+                if tokens[i] == "not":
+                    i += 1
+                    a = ids.get(tokens[i])
+                    if a is None:
+                        a = _new_atom(text, tokens, i, ids, "after 'not'")
+                    neg_body.add(a)
+                else:
+                    a = ids.get(tokens[i])
+                    if a is None:
+                        a = _new_atom(text, tokens, i, ids, None)
+                    pos_body.add(a)
+                tok = tokens[i + 1]
+                i += 2
+                if tok == ",":
+                    continue
+                if tok == ".":
+                    break
+                found = tok or "end of input"
+                raise _error(text, tokens, i - 1, f"expected ',' or '.', found {found!r}")
+        elif tok != ".":
+            found = tok or "end of input"
+            raise _error(text, tokens, i - 1, f"expected ':-' or '.', found {found!r}")
+        rules.add(Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body)))
+    return Program(rules, ids)
 
 
 def render_rule(r: Rule, names) -> str:

@@ -79,6 +79,42 @@ def test_undecodable_stdin_is_error(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
 
 
+@pytest.mark.parametrize(
+    "data, err",
+    [
+        (b"a.\rb :- .", "parse error: line 1, column 9: expected a body literal, found '.'\n"),
+        (
+            b"a.\r\n  b | .\r\n",
+            "parse error: line 2, column 7: expected an atom in a rule head, found '.'\n",
+        ),
+        (
+            b"a :- b %c",
+            "parse error: line 1, column 10: expected ',' or '.', found 'end of input'\n",
+        ),
+        (b"a.\r\nb :- c & d.", "parse error: line 2, column 8: unexpected character '&'\n"),
+    ],
+    ids=["lone-cr", "crlf", "final-comment", "bad-character"],
+)
+def test_file_and_stdin_report_the_same_error(tmp_path, monkeypatch, capsys, data, err):
+    path = tmp_path / "bad.lp"
+    path.write_bytes(data)
+    assert _run(["check", str(path)]) == (1, "")
+    assert capsys.readouterr().err == err
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+    assert _run(["check", "-"]) == (1, "")
+    assert capsys.readouterr().err == err
+
+
+def test_file_and_stdin_read_crlf_alike(tmp_path, monkeypatch):
+    data = b"a | b :- c,\r\n  not d.\r\ne.\r"
+    path = tmp_path / "crlf.lp"
+    path.write_bytes(data)
+    want = (0, "a | b :- c, not d.\ne.\n")
+    assert _run(["check", str(path)]) == want
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+    assert _run(["check", "-"]) == want
+
+
 @pytest.mark.parametrize("command", ["lft", "trace", "residual"])
 def test_negative_lft_cap_is_usage_error(travel_file, capsys, command):
     assert _run([command, travel_file, "--lft-cap", "-1"]) == (1, "")
@@ -92,6 +128,7 @@ def test_negative_lft_cap_is_usage_error(travel_file, capsys, command):
         (["--max-head", "0"], "max_head must be at least 1"),
         (["--max-pos-body", "-1"], "body bounds cannot be negative"),
         (["--count", "-5"], "--count cannot be negative"),
+        (["--rules", "-3"], "num_rules cannot be negative"),
         (["--neg-prob", "1.5"], "neg_probability must lie in [0, 1]"),
         (["--neg-prob", "-0.1"], "neg_probability must lie in [0, 1]"),
         (["--neg-prob", "nan"], "neg_probability must lie in [0, 1]"),
@@ -101,6 +138,7 @@ def test_negative_lft_cap_is_usage_error(travel_file, capsys, command):
         "max-head-0",
         "max-pos-body-negative",
         "count-negative",
+        "rules-negative",
         "neg-prob-above-1",
         "neg-prob-negative",
         "neg-prob-nan",

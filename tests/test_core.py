@@ -33,6 +33,10 @@ def test_rule_parts_are_deduplicated_sets():
 def test_program_rejects_out_of_range_atoms():
     with pytest.raises(ValueError):
         Program([Rule([5])], ["a", "b"])
+    for rule in (Rule([0], [2]), Rule([0], [1], [2]), Rule([1], [0, 2], [1])):
+        with pytest.raises(ValueError, match="atom id 2 outside table of size 2"):
+            Program([Rule([1]), rule], ["a", "b"])
+    Program([Rule([1], [0], [0, 1])], ["a", "b"])
 
 
 def test_program_equality_ignores_interning_order():

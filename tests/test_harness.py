@@ -58,6 +58,12 @@ def test_generator_rejects_bad_bounds():
         GeneratorConfig(seed=1, num_atoms=2, max_head=3)
 
 
+def test_generator_rejects_negative_rule_count():
+    with pytest.raises(ValueError, match="num_rules cannot be negative"):
+        GeneratorConfig(num_rules=-3)
+    assert random_program(GeneratorConfig(num_rules=0)).rules == ()
+
+
 @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan"), float("inf")])
 def test_generator_rejects_neg_probability_outside_unit_interval(prob):
     with pytest.raises(ValueError, match="neg_probability"):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -70,6 +71,79 @@ def test_error_span_points_into_text():
 def test_bad_character_is_error():
     with pytest.raises(ParseError):
         parse_program("a :- b & c.")
+
+
+# Each malformed text with its exact (message, line, column). Only "\n"
+# starts a line; tabs and "\r" count one column each; a character no token
+# may start outranks any grammar error, wherever it is.
+MALFORMED = [
+    ("a :- b & c.", "unexpected character '&'", 1, 8),
+    ("a : b.", "unexpected character ':'", 1, 3),
+    ("1a.", "unexpected character '1'", 1, 1),
+    ("\u00e9.", "unexpected character '\u00e9'", 1, 1),
+    ("a.\x0bb.", "unexpected character '\\x0b'", 1, 3),
+    ("a :- b.\xa0", "unexpected character '\\xa0'", 1, 8),
+    ("a :- . &", "unexpected character '&'", 1, 8),
+    ("a.\nb :- c. % fine\n  x ::- y.", "unexpected character ':'", 3, 5),
+    ("not a.", "'not' is not allowed in a rule head", 1, 1),
+    ("a :- not not b.", "'not' is not allowed after 'not'", 1, 10),
+    ("a || b.", "expected an atom in a rule head, found '|'", 1, 4),
+    ("a |.", "expected an atom in a rule head, found '.'", 1, 4),
+    (":- a.", "expected an atom in a rule head, found ':-'", 1, 1),
+    ("a :- .", "expected a body literal, found '.'", 1, 6),
+    ("a :- , b.", "expected a body literal, found ','", 1, 6),
+    ("a :- not .", "expected an atom after 'not', found '.'", 1, 10),
+    ("a :- not", "expected an atom after 'not', found 'end of input'", 1, 9),
+    ("a b.", "expected ':-' or '.', found 'b'", 1, 3),
+    ("a\tb.", "expected ':-' or '.', found 'b'", 1, 3),
+    ("a", "expected ':-' or '.', found 'end of input'", 1, 2),
+    ("a :- b", "expected ',' or '.', found 'end of input'", 1, 7),
+    ("a :- b, c|d.", "expected ',' or '.', found '|'", 1, 10),
+    ("\t\ta :- .", "expected a body literal, found '.'", 1, 8),
+    ("a.\r\n  b | .", "expected an atom in a rule head, found '.'", 2, 7),
+    ("a.\rb :- .", "expected a body literal, found '.'", 1, 9),
+    ("a.\nb.\nc :- d e.", "expected ',' or '.', found 'e'", 3, 8),
+    ("a.\n\n   b :- c,\n  d e.", "expected ',' or '.', found 'e'", 4, 5),
+    ("% only\na :-", "expected a body literal, found 'end of input'", 2, 5),
+    ("a :- b   ", "expected ',' or '.', found 'end of input'", 1, 10),
+    ("a :- b %c", "expected ',' or '.', found 'end of input'", 1, 10),
+    ("a.\nb :- c %c\n", "expected ',' or '.', found 'end of input'", 3, 1),
+]
+
+
+@pytest.mark.parametrize("text, message, line, column", MALFORMED)
+def test_parse_error_message_and_position(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_program(text)
+    assert (err.value.message, err.value.span.line, err.value.span.column) == (
+        message,
+        line,
+        column,
+    )
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|:-|[|,.]")
+_COMMENT = st.text(st.characters(blacklist_characters="\n"), max_size=6).map(
+    lambda body: "%" + body + "\n"
+)
+_BLANK_OR_COMMENT = st.one_of(st.sampled_from(" \t\r\n"), _COMMENT)
+_GAP = st.lists(_BLANK_OR_COMMENT, max_size=3).map("".join)
+_SEPARATOR = st.lists(_BLANK_OR_COMMENT, min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.data())
+def test_blanks_and_comments_between_tokens_change_nothing(seed, data):
+    rendered = render_program(random_program(GeneratorConfig(seed, num_atoms=5, num_rules=5)))
+    text = data.draw(_GAP)
+    for tok in _TOKEN.findall(rendered):
+        # Two atoms in a row ("not a") need a blank between them.
+        text += tok + data.draw(_SEPARATOR if tok == "not" else _GAP)
+    text += data.draw(st.sampled_from(["", "%", "% end"]))
+    want, got = parse_program(rendered), parse_program(text)
+    assert got.rule_names() == want.rule_names()
+    assert got.atom_names == want.atom_names
 
 
 def test_render_round_trip_on_example():
