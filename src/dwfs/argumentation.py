@@ -12,7 +12,12 @@ an attacker would need: the fact's negated atoms plus its other head atoms,
 minus what is already assumed false. Disjunctive assumptions never help an
 attacker (derivation consumes only literal assumptions), and attacking a
 smaller assumption set attacks every superset, so this per-fact check
-covers all hypotheses.
+covers all hypotheses. Each round of the admissibility iteration decides
+every atom at once, in one sweep over the facts (_Session.armed).
+
+The hypotheses of one iteration only grow, so each reduct keeps the rules
+of the one before. The raw engine resumes the fixpoint of a reduct from the
+cached fixpoint of the latest reduct whose rules it keeps.
 """
 
 from __future__ import annotations
@@ -79,9 +84,11 @@ class _Session:
     a support set off the saturation's fact masks. The raw engine takes the
     fixpoint kernel of the reduct's rule masks; a reduct is named by the
     indices of the distinct positive rules it keeps, and many literal sets
-    share one. Superseded facts are not kept here: they come from the
-    saturation's supersession table (residual.superseded_in), which the
-    Program keeps and every route and engine shares.
+    share one. A new reduct resumes from the cached support of the latest
+    reduct whose rules it keeps; only the support tuples are kept, not the
+    kernel's running sets. Superseded facts are not kept here: they come
+    from the saturation's supersession table (residual.superseded_in),
+    which the Program keeps and every route and engine shares.
     """
 
     def __init__(self, program: Program, engine: Engine):
@@ -107,7 +114,12 @@ class _Session:
                 kept = frozenset(i for i, n in rules if not n & ~lits)
                 got = self._raw.get(kept)
                 if got is None:
-                    got = tuple(_lfp_masks(positive[i] for i in sorted(kept)))
+                    # Resume from the latest reduct whose rules this one
+                    # keeps: along the hypothesis chain, the one before.
+                    base = next((k for k in reversed(self._raw) if k <= kept), frozenset())
+                    start = self._raw.get(base, ())
+                    order = sorted(base) + sorted(kept - base)
+                    got = tuple(_lfp_masks([positive[i] for i in order], start, len(base)))
                     self._raw[kept] = got
             self._support[lits] = got
         return got
@@ -157,15 +169,6 @@ class _Session:
         return residual.saturation(self.program)
 
     @cached_property
-    def facts_by_atom(self) -> dict[int, list[Rule]]:
-        """The saturation's facts under each of their head atoms."""
-        index: dict[int, list[Rule]] = {}
-        for fact in self.saturation():
-            for a in fact.head:
-                index.setdefault(a, []).append(fact)
-        return index
-
-    @cached_property
     def saturated(self) -> Program:
         return residual.saturated_program(self.program)
 
@@ -184,41 +187,39 @@ class _Session:
             self._remainders[lits] = got
         return got
 
-    def fact_disarmed(self, delta_lits: int, fact: Rule, atom: int) -> bool:
-        """No hypothesis turns this conditional fact into an unanswerable
-        derivation of the atom.
+    def armed(self, delta_lits: int) -> int:
+        """The atoms a whose assumption "not a" is not admissible with
+        respect to delta_lits, in one sweep over the saturation's facts.
 
-        Superseded: a strictly stronger fact (in the moved-literal sense,
-        discounting already-false atoms) holds whenever this one does, so
-        the derivation is never minimal. Counterattacked: the hypothesis
-        derives a disjunction lying inside what an attacker must assume
-        false (the fact's negated atoms and remaining head atoms not
-        already assumed false): a support member whose atoms outside
-        delta_lits form a nonempty subset of that target. A minimal such
-        remainder has its lowest atom in the target, so only the
-        remainders indexed under the target's atoms are tested.
+        A fact arms each head atom a that it turns into a derivation no
+        hypothesis can answer. A superseded fact arms nothing. Otherwise an
+        attacker must assume false t = (neg | head) minus delta_lits, less
+        a itself unless the fact negates a, and the fact is disarmed for a
+        when some remainder (a subset-minimal nonempty support member minus
+        delta_lits) lies within that target. The remainders within t are
+        read off the lowest-atom index under t's atoms. With none, the fact
+        arms its whole head; otherwise it arms the head atoms outside neg
+        that every such remainder contains.
         """
-        if fact in self.superseded(delta_lits):
-            return True
-        target = (fact.neg_mask | fact.head_mask & ~(1 << atom)) & ~delta_lits
         remainders = self.remainders(delta_lits)
-        return any(
-            not rest & ~target
-            for a in mask_bits(target)
-            for rest in remainders.get(a, ())
-        )
-
-    def admissible(self, delta_lits: int, atom: int) -> bool:
-        return all(
-            self.fact_disarmed(delta_lits, fact, atom)
-            for fact in self.facts_by_atom.get(atom, ())
-        )
+        armed = 0
+        for fact in self.saturation() - self.superseded(delta_lits):
+            head = fact.head_mask
+            t = (fact.neg_mask | head) & ~delta_lits
+            common = -1  # the atoms of every remainder within t; -1 while none is
+            for a in mask_bits(t):
+                for rest in remainders.get(a, ()):
+                    if not rest & ~t:
+                        common &= rest
+            armed |= head if common < 0 else head & ~fact.neg_mask & common
+        return armed
 
     def wfdh_literals(self) -> int:
-        base = range(len(self.program.atom_names))
+        n = len(self.program.atom_names)
+        full = (1 << n) - 1
         delta = 0
-        for _ in range(len(base) + 2):
-            nxt = atom_mask(a for a in base if self.admissible(delta, a))
+        for _ in range(n + 2):
+            nxt = full & ~self.armed(delta)
             if delta & ~nxt:
                 raise AdmissibilityError("admissibility iteration lost assumptions")
             if nxt == delta:
@@ -281,7 +282,8 @@ def admissible(
 ) -> bool:
     """True iff the assumption "not atom" is admissible with respect to delta:
     every attacker deriving the atom is superseded or counterattacked."""
-    return _Session(p, engine).admissible(atom_mask(delta.literal_assumptions), atom)
+    lits = atom_mask(delta.literal_assumptions)
+    return not _Session(p, engine).armed(lits) >> atom & 1
 
 
 def wfdh(p: Program, engine: Engine = Engine.CANONICAL) -> Hypothesis:

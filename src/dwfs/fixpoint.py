@@ -9,7 +9,10 @@ contributes d minus b minus the rule's head, so premises that differ only
 there merge before any join, and the slots are joined one at a time into a
 set. The fixpoint kernel, _lfp_masks, is semi-naive and keeps each rule
 slot's contributions from earlier rounds as a running set, so a round
-touches only its new clauses.
+touches only its new clauses. It can also resume from the fixpoint of a
+prefix of its rules, joining only the rules after the prefix over it: the
+raw engine of the argumentation route does so along a chain of growing
+reducts. The fixpoint stays raw: non-minimal members are kept.
 """
 
 from __future__ import annotations
@@ -49,11 +52,15 @@ def _join(head: int, slots: list) -> set:
     return acc
 
 
-def _index(clauses: Iterable[int]) -> dict[int, list[int]]:
-    """The clauses under the one-atom mask of each of their atoms."""
+def _index(clauses: Iterable[int], atoms: int = -1) -> dict[int, list[int]]:
+    """The clauses under the one-atom mask of each of their atoms in the
+    mask atoms (every atom by default)."""
     by_atom: dict[int, list[int]] = {}
     for d in clauses:
-        for b in mask_bits(d):
+        rest = d & atoms
+        while rest:  # mask_bits inlined: the raw engine indexes every clause
+            b = rest & -rest
+            rest ^= b
             by_atom.setdefault(b, []).append(d)
     return by_atom
 
@@ -78,46 +85,64 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
     return frozenset(mask_atoms(d) for d in out)
 
 
-def _lfp_masks(rules: Iterable[tuple[int, int]]) -> set:
+def _lfp_masks(
+    rules: Iterable[tuple[int, int]], start: Iterable[int] = (), closed: int = 0
+) -> set:
     """The accumulated limit of the hyperresolution operator from the empty
     set, for rules given as (head mask, body mask) pairs: every clause mask
-    derived, non-minimal members included.
+    derived, non-minimal members included. start, when given, is that limit
+    for the first `closed` rules, and the computation continues from it.
 
-    Semi-naive, with the same sequence of accumulated sets as iterating
-    cur | tps_step(p, cur): a round derives only what joins at least one
-    clause new in the previous round. Each round indexes its new clauses
-    alone. Per rule, each body slot keeps as a running set what the clauses
+    Semi-naive, with the same limit as iterating cur | tps_step(p, cur): a
+    round derives only what joins at least one clause new in the previous
+    round. Per rule, each body slot keeps as a running set what the clauses
     of earlier rounds contribute to it (Bancilhon and Ramakrishnan's
-    semi-naive differential, kept per slot). Slot i draws the new
+    semi-naive differential, kept per slot). The running sets start as the
+    contributions of start, built in one pass; start is closed under the
+    first `closed` rules, so only the remaining rules are joined over it,
+    and their new clauses open the first round. Each round indexes its new
+    clauses alone, under body atoms only. Slot i draws the new
     contributions that no earlier clause makes, the slots before it the
-    earlier contributions and the slots after it both, so every such join is
-    made once, under the first slot that draws a new clause. A new
+    earlier contributions and the slots after it both, so every such join
+    is made once, under the first slot that draws a new clause. A new
     contribution that an earlier clause already makes joins nothing the
-    earlier rounds missed. After the round, each slot's new contributions
-    join its running set.
+    earlier rounds missed. The slots are joined last first, and each one's
+    new contributions join its running set right after its own join.
     """
     rules = list(rules)
-    known = {head for head, body in rules if not body}
+    known = set(start)
     slots = [list(mask_bits(body)) for _, body in rules]
-    older = [[set() for _ in body] for body in slots]
-    fresh = list(known)
+    bodies = 0
+    for _, body in rules:
+        bodies |= body
+    by_atom = _index(known, bodies)
+    older = [
+        [_slot(by_atom.get(b, ()), b, head) for b in body_atoms]
+        for (head, _), body_atoms in zip(rules, slots)
+    ]
+    derived: set[int] = set()
+    for (head, _), old in zip(rules[closed:], older[closed:]):
+        derived |= _join(head, old)
+    fresh = [d for d in derived if d not in known]
+    known.update(fresh)
     while fresh:
-        by_atom = _index(fresh)
+        by_atom = _index(fresh, bodies)
         touched = 0  # the atoms of the new clauses
         for d in fresh:
             touched |= d
-        derived: set[int] = set()
+        derived = set()
         for (head, body), body_atoms, old in zip(rules, slots, older):
             if not body & touched:
                 continue
-            new = [_slot(by_atom.get(b, ()), b, head) for b in body_atoms]
-            for i, slot in enumerate(new):
-                slot = slot - old[i]
-                if slot:
-                    later = [o | n for o, n in zip(old[i + 1 :], new[i + 1 :])]
-                    derived |= _join(head, old[:i] + [slot] + later)
-            for o, n in zip(old, new):
-                o |= n
+            for i in range(len(body_atoms) - 1, -1, -1):
+                b = body_atoms[i]
+                premises = by_atom.get(b)
+                if not premises:
+                    continue
+                new = _slot(premises, b, head) - old[i]
+                if new:
+                    derived |= _join(head, old[:i] + [new] + old[i + 1 :])
+                    old[i] |= new
         fresh = [d for d in derived if d not in known]
         known.update(fresh)
     return known

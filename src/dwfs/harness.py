@@ -53,9 +53,11 @@ class GeneratorConfig:
 
 
 def atom_names(n: int) -> list[str]:
-    """a, b, ..., z, aa, ab, ... spreadsheet-style names."""
+    """a, b, ..., z, aa, ab, ... spreadsheet-style names, skipping the
+    parser's reserved word not (which would be atom 9,873)."""
     names = []
-    for i in range(n):
+    i = 0
+    while len(names) < n:
         name = ""
         k = i
         while True:
@@ -63,7 +65,9 @@ def atom_names(n: int) -> list[str]:
             k = k // 26 - 1
             if k < 0:
                 break
-        names.append(name)
+        if name != "not":
+            names.append(name)
+        i += 1
     return names
 
 

@@ -130,8 +130,6 @@ def no_greatest_when_atom_a(monkeypatch):
 
 
 def admissibility_loses_assumptions(monkeypatch):
-    """Disarm every fact for the empty hypothesis only, so the second
-    admissibility round drops assumptions."""
-    monkeypatch.setattr(
-        _Session, "fact_disarmed", lambda self, delta, fact, atom: not delta
-    )
+    """Make the admissibility sweep arm no atom for the empty hypothesis and
+    every atom for any other, so the second round drops assumptions."""
+    monkeypatch.setattr(_Session, "armed", lambda self, lits: -1 if lits else 0)

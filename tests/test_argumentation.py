@@ -209,6 +209,73 @@ def test_unheaded_atom_vacuously_admissible():
     assert admissible(p, Hypothesis(), p.atom_id("x"))
 
 
+def _reference_admissible(session, delta_lits, atom):
+    """The per-atom definition of admissibility: every saturation fact with
+    the atom in its head is superseded, or some remainder (a minimal
+    nonempty support member minus delta_lits) lies within the assumptions
+    an attacker must make, its negated atoms and its other head atoms not
+    already assumed false."""
+    rests = [r for group in session.remainders(delta_lits).values() for r in group]
+    for fact in session.saturation():
+        if not fact.head_mask >> atom & 1 or fact in session.superseded(delta_lits):
+            continue
+        target = (fact.neg_mask | fact.head_mask & ~(1 << atom)) & ~delta_lits
+        if not any(not rest & ~target for rest in rests):
+            return False
+    return True
+
+
+def _admissibility_programs():
+    for seed in range(60):  # criterion 2
+        yield random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
+    for seed in range(30):  # sparse, 18 to 24 atoms
+        n = 18 + seed % 7
+        yield random_program(
+            GeneratorConfig(seed, num_atoms=n, num_rules=n, max_head=2,
+                            max_pos_body=1, max_neg_body=2)
+        )
+    for seed in range(1, 21):  # dense
+        yield random_program(
+            GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                            max_pos_body=2, max_neg_body=2)
+        )
+
+
+def test_admissibility_sweep_matches_per_atom_definition(monkeypatch):
+    # Every round mask of both engines, for every hypothesis the iteration
+    # reaches and for random subsets of the base, equals the per-atom
+    # definition; so does the public admissible.
+    reached = []
+    real = _Session.armed
+
+    def spy(self, delta_lits):
+        got = real(self, delta_lits)
+        reached.append((self, delta_lits, got))
+        return got
+
+    monkeypatch.setattr(_Session, "armed", spy)
+    rnd = random.Random(3)
+    rounds = 0
+    for p in _admissibility_programs():
+        n = len(p.atom_names)
+        for engine in Engine:
+            reached.clear()
+            wfdh(p, engine)
+            session = reached[0][0]
+            deltas = [d for _, d, _ in reached]
+            deltas += [rnd.getrandbits(n) for _ in range(3)]
+            for delta in deltas:
+                want = atom_mask(
+                    a for a in range(n) if _reference_admissible(session, delta, a)
+                )
+                assert ((1 << n) - 1) & ~real(session, delta) == want
+                rounds += 1
+            a = rnd.randrange(n)
+            hyp = Hypothesis(mask_atoms(deltas[-1]))
+            assert admissible(p, hyp, a, engine) == bool(want >> a & 1)
+    assert rounds > 1000
+
+
 def test_wfdh_values():
     p = parse_program(ATTACK_DEMO)
     assert wfdh(p).literal_assumptions == atoms(p, "c")

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dwfs.argumentation as argumentation
 from dwfs import (
@@ -20,6 +21,7 @@ from dwfs import (
     wfds,
 )
 from dwfs.core import mask_atoms
+from dwfs.fixpoint import _lfp_masks
 from dwfs.harness import atom_names
 from conftest import atoms
 
@@ -78,16 +80,16 @@ def _random_positive_programs(count):
 
 
 def _raw_engine_reducts(monkeypatch, seeds):
-    """The rules of every reduct the raw engine takes the fixpoint of, on
-    dense programs, as (head mask, body mask) pairs, each with the kernel's
-    result."""
+    """Every fixpoint the raw engine takes, on dense programs: the reduct's
+    rules as (head mask, body mask) pairs, the fixpoint it resumed from and
+    the number of leading rules that one covers, and the kernel's result."""
     requested = []
     real = argumentation._lfp_masks
 
-    def spy(rules):
+    def spy(rules, start=(), closed=0):
         rules = list(rules)
-        got = real(rules)
-        requested.append((rules, got))
+        got = real(rules, start, closed)
+        requested.append((rules, tuple(start), closed, got))
         return got
 
     monkeypatch.setattr(argumentation, "_lfp_masks", spy)
@@ -113,19 +115,35 @@ def _as_program(rules):
 def test_lfp_matches_naive_oracle_iteration(monkeypatch):
     reducts = _raw_engine_reducts(monkeypatch, range(1, 41))
     assert len(reducts) > 40
-    for rules, got in reducts:
+    # The raw engine resumes along the hypothesis chain.
+    assert sum(closed > 0 for _, _, closed, _ in reducts) > 20
+    for rules, start, closed, got in reducts:
         assert {mask_atoms(d) for d in got} == _oracle_lfp(_as_program(rules))
+        assert {mask_atoms(d) for d in start} == _oracle_lfp(_as_program(rules[:closed]))
     programs = list(_random_positive_programs(200))
-    programs += [_as_program(rules) for rules, _ in reducts]
+    programs += [_as_program(rules) for rules, _, _, _ in reducts]
     for q in programs:
         assert tps_lfp(q) == _oracle_lfp(q)
+
+
+# (head mask, body mask) pairs over six atoms, heads nonempty.
+_RULES = st.lists(st.tuples(st.integers(1, 63), st.integers(0, 63)), max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RULES, st.data())
+def test_lfp_resumes_from_a_prefix_fixpoint(rules, data):
+    k = data.draw(st.integers(0, len(rules)))
+    whole = _lfp_masks(rules)
+    assert _lfp_masks(rules, _lfp_masks(rules[:k]), k) == whole
+    assert {mask_atoms(d) for d in whole} == _oracle_lfp(_as_program(rules))
 
 
 def test_raw_engine_computes_each_reduct_once(monkeypatch):
     # Literal sets that keep the same rules share one reduct; its fixpoint
     # is computed once per wfds call.
     for seed in range(1, 41):
-        rules = [frozenset(r) for r, _ in _raw_engine_reducts(monkeypatch, [seed])]
+        rules = [frozenset(r[0]) for r in _raw_engine_reducts(monkeypatch, [seed])]
         assert len(rules) == len(set(rules)), seed
 
 

@@ -8,6 +8,8 @@ from dwfs import (
     CapacityError,
     NoGreatestUnfoundedSetError,
     GeneratorConfig,
+    Program,
+    Rule,
     check_equivalence,
     dwfs_classic,
     gcwa_negatives,
@@ -15,10 +17,12 @@ from dwfs import (
     normal_wfs,
     parse_program,
     random_program,
+    render_program,
     wfds,
 )
 from dwfs import satisfies_negative, satisfies_positive
 from dwfs.harness import (
+    atom_names,
     fuzz_reports,
     report_json,
     shrink_divergence,
@@ -70,6 +74,20 @@ def test_generator_rejects_neg_probability_outside_unit_interval(prob):
         GeneratorConfig(neg_probability=prob)
     for edge in (0.0, 1.0):
         GeneratorConfig(neg_probability=edge)
+
+
+def test_generated_atom_names_skip_the_reserved_word():
+    # Spreadsheet order would name atom 9,873 "not". A chain over 9,880
+    # atoms mentions every atom, that one among them as a head and as a
+    # negated body atom, and renders to text that re-parses to it.
+    n = 9880
+    names = atom_names(n)
+    assert "not" not in names and len(set(names)) == n
+    assert names[9872:9874] == ["nos", "nou"]
+    p = Program(
+        [Rule({a}, (), {a + 1}) for a in range(n - 1)] + [Rule({n - 1})], names
+    )
+    assert parse_program(render_program(p)) == p
 
 
 def test_minimal_models_of_disjunctive_fact():
