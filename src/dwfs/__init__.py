@@ -26,7 +26,7 @@ from .parser import (
     render_state,
     state_json,
 )
-from .fixpoint import entails_classical, least_model_state, tps_lfp, tps_step
+from .fixpoint import least_model_state, tps_lfp, tps_step
 from .argumentation import (
     AdmissibilityError,
     AttackWitness,
@@ -73,6 +73,7 @@ from .harness import (
     EquivalenceReport,
     GeneratorConfig,
     check_equivalence,
+    entails_classical,
     gcwa_negatives,
     minimal_models,
     normal_wfs,

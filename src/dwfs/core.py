@@ -138,6 +138,14 @@ class Rule:
         return self.head | self.pos_body | self.neg_body
 
 
+def heads_mask(rules: Iterable[Rule]) -> int:
+    """The atom mask of every head atom of the rules."""
+    acc = 0
+    for r in rules:
+        acc |= r.head_mask
+    return acc
+
+
 def rule_key(r: Rule):
     """Deterministic sort key for rules (id order within each part)."""
     return (tuple(sorted(r.head)), tuple(sorted(r.pos_body)), tuple(sorted(r.neg_body)))
@@ -157,7 +165,6 @@ class Program:
         "rules",
         "atom_names",
         "_names_key",
-        "_head_atoms",
         "_saturation",
         "_saturated",
         "_superseded",
@@ -177,7 +184,6 @@ class Program:
         self.rules = tuple(sorted(rset, key=rule_key))
         self.atom_names = names
         self._names_key = None
-        self._head_atoms = None
         self._saturation = None  # (facts, peak stored rules), see residual.saturation
         self._saturated = None  # the saturation as a Program, see residual.saturated_program
         self._superseded: dict = {}  # false-atom mask -> facts, see residual.superseded_in
@@ -185,15 +191,6 @@ class Program:
     @property
     def base(self) -> frozenset:
         return frozenset(range(len(self.atom_names)))
-
-    @property
-    def head_atoms(self) -> frozenset:
-        if self._head_atoms is None:
-            acc = set()
-            for r in self.rules:
-                acc |= r.head
-            self._head_atoms = frozenset(acc)
-        return self._head_atoms
 
     def name(self, aid: int) -> str:
         return self.atom_names[aid]

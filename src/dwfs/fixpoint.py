@@ -1,6 +1,5 @@
 """Least model state of positive programs: the hyperresolution consequence
-operator, its accumulated fixpoint, canonical form, and a truth-table
-entailment oracle for cross-checking.
+operator, its accumulated fixpoint and its canonical form.
 
 Both the operator and its fixpoint run on int atom masks (see
 core.atom_mask): a rule is its head mask and its body mask, a clause is a
@@ -19,17 +18,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .core import (
-    CapacityError,
-    Program,
-    atom_mask,
-    canonicalize,
-    mask_atoms,
-    mask_bits,
-    _fset,
-)
-
-DEFAULT_ORACLE_BOUND = 20
+from .core import Program, atom_mask, canonicalize, mask_atoms, mask_bits
 
 
 def _require_positive(p: Program):
@@ -162,24 +151,3 @@ def least_model_state(p: Program) -> frozenset:
     """Canonical core of the least model state of a positive program."""
     return canonicalize(tps_lfp(p))
 
-
-def entails_classical(p: Program, d, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
-    """Truth-table oracle: every assignment over the base satisfying all
-    rules (as material implications) satisfies the positive disjunction d.
-
-    Desk-scale only; raises CapacityError beyond `bound` atoms.
-    """
-    _require_positive(p)
-    d = _fset(d)
-    n = len(p.atom_names)
-    if n > bound:
-        raise CapacityError(f"entailment oracle limited to {bound} atoms, got {n}")
-
-    rules = [(atom_mask(r.pos_body), atom_mask(r.head)) for r in p.rules]
-    dmask = atom_mask(d)
-    for bits in range(1 << n):
-        if any((bits & pm) == pm and not (bits & hm) for pm, hm in rules):
-            continue
-        if not (bits & dmask):
-            return False
-    return True

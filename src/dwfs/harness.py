@@ -1,5 +1,6 @@
-"""Random program generation, independent oracles (minimal models, normal
-well-founded model), and cross-semantics equivalence checking."""
+"""Random program generation, independent oracles (classical entailment and
+minimal models by truth table, the normal well-founded model), and
+cross-semantics equivalence checking."""
 
 from __future__ import annotations
 
@@ -19,10 +20,12 @@ from .core import (
     satisfies_negative,
     satisfies_positive,
 )
-from .fixpoint import DEFAULT_ORACLE_BOUND, _require_positive
+from .fixpoint import _require_positive
 from .parser import render_program, state_json
 from .residual import dwfs_classic, dwfs_star
 from .unfounded import uwfs
+
+DEFAULT_ORACLE_BOUND = 20
 
 
 @dataclass(frozen=True)
@@ -95,22 +98,38 @@ def degenerate_programs(num_atoms: int = 4) -> list[Program]:
     return [empty, facts]
 
 
-def minimal_models(p: Program, bound: int = DEFAULT_ORACLE_BOUND) -> frozenset:
-    """All subset-minimal classical models of a positive program, by
-    exhaustive assignment enumeration."""
+def _classical_models(p: Program, bound: int, oracle: str) -> Iterator[int]:
+    """The atom masks of the assignments over the base of the positive
+    program p that satisfy every rule as a material implication, by
+    exhaustive enumeration: desk-scale only, CapacityError beyond `bound`
+    atoms."""
     _require_positive(p)
     n = len(p.atom_names)
     if n > bound:
-        raise CapacityError(f"minimal-model oracle limited to {bound} atoms, got {n}")
+        raise CapacityError(f"{oracle} oracle limited to {bound} atoms, got {n}")
+    rules = [(r.pos_mask, r.head_mask) for r in p.rules]
+    return (
+        bits
+        for bits in range(1 << n)
+        if not any(bits & pm == pm and not bits & hm for pm, hm in rules)
+    )
 
-    rules = [(atom_mask(r.pos_body), atom_mask(r.head)) for r in p.rules]
+
+def entails_classical(p: Program, d, bound: int = DEFAULT_ORACLE_BOUND) -> bool:
+    """Truth-table oracle: every classical model of the positive program p
+    satisfies the positive disjunction d."""
+    models = _classical_models(p, bound, "entailment")
+    dmask = atom_mask(d)
+    return all(bits & dmask for bits in models)
+
+
+def minimal_models(p: Program, bound: int = DEFAULT_ORACLE_BOUND) -> frozenset:
+    """All subset-minimal classical models of a positive program, by
+    exhaustive assignment enumeration."""
     models = []
-    for bits in sorted(range(1 << n), key=lambda b: bin(b).count("1")):
-        if any((bits & pm) == pm and not (bits & hm) for pm, hm in rules):
-            continue
-        if any(m & bits == m for m in models):
-            continue
-        models.append(bits)
+    for bits in sorted(_classical_models(p, bound, "minimal-model"), key=int.bit_count):
+        if not any(m & bits == m for m in models):
+            models.append(bits)
     return frozenset(mask_atoms(m) for m in models)
 
 

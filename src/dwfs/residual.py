@@ -18,6 +18,7 @@ from .core import (
     Rule,
     atom_mask,
     canonicalize,
+    heads_mask,
     mask_atoms,
     mask_bits,
 )
@@ -32,17 +33,6 @@ def _check_facts(n: Iterable[Rule]) -> frozenset:
         if r.pos_body:
             raise ValueError("negative program may contain only conditional facts")
     return facts
-
-
-def heads_of(n: Iterable[Rule]) -> frozenset:
-    return mask_atoms(_head_mask(n))
-
-
-def _head_mask(n: Iterable[Rule]) -> int:
-    acc = 0
-    for r in n:
-        acc |= r.head_mask
-    return acc
 
 
 def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
@@ -254,7 +244,7 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
 
 def _strong_reduce(n: frozenset, dropped: frozenset) -> frozenset:
     """strong_reduction(n) given its superseded facts, dropped."""
-    heads = _head_mask(n)
+    heads = heads_mask(n)
     return frozenset(_reduce_negation(r, heads) for r in n if r not in dropped)
 
 
@@ -278,7 +268,7 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
     negatively blocked by an unconditional fact, then delete dead negative
     literals. Strictly weaker than strong_reduction."""
     n = _check_facts(n)
-    heads = _head_mask(n)
+    heads = heads_mask(n)
     index = _by_lowest_head_atom({(r.head_mask, r.neg_mask) for r in n})
 
     def removable(h1: int, n1: int) -> bool:
@@ -304,7 +294,7 @@ def read_off(p: Program, n: Iterable[Rule]) -> ModelState:
     are true, atoms outside every head are false."""
     n = frozenset(n)
     pos = canonicalize(r.head for r in n if not r.neg_body)
-    return ModelState(pos, p.base - heads_of(n))
+    return ModelState(pos, p.base - mask_atoms(heads_mask(n)))
 
 
 def dwfs_star(p: Program) -> ModelState:
@@ -322,7 +312,7 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
     steps (one elimination per dropped fact, then one positive reduction per
     deleted body literal), with the program it yields: strong_reduction(n)."""
     n = _check_facts(n)
-    heads = heads_of(n)
+    heads = heads_mask(n)
     dropped = superseded(n)
     steps: list[TransformStep] = []
     kept = []
@@ -334,7 +324,7 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
     out = set()
     for r in kept:
         cur = r
-        for c in sorted(r.neg_body - heads):
+        for c in sorted(mask_atoms(r.neg_mask & ~heads)):
             reduced = Rule(cur.head, frozenset(), cur.neg_body - {c})
             steps.append(
                 TransformStep(

@@ -11,7 +11,8 @@ from .core import (
     ModelState,
     Program,
     Rule,
-    atom_mask,
+    heads_mask,
+    mask_atoms,
     rule_key,
     satisfies_negative,
     satisfies_positive,
@@ -61,8 +62,7 @@ def s_implies(h1: int, p1: int, n1: int, h2: int, p2: int, n2: int) -> bool:
 def is_s_implication(r1: Rule, r2: Rule) -> bool:
     """True iff r1 is redundant given the stronger rule r2 (see s_implies)."""
     return s_implies(
-        atom_mask(r1.head), atom_mask(r1.pos_body), atom_mask(r1.neg_body),
-        atom_mask(r2.head), atom_mask(r2.pos_body), atom_mask(r2.neg_body),
+        r1.head_mask, r1.pos_mask, r1.neg_mask, r2.head_mask, r2.pos_mask, r2.neg_mask
     )
 
 
@@ -94,12 +94,11 @@ def applicable(p: Program, kind: TransformKind) -> tuple:
             if any(is_s_implication(r1, r2) for r2 in p.rules if r2 != r1):
                 steps.append(TransformStep(kind, frozenset((r1,))))
     elif kind is TransformKind.POSITIVE_REDUCTION:
-        heads = p.head_atoms
+        heads = heads_mask(p.rules)
         for r in p.rules:
-            for c in sorted(r.neg_body):
-                if c not in heads:
-                    reduced = Rule(r.head, r.pos_body, r.neg_body - {c})
-                    steps.append(TransformStep(kind, frozenset((r,)), frozenset((reduced,))))
+            for c in sorted(mask_atoms(r.neg_mask & ~heads)):
+                reduced = Rule(r.head, r.pos_body, r.neg_body - {c})
+                steps.append(TransformStep(kind, frozenset((r,)), frozenset((reduced,))))
     elif kind is TransformKind.NEGATIVE_REDUCTION:
         facts = [r for r in p.rules if r.is_fact]
         for r in p.rules:
@@ -131,7 +130,7 @@ def bd_semantics_axioms(s: ModelState, p: Program) -> bool:
         for x in p.base
     )
     facts_hold = all(satisfies_positive(s, r.head) for r in p.rules if r.is_fact)
-    unheaded_false = all(a in s.false_atoms for a in p.base - p.head_atoms)
+    unheaded_false = p.base - mask_atoms(heads_mask(p.rules)) <= s.false_atoms
     return closure and facts_hold and unheaded_false
 
 

@@ -4,20 +4,23 @@ import random
 import pytest
 
 from dwfs import (
-    CapacityError,
     GeneratorConfig,
     ModelState,
     NO_GREATEST,
+    Truth,
+    body_status,
     greatest_unfounded,
     is_unfounded,
     parse_program,
     random_program,
+    state_consistent,
     t_operator,
     uwfs,
     w_operator,
     wfds,
 )
-from dwfs.residual import lft, saturation
+from dwfs.residual import lft, saturated_program, saturation, superseded_in
+from dwfs.core import atom_mask
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
 
@@ -39,8 +42,25 @@ def test_even_loop_pair_not_unfounded():
 
 
 def test_positive_loop_is_unfounded():
+    # The loop saturates to no conditional fact at all.
     p = parse_program("c :- d. d :- c.")
-    assert is_unfounded(p, ModelState(), atoms(p, "c d"))
+    n = saturated_program(p)
+    assert not n.rules
+    assert is_unfounded(n, ModelState(), atoms(p, "c d"))
+    assert greatest_unfounded(n, ModelState()) == atoms(p, "c d")
+
+
+def test_positive_bodies_are_rejected():
+    p = parse_program("c :- d. d :- c.")
+    s = ModelState()
+    with pytest.raises(ValueError):
+        is_unfounded(p, s, atoms(p, "c d"))
+    with pytest.raises(ValueError):
+        greatest_unfounded(p, s)
+    with pytest.raises(ValueError):
+        t_operator(p, s)
+    with pytest.raises(ValueError):
+        w_operator(p, s)
 
 
 def test_blocked_by_satisfied_remainder():
@@ -84,11 +104,12 @@ def _random_state(rng, n):
 
 
 def test_greatest_unfounded_matches_exhaustive_union():
-    # Raw programs, which keep positive bodies, at their wfds state.
+    # Saturated programs at the wfds state of the raw program.
     for seed in range(20):
         p = random_program(GeneratorConfig(seed, num_atoms=4, num_rules=5))
+        n = saturated_program(p)
         s = wfds(p)
-        assert greatest_unfounded(p, s) == _subset_union(p, s)
+        assert greatest_unfounded(n, s) == _subset_union(n, s)
     # Saturated programs at random states that no W-sequence need reach.
     rng = random.Random(4100)
     verdicts = []
@@ -103,12 +124,9 @@ def test_greatest_unfounded_matches_exhaustive_union():
         verdicts.append(got)
     assert sum(v is NO_GREATEST for v in verdicts) >= 10
     assert sum(v is not NO_GREATEST and bool(v) for v in verdicts) >= 150
-    # Positive bodies need the exhaustive union, capped at 14 atoms; the
-    # saturation of the same program has none left and no cap applies.
+    # A 16-atom positive chain saturates to no fact: every atom is unfounded.
     chain = parse_program(" ".join(f"a{i + 1} :- a{i}." for i in range(15)))
     assert len(chain.atom_names) == 16
-    with pytest.raises(CapacityError):
-        greatest_unfounded(chain, ModelState())
     n = chain.with_rules(saturation(chain))
     assert greatest_unfounded(n, ModelState()) == n.base
 
@@ -133,9 +151,9 @@ def _truth_table_union(rows, n):
         return table
 
     verdict = full
-    for hm, pm, blocked, witnesses in rows:
+    for hm, blocked, witnesses in rows:
         if not blocked:
-            ok = full ^ meets(hm) | meets(pm)
+            ok = full ^ meets(hm)
             for w in witnesses:
                 ok |= full ^ meets(w)
             verdict &= ok
@@ -172,6 +190,33 @@ def test_reachable_states_agree_with_exhaustive_union():
     assert large >= 20
 
 
+def test_mask_body_tests_match_body_status():
+    # body_status is the reference: on conditional facts, a row's flag is
+    # a false body or supersession, and t_operator fires a fact exactly
+    # when its body is true (and its head is not all false).
+    rng = random.Random(7700)
+    seen = {t: 0 for t in Truth}
+    for seed in range(150):
+        cfg = GeneratorConfig(seed + 7700, num_atoms=3 + seed % 5, num_rules=6,
+                              max_head=2, max_pos_body=2, max_neg_body=3)
+        n = saturated_program(random_program(cfg))
+        for _ in range(4):
+            s = _random_state(rng, len(n.atom_names))
+            if not state_consistent(s):
+                continue
+            dropped = superseded_in(n, atom_mask(s.false_atoms))
+            rows = _rule_rows(n, s)
+            assert len(rows) == len(n.rules)
+            for r, (_, blocked, _) in zip(n.rules, rows):
+                status = body_status(s, r)
+                seen[status] += 1
+                assert blocked == (status is Truth.FALSE or r in dropped)
+                rest = r.head - s.false_atoms
+                fired = {rest} if status is Truth.TRUE and rest else set()
+                assert t_operator(n.with_rules([r]), s) == fired
+    assert min(seen.values()) >= 50
+
+
 def test_t_operator_fires_true_bodies_only():
     p = parse_program(GUARD)
     assert t_operator(p, ModelState()) == {atoms(p, "a b")}
@@ -191,12 +236,13 @@ def test_w_operator_accumulates():
 
 
 def test_w_operator_two_step_sequence():
-    # With a positive guard the falsity needs the derived disjunction first.
-    p = parse_program("a | b. c :- x, not a, not b. x.")
+    # With a guarded disjunction the falsity of c needs the guard's atom
+    # false first: only then does the disjunction supersede c's fact.
+    p = parse_program("a | b :- not x. c :- not a, not b.")
     w1 = w_operator(p, ModelState())
-    assert w1 == state(p, pos=["a b", "x"])
+    assert w1 == state(p, false="x")
     w2 = w_operator(p, w1)
-    assert w2 == state(p, pos=["a b", "x"], false="c")
+    assert w2 == state(p, pos=["a b"], false="c x")
     assert w_operator(p, w2) == w2
 
 
