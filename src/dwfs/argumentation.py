@@ -76,7 +76,7 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 class _Session:
     """Memoized per-hypothesis support sets over the program's saturation
-    (kept on the Program, see residual.saturation).
+    (kept on the Program, see residual.saturated_program).
 
     Literal sets and support sets are atom masks (core.atom_mask): a literal
     set is one mask, a support set a tuple of masks, decoded to atom sets
@@ -165,12 +165,12 @@ class _Session:
                 return AttackWitness(2, mask_atoms(used), (mask_atoms(used),))
         return None
 
-    def saturation(self) -> frozenset:
-        return residual.saturation(self.program)
-
     @cached_property
     def saturated(self) -> Program:
         return residual.saturated_program(self.program)
+
+    def saturation(self) -> frozenset:
+        return self.saturated.rules
 
     def superseded(self, lits: int) -> frozenset:
         return residual.superseded_in(self.saturated, lits)

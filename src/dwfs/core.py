@@ -146,46 +146,35 @@ def heads_mask(rules: Iterable[Rule]) -> int:
     return acc
 
 
-def rule_key(r: Rule):
-    """Deterministic sort key for rules (id order within each part)."""
-    return (tuple(sorted(r.head)), tuple(sorted(r.pos_body)), tuple(sorted(r.neg_body)))
-
-
 class Program:
     """A deduplicated finite rule set over an interned atom table.
 
-    The base is the whole table, which may include atoms no rule mentions
-    (such atoms are false under every semantics computed here). Instances are
-    immutable by convention; two programs compare equal when their rule sets
-    and bases coincide up to atom names, so interning order is irrelevant to
-    equality.
+    `rules` is that set itself, a frozenset in no fixed order; ordering
+    happens only where output is rendered (render_program, the trace, the
+    harness reports). The base is the whole table, which may include atoms
+    no rule mentions (such atoms are false under every semantics computed
+    here). Instances are immutable by convention; two programs compare equal
+    when their rule sets and bases coincide up to atom names, so interning
+    order is irrelevant to equality.
     """
 
-    __slots__ = (
-        "rules",
-        "atom_names",
-        "_names_key",
-        "_saturation",
-        "_saturated",
-        "_superseded",
-    )
+    __slots__ = ("rules", "atom_names", "_names_key", "_saturated", "_superseded")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate atom names in table")
-        rset = frozenset(rules)
+        rules = frozenset(rules)
         n = len(names)
-        for r in rset:
+        for r in rules:
             # A Rule holds no negative atom id: its masks cannot be built.
             if (r.head_mask | r.pos_mask | r.neg_mask) >> n:
                 a = next(a for a in r.atoms() if a >= n)
                 raise ValueError(f"atom id {a} outside table of size {n}")
-        self.rules = tuple(sorted(rset, key=rule_key))
+        self.rules = rules
         self.atom_names = names
         self._names_key = None
-        self._saturation = None  # (facts, peak stored rules), see residual.saturation
-        self._saturated = None  # the saturation as a Program, see residual.saturated_program
+        self._saturated = None  # (Program, peak), see residual.saturated_program
         self._superseded: dict = {}  # false-atom mask -> facts, see residual.superseded_in
 
     @property

@@ -277,7 +277,7 @@ def shrink_divergence(p: Program, still_divergent: Callable[[Program], bool]) ->
     while changed:
         changed = False
         for r in p.rules:
-            candidate = p.with_rules(set(p.rules) - {r})
+            candidate = p.with_rules(p.rules - {r})
             if still_divergent(candidate):
                 p = candidate
                 changed = True

@@ -149,33 +149,32 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     return _saturate(p, DEFAULT_LFT_CAP if cap is None else cap, prune=False)[0]
 
 
-def saturation(p: Program, cap: int | None = None) -> frozenset:
-    """The subsumption-minimal facts of lft(p): those no other fact of
-    lft(p) subsumes with a head and a negative body that are both subsets.
+def saturated_program(p: Program, cap: int | None = None) -> Program:
+    """The saturation of p, as a program over p's atom table: the
+    subsumption-minimal facts of lft(p), those no other fact of lft(p)
+    subsumes with a head and a negative body that are both subsets.
 
     The same worklist as lft, pruned forward and backward by subsumption as
-    facts are stored (Brass and Dix's residual-program computation). Every
-    route reads this saturation. It is computed once per Program instance
-    and kept on it, with the peak number of rules stored on the way, so a
-    later call whose cap lies below that peak still raises CapacityError.
+    facts are stored (Brass and Dix's residual-program computation). This is
+    the one saturation memo: it is computed once per Program instance and
+    kept on it, with the peak number of rules stored on the way, so a later
+    call whose cap lies below that peak still raises CapacityError. Every
+    route reads it, and its supersession tables (superseded_in).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
-    if p._saturation is None:
-        p._saturation = _saturate(p, limit, prune=True)
-    facts, peak = p._saturation
+    if p._saturated is None:
+        facts, peak = _saturate(p, limit, prune=True)
+        p._saturated = p.with_rules(facts), peak
+    q, peak = p._saturated
     if peak > limit:
         raise CapacityError(f"saturation exceeded {limit} stored rules")
-    return facts
+    return q
 
 
-def saturated_program(p: Program, cap: int | None = None) -> Program:
-    """saturation(p) as a program over p's atom table, built once and kept
-    on p beside the saturation. Its supersession tables (superseded_in) are
-    the ones every route reads."""
-    facts = saturation(p, cap)
-    if p._saturated is None:
-        p._saturated = p.with_rules(facts)
-    return p._saturated
+def saturation(p: Program, cap: int | None = None) -> frozenset:
+    """The facts of the saturation: saturated_program(p, cap).rules, read
+    from its memo, so every call returns the same frozenset."""
+    return saturated_program(p, cap).rules
 
 
 def _by_lowest_head_atom(forms) -> dict[int, list]:
@@ -258,8 +257,9 @@ def _fixpoint(reduction, n: frozenset) -> frozenset:
 def strong_residual(p: Program, cap: int | None = None) -> frozenset:
     """Fixpoint of the strong reduction over the saturation of p. The first
     pass takes its superseded facts from the saturation's shared table."""
-    n = saturation(p, cap)
-    first = _strong_reduce(n, superseded_in(saturated_program(p, cap)))
+    q = saturated_program(p, cap)
+    n = q.rules
+    first = _strong_reduce(n, superseded_in(q))
     return n if first == n else _fixpoint(strong_reduction, first)
 
 
@@ -321,7 +321,6 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
             steps.append(TransformStep(TransformKind.ELIM_S_IMPLICATION, frozenset((r,))))
         else:
             kept.append(r)
-    out = set()
     for r in kept:
         cur = r
         for c in sorted(mask_atoms(r.neg_mask & ~heads)):
@@ -334,8 +333,7 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
                 )
             )
             cur = reduced
-        out.add(cur)
-    return steps, frozenset(out)
+    return steps, _strong_reduce(n, dropped)
 
 
 def residual_trace(p: Program, cap: int | None = None):

@@ -13,7 +13,6 @@ from .core import (
     Rule,
     heads_mask,
     mask_atoms,
-    rule_key,
     satisfies_negative,
     satisfies_positive,
 )
@@ -76,7 +75,8 @@ def _unfold(r: Rule, b: int, other: Rule) -> Rule:
 
 def applicable(p: Program, kind: TransformKind) -> tuple:
     """Every single application of the given transformation, in a
-    deterministic order (lowest rule, lowest atom first)."""
+    deterministic order: the program's rule set order, then lowest atom
+    first within a rule."""
     steps: list[TransformStep] = []
     if kind is TransformKind.UNFOLDING:
         for r in p.rules:
@@ -115,7 +115,7 @@ def apply(p: Program, step: TransformStep) -> Program:
         return p
     if step not in applicable(p, step.kind):
         raise ValueError("stale transform step: not applicable to this program")
-    return p.with_rules((set(p.rules) - step.removed) | step.added)
+    return p.with_rules((p.rules - step.removed) | step.added)
 
 
 def bd_semantics_axioms(s: ModelState, p: Program) -> bool:
@@ -135,13 +135,11 @@ def bd_semantics_axioms(s: ModelState, p: Program) -> bool:
 
 
 def render_step(step: TransformStep, names) -> str:
-    """Trace line: kind, removed rules as '-rule', added rules as '+rule'."""
-
-    def keyed(rules):
-        return sorted(rules, key=rule_key)
-
-    parts = [f"-{render_rule(r, names)}" for r in keyed(step.removed)]
-    line = f"{step.kind.value}: {' '.join(parts)}"
-    if step.added:
-        line += " / " + " ".join(f"+{render_rule(r, names)}" for r in keyed(step.added))
+    """Trace line: kind, removed rules as '-rule', added rules as '+rule',
+    each side in sorted text order."""
+    removed = sorted(f"-{render_rule(r, names)}" for r in step.removed)
+    added = sorted(f"+{render_rule(r, names)}" for r in step.added)
+    line = f"{step.kind.value}: {' '.join(removed)}"
+    if added:
+        line += " / " + " ".join(added)
     return line

@@ -65,7 +65,7 @@ def test_generator_rejects_bad_bounds():
 def test_generator_rejects_negative_rule_count():
     with pytest.raises(ValueError, match="num_rules cannot be negative"):
         GeneratorConfig(num_rules=-3)
-    assert random_program(GeneratorConfig(num_rules=0)).rules == ()
+    assert random_program(GeneratorConfig(num_rules=0)).rules == frozenset()
 
 
 @pytest.mark.parametrize("prob", [-0.1, 1.5, float("nan"), float("inf")])

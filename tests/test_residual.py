@@ -32,6 +32,7 @@ from dwfs.harness import check_equivalence
 from dwfs.residual import (
     classic_residual,
     residual_trace,
+    saturated_program,
     saturation,
     superseded,
 )
@@ -136,6 +137,9 @@ def test_saturation_cap_holds_after_memo():
     with pytest.raises(CapacityError):
         saturation(p, cap=1)
     assert saturation(p) is facts
+    assert saturated_program(p).rules is saturation(p)
+    with pytest.raises(CapacityError):
+        saturated_program(p, cap=1)
 
 
 def test_blow_up_program_saturates_small_and_fast():

@@ -164,3 +164,13 @@ def test_render_step_format():
     (step,) = applicable(p, TransformKind.POSITIVE_REDUCTION)
     line = render_step(step, p.atom_names)
     assert line == "positive-reduction: -a :- not b, not c. / +a :- not c."
+    # z is interned before c, so the '+rule' order is the text order, not
+    # the atom id order.
+    p = parse_program("a :- b. b :- z. b :- c. z. c.")
+    (step,) = [
+        s for s in applicable(p, TransformKind.UNFOLDING)
+        if s.removed == {_rule(p, "a", pos="b")}
+    ]
+    assert len(step.added) == 2
+    line = render_step(step, p.atom_names)
+    assert line == "unfolding: -a :- b. / +a :- c. +a :- z."
