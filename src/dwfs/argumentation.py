@@ -17,7 +17,12 @@ every atom at once, in one sweep over the facts (_Session.armed).
 
 The hypotheses of one iteration only grow, so each reduct keeps the rules
 of the one before. The raw engine resumes the fixpoint of a reduct from the
-cached fixpoint of the latest reduct whose rules it keeps.
+cached fixpoint of the latest reduct whose rules it keeps. It leaves
+tautologies (rules whose head meets their positive body) out of every
+reduct, an elimination from Brass and Dix's transformation system: a
+resolvent of a tautology contains the premise it resolved on the shared
+atom, so the subset-minimal support members, and with them every state,
+are unchanged.
 """
 
 from __future__ import annotations
@@ -48,7 +53,10 @@ class AdmissibilityError(RouteError):
 
 class Engine(enum.Enum):
     """Which support set backs derivation: the canonical least model state of
-    the reduct, or the raw accumulated fixpoint."""
+    the reduct, or the raw accumulated fixpoint of the reduct without its
+    tautologies. The raw set keeps every other non-minimal member ("a. a |
+    b." derives "a b"), but not those only a tautology derives ("a. a | b
+    :- a." does not)."""
 
     CANONICAL = "canonical"
     RAW = "raw"
@@ -82,13 +90,14 @@ class _Session:
     set is one mask, a support set a tuple of masks, decoded to atom sets
     only at the API edge (cons, attack witnesses). The canonical engine reads
     a support set off the saturation's fact masks. The raw engine takes the
-    fixpoint kernel of the reduct's rule masks; a reduct is named by the
-    indices of the distinct positive rules it keeps, and many literal sets
-    share one. A new reduct resumes from the cached support of the latest
-    reduct whose rules it keeps; only the support tuples are kept, not the
-    kernel's running sets. Superseded facts are not kept here: they come
-    from the saturation's supersession table (residual.superseded_in),
-    which the Program keeps and every route and engine shares.
+    fixpoint kernel of the reduct's rule masks, tautologies left out
+    (reduct_rules); a reduct is named by the indices of the distinct
+    positive rules it keeps, and many literal sets share one. A new reduct
+    resumes from the cached support of the latest reduct whose rules it
+    keeps; only the support tuples are kept, not the kernel's running sets.
+    Superseded facts are not kept here: they come from the saturation's
+    supersession table (residual.superseded_in), which the Program keeps and
+    every route and engine shares.
     """
 
     def __init__(self, program: Program, engine: Engine):
@@ -128,10 +137,14 @@ class _Session:
     def reduct_rules(self) -> tuple[list, list]:
         """The program's distinct positive parts as (head, body) mask pairs,
         and per rule the index of its positive part with its negative body
-        mask."""
+        mask. Tautologies are left out: a resolvent of one contains the
+        premise it resolved on the shared atom, so they add only
+        non-minimal members to every fixpoint."""
         index: dict[tuple, int] = {}
         rules = []
         for r in self.program.rules:
+            if r.is_tautology:
+                continue
             i = index.setdefault((r.head_mask, r.pos_mask), len(index))
             rules.append((i, r.neg_mask))
         return list(index), rules
@@ -176,14 +189,16 @@ class _Session:
         return residual.superseded_in(self.saturated, lits)
 
     def remainders(self, lits: int) -> dict[int, list]:
-        """The subset-minimal nonempty support members minus lits, under the
-        one-atom mask of their lowest atom."""
+        """The distinct nonempty support members minus lits, under the
+        one-atom mask of their lowest atom. Non-minimal ones are kept:
+        armed reads them only through intersections, which they leave as
+        they are."""
         got = self._remainders.get(lits)
         if got is None:
             got = {}
-            rests = (rest for b in self.support(lits) if (rest := b & ~lits))
-            for rest in minimal_masks(rests):
-                got.setdefault(rest & -rest, []).append(rest)
+            for rest in {b & ~lits for b in self.support(lits)}:
+                if rest:
+                    got.setdefault(rest & -rest, []).append(rest)
             self._remainders[lits] = got
         return got
 
@@ -195,11 +210,14 @@ class _Session:
         hypothesis can answer. A superseded fact arms nothing. Otherwise an
         attacker must assume false t = (neg | head) minus delta_lits, less
         a itself unless the fact negates a, and the fact is disarmed for a
-        when some remainder (a subset-minimal nonempty support member minus
-        delta_lits) lies within that target. The remainders within t are
-        read off the lowest-atom index under t's atoms. With none, the fact
-        arms its whole head; otherwise it arms the head atoms outside neg
-        that every such remainder contains.
+        when some remainder (a nonempty support member minus delta_lits)
+        lies within that target. The remainders within t are read off the
+        lowest-atom index under t's atoms. With none, the fact arms its
+        whole head; otherwise it arms the head atoms outside neg that every
+        such remainder contains. Both tests depend only on the
+        subset-minimal remainders: a non-minimal one within t contains a
+        minimal one within t, so it changes neither the test for none nor
+        the intersection.
         """
         remainders = self.remainders(delta_lits)
         armed = 0

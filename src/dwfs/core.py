@@ -134,6 +134,11 @@ class Rule:
     def is_conditional_fact(self) -> bool:
         return not self.pos_body
 
+    @property
+    def is_tautology(self) -> bool:
+        """The head meets the positive body (Brass and Dix's tautology)."""
+        return bool(self.head_mask & self.pos_mask)
+
     def atoms(self) -> frozenset:
         return self.head | self.pos_body | self.neg_body
 

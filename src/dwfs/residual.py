@@ -67,9 +67,14 @@ def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
     positive body atom at a time, lowest atom first, against stored
     conditional facts. With prune, a new fact that a stored fact subsumes
     (head and negative body both subsets) is not stored, and storing a fact
-    evicts the stored facts it subsumes. Returns the stored facts and the
-    peak number of stored rules; CapacityError once that number exceeds
-    limit.
+    evicts the stored facts it subsumes. Also with prune, a partial rule
+    that is a tautology (its head meets its remaining positive body) is
+    stored but never resolved: resolving the shared atom against a fact
+    gives a superset of that fact in head and negative body, and every
+    later resolvent stays one, so it adds no subsumption-minimal fact. This
+    covers input tautologies and partials that become tautologies after a
+    resolution. Returns the stored facts and the peak number of stored
+    rules; CapacityError once that number exceeds limit.
 
     Works on atom masks: a fact is its (head, negative body) pair, a partial
     rule its (head, positive body, negative body) triple, and the indexes
@@ -101,8 +106,9 @@ def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
             r = (h, pm, n)
             if r not in partials:
                 partials.add(r)
-                partials_by_slot[pm & -pm].add(r)
-                work.append(r)
+                if not (prune and h & pm):  # h & pm is Rule.is_tautology on masks
+                    partials_by_slot[pm & -pm].add(r)
+                    work.append(r)
         elif (h, n) not in facts and not (prune and subsumed(h, n)):
             f = (h, n)
             facts.add(f)
@@ -155,7 +161,8 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     subsumes with a head and a negative body that are both subsets.
 
     The same worklist as lft, pruned forward and backward by subsumption as
-    facts are stored (Brass and Dix's residual-program computation). This is
+    facts are stored (Brass and Dix's residual-program computation), and
+    never resolving a tautology, which yields only subsumed facts. This is
     the one saturation memo: it is computed once per Program instance and
     kept on it, with the peak number of rules stored on the way, so a later
     call whose cap lies below that peak still raises CapacityError. Every

@@ -87,7 +87,7 @@ def applicable(p: Program, kind: TransformKind) -> tuple:
                 steps.append(TransformStep(kind, frozenset((r,)), resolvents))
     elif kind is TransformKind.ELIM_TAUTOLOGY:
         for r in p.rules:
-            if r.head & r.pos_body:
+            if r.is_tautology:
                 steps.append(TransformStep(kind, frozenset((r,))))
     elif kind is TransformKind.ELIM_S_IMPLICATION:
         for r1 in p.rules:

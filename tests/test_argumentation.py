@@ -21,7 +21,7 @@ from dwfs import (
     wfds,
 )
 from dwfs.argumentation import _Session
-from dwfs.core import atom_mask, mask_atoms
+from dwfs.core import atom_mask, mask_atoms, minimal_masks
 from conftest import (
     ATTACK_DEMO,
     EVEN_LOOP,
@@ -68,6 +68,21 @@ def test_derives_engine_difference_on_subsumed_member():
     assert derives(p, empty, disj(p, "a"), Engine.RAW)
     assert not derives(p, empty, disj(p, "a b"), Engine.CANONICAL)
     assert derives(p, empty, disj(p, "a b"), Engine.RAW)
+
+
+def test_raw_engine_skips_tautologies():
+    # "a b" is derivable only through the tautology, which the raw engine
+    # leaves out of every reduct. Without a tautology, "a. a | b." still
+    # derives it raw (test_derives_engine_difference_on_subsumed_member).
+    p = parse_program("a. a | b :- a.")
+    empty = Hypothesis()
+    assert derives(p, empty, disj(p, "a"), Engine.RAW)
+    assert not derives(p, empty, disj(p, "a b"), Engine.RAW)
+    # Only the tautology's member "x b" cancels into "b" under "not x".
+    q = parse_program("x :- not x. b | x :- x.")
+    assert not derives(q, lits(q, "x"), disj(q, "b"), Engine.RAW)
+    assert attacks(q, lits(q, "x"), lits(q, "b"), Engine.RAW) is None
+    assert wfds(p, Engine.RAW) == wfds(p, Engine.CANONICAL) == state(p, pos=["a"], false="b")
 
 
 def test_derives_nothing_from_empty_program():
@@ -298,6 +313,30 @@ def test_wfds_engines_agree():
     for seed in range(40):
         p = random_program(GeneratorConfig(seed, num_atoms=5, num_rules=6))
         assert wfds(p, Engine.CANONICAL) == wfds(p, Engine.RAW)
+
+
+def test_raw_engine_states_unchanged_without_tautologies():
+    # Dense programs, as in the raw-engine fixpoint tests. Dropping the
+    # tautologies changes no state, and each raw support set reached has
+    # the reduct's least model state as its subset-minimal members.
+    checked = 0
+    for seed in range(1, 101):
+        p = random_program(
+            GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                            max_pos_body=2, max_neg_body=2)
+        )
+        if not any(r.is_tautology for r in p.rules):
+            continue
+        checked += 1
+        pruned = p.with_rules(r for r in p.rules if not r.is_tautology)
+        assert wfds(p, Engine.RAW) == wfds(p, Engine.CANONICAL) == wfds(pruned, Engine.RAW), seed
+        session = _Session(p, Engine.RAW)
+        session.wfdh_literals()  # caches the support set of every round
+        for lits_mask, support in session._support.items():
+            delta = Hypothesis(mask_atoms(lits_mask))
+            got = {mask_atoms(m) for m in minimal_masks(support)}
+            assert got == least_model_state(reduct(p, delta)), seed
+    assert checked > 80
 
 
 def test_wfdh_self_consistent_and_wfds_consistent():

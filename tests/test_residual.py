@@ -99,9 +99,24 @@ def _subsumption_minimal(facts):
     )
 
 
+# Programs with a partial rule that becomes a tautology only after a
+# resolution: resolving a in "c :- a, b." against "a | b." leaves
+# "c | b :- b.", which the pruned saturation stores but never resolves.
+_LATE_TAUTOLOGIES = [
+    "a | b. c :- a, b.",
+    "a | b :- not x. c :- a, b, not y. d :- c.",
+    "a | b. b | c. d :- a, b, c.",
+    "a | c. b :- a. d :- b, c, not e.",
+    "a | b. c | a :- b. d :- a, c. e :- d, not c.",
+    "a | b | c :- not d. e :- a, c. f :- b, e.",
+]
+
+
 def test_saturation_agrees_with_naive_iteration():
-    for seed in range(15):
-        p = random_program(GeneratorConfig(seed, num_atoms=4, num_rules=5))
+    programs = [random_program(GeneratorConfig(seed, num_atoms=4, num_rules=5))
+                for seed in range(15)]
+    programs += [parse_program(text) for text in _LATE_TAUTOLOGIES]
+    for p in programs:
         naive: frozenset = frozenset()
         while True:
             nxt = naive | tpg_step(p, naive)
