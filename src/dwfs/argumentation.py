@@ -13,7 +13,9 @@ minus what is already assumed false. Disjunctive assumptions never help an
 attacker (derivation consumes only literal assumptions), and attacking a
 smaller assumption set attacks every superset, so this per-fact check
 covers all hypotheses. Each round of the admissibility iteration decides
-every atom at once, in one sweep over the facts (_Session.armed).
+every atom at once, in one sweep over the facts that no stronger fact
+supersedes under the round's false atoms (_Session.armed over
+residual.live_in).
 
 The hypotheses of one iteration only grow, so each reduct keeps the rules
 of the one before. The raw engine resumes the fixpoint of a reduct from the
@@ -95,9 +97,9 @@ class _Session:
     positive rules it keeps, and many literal sets share one. A new reduct
     resumes from the cached support of the latest reduct whose rules it
     keeps; only the support tuples are kept, not the kernel's running sets.
-    Superseded facts are not kept here: they come from the saturation's
-    supersession table (residual.superseded_in), which the Program keeps and
-    every route and engine shares.
+    The facts an admissibility round sweeps are not kept here: they are the
+    saturation's live facts for the round's literals (residual.live_in),
+    which the Program keeps and every route and engine shares.
     """
 
     def __init__(self, program: Program, engine: Engine):
@@ -105,7 +107,6 @@ class _Session:
         self.engine = engine
         self._support: dict[int, tuple] = {}
         self._raw: dict[frozenset, tuple] = {}  # kept positive rules -> support
-        self._remainders: dict[int, dict] = {}
 
     def support(self, lits: int) -> tuple:
         got = self._support.get(lits)
@@ -113,10 +114,9 @@ class _Session:
             if self.engine is Engine.CANONICAL:
                 # The reduct's least model state, read off the saturation:
                 # its facts with negative body in lits, negation dropped.
+                facts = self.saturated.rules
                 got = tuple(
-                    minimal_masks(
-                        f.head_mask for f in self.saturation() if not f.neg_mask & ~lits
-                    )
+                    minimal_masks(f.head_mask for f in facts if not f.neg_mask & ~lits)
                 )
             else:
                 positive, rules = self.reduct_rules
@@ -182,46 +182,43 @@ class _Session:
     def saturated(self) -> Program:
         return residual.saturated_program(self.program)
 
-    def saturation(self) -> frozenset:
-        return self.saturated.rules
-
-    def superseded(self, lits: int) -> frozenset:
-        return residual.superseded_in(self.saturated, lits)
+    def live(self, lits: int) -> frozenset:
+        """The saturation's facts that no stronger fact supersedes once the
+        atoms of lits are discounted."""
+        return residual.live_in(self.saturated, lits)
 
     def remainders(self, lits: int) -> dict[int, list]:
         """The distinct nonempty support members minus lits, under the
         one-atom mask of their lowest atom. Non-minimal ones are kept:
         armed reads them only through intersections, which they leave as
-        they are."""
-        got = self._remainders.get(lits)
-        if got is None:
-            got = {}
-            for rest in {b & ~lits for b in self.support(lits)}:
-                if rest:
-                    got.setdefault(rest & -rest, []).append(rest)
-            self._remainders[lits] = got
+        they are. Not cached: each round of the iteration asks for a new
+        hypothesis."""
+        got: dict[int, list] = {}
+        for rest in {b & ~lits for b in self.support(lits)}:
+            if rest:
+                got.setdefault(rest & -rest, []).append(rest)
         return got
 
     def armed(self, delta_lits: int) -> int:
         """The atoms a whose assumption "not a" is not admissible with
-        respect to delta_lits, in one sweep over the saturation's facts.
+        respect to delta_lits, in one sweep over the saturation's live facts
+        for delta_lits; a superseded fact arms nothing.
 
-        A fact arms each head atom a that it turns into a derivation no
-        hypothesis can answer. A superseded fact arms nothing. Otherwise an
-        attacker must assume false t = (neg | head) minus delta_lits, less
-        a itself unless the fact negates a, and the fact is disarmed for a
-        when some remainder (a nonempty support member minus delta_lits)
-        lies within that target. The remainders within t are read off the
-        lowest-atom index under t's atoms. With none, the fact arms its
-        whole head; otherwise it arms the head atoms outside neg that every
-        such remainder contains. Both tests depend only on the
-        subset-minimal remainders: a non-minimal one within t contains a
-        minimal one within t, so it changes neither the test for none nor
-        the intersection.
+        A live fact arms each head atom a that it turns into a derivation no
+        hypothesis can answer. An attacker must assume false t = (neg |
+        head) minus delta_lits, less a itself unless the fact negates a, and
+        the fact is disarmed for a when some remainder (a nonempty support
+        member minus delta_lits) lies within that target. The remainders
+        within t are read off the lowest-atom index under t's atoms. With
+        none, the fact arms its whole head; otherwise it arms the head atoms
+        outside neg that every such remainder contains. Both tests depend
+        only on the subset-minimal remainders: a non-minimal one within t
+        contains a minimal one within t, so it changes neither the test for
+        none nor the intersection.
         """
         remainders = self.remainders(delta_lits)
         armed = 0
-        for fact in self.saturation() - self.superseded(delta_lits):
+        for fact in self.live(delta_lits):
             head = fact.head_mask
             t = (fact.neg_mask | head) & ~delta_lits
             common = -1  # the atoms of every remainder within t; -1 while none is

@@ -163,7 +163,7 @@ class Program:
     order is irrelevant to equality.
     """
 
-    __slots__ = ("rules", "atom_names", "_names_key", "_saturated", "_superseded")
+    __slots__ = ("rules", "atom_names", "_names_key", "_saturated", "_live")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -180,14 +180,11 @@ class Program:
         self.atom_names = names
         self._names_key = None
         self._saturated = None  # (Program, peak), see residual.saturated_program
-        self._superseded: dict = {}  # false-atom mask -> facts, see residual.superseded_in
+        self._live: dict = {}  # false-atom mask -> facts, see residual.live_in
 
     @property
     def base(self) -> frozenset:
         return frozenset(range(len(self.atom_names)))
-
-    def name(self, aid: int) -> str:
-        return self.atom_names[aid]
 
     def atom_id(self, name: str) -> int:
         return self.atom_names.index(name)
@@ -284,13 +281,9 @@ class Hypothesis:
 
 
 def state_consistent(s: ModelState) -> bool:
-    """No positive core member has all its atoms false, and no false atom is
-    unit-true."""
-    if any(a <= s.false_atoms for a in s.pos):
-        return False
-    if any(frozenset((c,)) in s.pos for c in s.false_atoms):
-        return False
-    return True
+    """No positive core member has all its atoms false. This covers a false
+    atom that is unit-true: its one-atom member lies within the false atoms."""
+    return not any(a <= s.false_atoms for a in s.pos)
 
 
 def body_status(s: ModelState, r: Rule) -> Truth:

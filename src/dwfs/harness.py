@@ -17,7 +17,6 @@ from .core import (
     Rule,
     atom_mask,
     mask_atoms,
-    satisfies_negative,
     satisfies_positive,
 )
 from .fixpoint import _require_positive
@@ -204,11 +203,10 @@ def find_divergence(a: ModelState, b: ModelState):
     for d in sorted(a.pos | b.pos, key=sorted):
         if satisfies_positive(a, d) != satisfies_positive(b, d):
             return ("pos", d)
-    for atom in sorted(a.false_atoms ^ b.false_atoms):
-        d = frozenset((atom,))
-        if satisfies_negative(a, d) != satisfies_negative(b, d):
-            return ("neg", d)
-    return None
+    # An atom false in exactly one state is a negative disjunction only that
+    # state satisfies.
+    negative = a.false_atoms ^ b.false_atoms
+    return ("neg", frozenset((min(negative),))) if negative else None
 
 
 @dataclass

@@ -166,7 +166,7 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     the one saturation memo: it is computed once per Program instance and
     kept on it, with the peak number of rules stored on the way, so a later
     call whose cap lies below that peak still raises CapacityError. Every
-    route reads it, and its supersession tables (superseded_in).
+    route reads it, and its live facts per false-atom set (live_in).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
@@ -220,17 +220,19 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
     return frozenset(out)
 
 
-def superseded_in(q: Program, false: int = 0) -> frozenset:
-    """superseded over q's conditional facts, with the atoms of the mask
-    false assumed false. Computed once per program and mask and kept on q,
-    in a table keyed by the mask: on saturated_program(p), wfds reads it in
-    every admissibility round, uwfs in every W step and dwfs_star in its
-    first reduction pass."""
-    table = q._superseded
+def live_in(q: Program, false: int = 0) -> frozenset:
+    """q's conditional facts minus those superseded finds with the atoms of
+    the mask false assumed false: the facts that no strictly stronger one
+    s-implies once those atoms are discounted, the only ones a route reads.
+    Computed once per program and mask and kept on q, in a table keyed by
+    the mask: on saturated_program(p), wfds sweeps it in every admissibility
+    round, uwfs reads it in every W step and dwfs_star in its first
+    reduction pass."""
+    table = q._live
     got = table.get(false)
     if got is None:
-        facts = (r for r in q.rules if r.is_conditional_fact)
-        got = table[false] = superseded(facts, mask_atoms(false))
+        facts = frozenset(r for r in q.rules if r.is_conditional_fact)
+        got = table[false] = facts - superseded(facts, mask_atoms(false))
     return got
 
 
@@ -245,29 +247,24 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
     """Drop facts that are s-implications of other facts, then delete every
     negative literal whose atom heads no fact of the input."""
     n = _check_facts(n)
-    return _strong_reduce(n, superseded(n))
+    return _strong_reduce(n, n - superseded(n))
 
 
-def _strong_reduce(n: frozenset, dropped: frozenset) -> frozenset:
-    """strong_reduction(n) given its superseded facts, dropped."""
+def _strong_reduce(n: frozenset, live: frozenset) -> frozenset:
+    """strong_reduction(n) given the facts of n it keeps, live."""
     heads = heads_mask(n)
-    return frozenset(_reduce_negation(r, heads) for r in n if r not in dropped)
-
-
-def _fixpoint(reduction, n: frozenset) -> frozenset:
-    """Apply one reduction pass until the program stops changing."""
-    while (nxt := reduction(n)) != n:
-        n = nxt
-    return n
+    return frozenset(_reduce_negation(r, heads) for r in live)
 
 
 def strong_residual(p: Program, cap: int | None = None) -> frozenset:
     """Fixpoint of the strong reduction over the saturation of p. The first
-    pass takes its superseded facts from the saturation's shared table."""
+    pass keeps the saturation's live facts (live_in), the later ones go
+    through strong_reduction."""
     q = saturated_program(p, cap)
-    n = q.rules
-    first = _strong_reduce(n, superseded_in(q))
-    return n if first == n else _fixpoint(strong_reduction, first)
+    n, nxt = q.rules, _strong_reduce(q.rules, live_in(q))
+    while nxt != n:
+        n, nxt = nxt, strong_reduction(nxt)
+    return n
 
 
 def classic_reduction(n: Iterable[Rule]) -> frozenset:
@@ -293,7 +290,10 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
 
 def classic_residual(p: Program, cap: int | None = None) -> frozenset:
     """Fixpoint of the classic reduction over the saturation of p."""
-    return _fixpoint(classic_reduction, saturation(p, cap))
+    n = saturation(p, cap)
+    while (nxt := classic_reduction(n)) != n:
+        n = nxt
+    return n
 
 
 def read_off(p: Program, n: Iterable[Rule]) -> ModelState:
@@ -340,7 +340,7 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
                 )
             )
             cur = reduced
-    return steps, _strong_reduce(n, dropped)
+    return steps, _strong_reduce(n, n - dropped)
 
 
 def residual_trace(p: Program, cap: int | None = None):

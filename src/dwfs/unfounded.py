@@ -27,7 +27,9 @@ atoms and its head atoms outside X. Neither stops holding when X shrinks,
 and a subset of X meets the heads of fewer rules, so every subset of an
 unfounded set is unfounded. The union of all unfounded sets is therefore
 the set of atoms a with {a} unfounded, and one more test tells whether that
-union is itself unfounded. The result is exact at every base size.
+union is itself unfounded. The result is exact at every base size. A rule
+blocked whatever X is decides neither test, so both read rows of the other
+rules only (_rule_rows).
 """
 
 from __future__ import annotations
@@ -74,41 +76,36 @@ class NoGreatestUnfoundedSetError(RouteError):
 
 
 def _rule_rows(p: Program, s: ModelState) -> list:
-    """Per rule: head mask, a flag for being blocked whatever X is (false
-    body, or a superseded conditional fact), and witness masks; a witness
-    blocks the rule for X iff its mask is disjoint from X.
+    """Per live conditional fact whose body is not false: its head mask and
+    its witness masks; a witness blocks the fact for X iff its mask is
+    disjoint from X.
 
-    The superseded conditional facts come from p's supersession table for
-    the state's false atoms (residual.superseded_in): on the saturated
-    program that uwfs reads, it is the table wfds and dwfs_star read too.
-    The state's false atoms and core members are encoded once. A conditional
-    fact's body is false when a core member lies within its negated atoms
-    and not every negated atom is false.
+    The facts are p's live facts for the state's false atoms
+    (residual.live_in): on the saturated program that uwfs reads, wfds and
+    dwfs_star read the same table. Of those, a fact whose body is false has
+    no row: a core member lies within its negated atoms and not every
+    negated atom is false. The state's false atoms and core members are
+    encoded once.
     """
+    if any(r.pos_mask for r in p.rules):
+        raise ValueError(_CONDITIONAL_FACTS_ONLY)
     false = atom_mask(s.false_atoms)
-    dropped = residual.superseded_in(p, false)
     core = [atom_mask(d) for d in s.pos]
     rows = []
-    for r in p.rules:
+    for r in residual.live_in(p, false):
         h, n = r.head_mask, r.neg_mask
-        if r.pos_mask:
-            raise ValueError(_CONDITIONAL_FACTS_ONLY)
-        false_body = bool(n & ~false) and any(not c & ~n for c in core)
+        if n & ~false and any(not c & ~n for c in core):
+            continue
         enabling = n | false
         scope = h | enabling
         free = h & ~enabling
-        witnesses = [c & free for c in core if not c & ~scope and c & (h | n)]
-        rows.append((h, false_body or r in dropped, witnesses))
+        rows.append((h, [c & free for c in core if not c & ~scope and c & (h | n)]))
     return rows
 
 
 def _unfounded(rows: list, x: int) -> bool:
     """True iff every row whose head meets the atom mask x is blocked for x."""
-    return all(
-        blocked or not all(w & x for w in witnesses)
-        for hm, blocked, witnesses in rows
-        if hm & x
-    )
+    return all(not all(w & x for w in witnesses) for hm, witnesses in rows if hm & x)
 
 
 def is_unfounded(p: Program, s: ModelState, x) -> bool:
@@ -118,11 +115,10 @@ def is_unfounded(p: Program, s: ModelState, x) -> bool:
 
 def _singleton_union(rows: list, n: int) -> int:
     """The atoms a with {a} unfounded: a row whose head holds a is blocked
-    for {a} unless it is blocked for no X and every witness contains a."""
+    for {a} unless every witness contains a."""
     founded = 0
-    for hm, blocked, witnesses in rows:
-        if not blocked:
-            founded |= reduce(and_, witnesses, hm)
+    for hm, witnesses in rows:
+        founded |= reduce(and_, witnesses, hm)
     return ((1 << n) - 1) & ~founded
 
 

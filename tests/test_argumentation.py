@@ -225,14 +225,14 @@ def test_unheaded_atom_vacuously_admissible():
 
 
 def _reference_admissible(session, delta_lits, atom):
-    """The per-atom definition of admissibility: every saturation fact with
-    the atom in its head is superseded, or some remainder (a minimal
-    nonempty support member minus delta_lits) lies within the assumptions
-    an attacker must make, its negated atoms and its other head atoms not
+    """The per-atom definition of admissibility: for every live saturation
+    fact with the atom in its head, some remainder (a minimal nonempty
+    support member minus delta_lits) lies within the assumptions an
+    attacker must make, its negated atoms and its other head atoms not
     already assumed false."""
     rests = [r for group in session.remainders(delta_lits).values() for r in group]
-    for fact in session.saturation():
-        if not fact.head_mask >> atom & 1 or fact in session.superseded(delta_lits):
+    for fact in session.live(delta_lits):
+        if not fact.head_mask >> atom & 1:
             continue
         target = (fact.neg_mask | fact.head_mask & ~(1 << atom)) & ~delta_lits
         if not any(not rest & ~target for rest in rests):

@@ -243,6 +243,24 @@ def test_trace_command(tmp_path):
     assert "% residual" in out
 
 
+def test_trace_command_shows_positive_reduction(tmp_path):
+    path = tmp_path / "reduce.lp"
+    path.write_text("a :- not b.\nc | d :- not a.\n")
+    code, out = _run(["trace", str(path)])
+    assert code == 0
+    assert out == (
+        "% lft\n"
+        "a :- not b.\n"
+        "c | d :- not a.\n"
+        "% reduce 1\n"
+        "positive-reduction: -a :- not b. / +a.\n"
+        "% reduce 2\n"
+        "elim-s-implication: -c | d :- not a.\n"
+        "% residual\n"
+        "a.\n"
+    )
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     path = tmp_path / "g.lp"
     path.write_text(GUARD)

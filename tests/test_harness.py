@@ -23,6 +23,7 @@ from dwfs import (
 from dwfs import satisfies_negative, satisfies_positive
 from dwfs.harness import (
     atom_names,
+    find_divergence,
     fuzz_reports,
     report_json,
     shrink_divergence,
@@ -181,6 +182,18 @@ def test_states_agree_matches_pointwise_satisfaction():
                 for c in itertools.combinations(base, k)
             )
             assert states_agree(s1, s2) == pointwise
+
+
+def test_find_divergence_names_the_first_witness():
+    p = parse_program(REDUCT_DEMO)
+    same = state(p, pos=["a b"], false="c")
+    assert find_divergence(same, same) is None
+    # {a} comes first in sorted order and only the second state has it.
+    split = state(p, pos=["a", "b"], false="c")
+    assert find_divergence(same, split) == ("pos", atoms(p, "a"))
+    # Equal cores: the lowest atom false in exactly one state.
+    other = state(p, pos=["a b"], false="d e")
+    assert find_divergence(same, other) == ("neg", atoms(p, "c"))
 
 
 def test_shrink_preserves_divergence():

@@ -302,6 +302,11 @@ def test_trace_reaches_residual():
     assert steps
     assert all(s.kind in (TransformKind.ELIM_S_IMPLICATION, TransformKind.POSITIVE_REDUCTION) for s in steps)
     assert after == strong_reduction(saturated)
+    # b heads no rule, so the first pass deletes "not b" from a's rule.
+    q = parse_program("a :- not b.\nc | d :- not a.")
+    _, passes, _ = residual_trace(q)
+    (step,) = [s for s in passes[0][0] if s.kind is TransformKind.POSITIVE_REDUCTION]
+    assert step.added == {Rule(atoms(q, "a"))}
 
 
 def _superseded_by_rules(fact, others, assumed_false):

@@ -19,7 +19,7 @@ from dwfs import (
     w_operator,
     wfds,
 )
-from dwfs.residual import lft, saturated_program, saturation, superseded_in
+from dwfs.residual import lft, live_in, saturated_program, saturation
 from dwfs.core import atom_mask
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
@@ -151,12 +151,11 @@ def _truth_table_union(rows, n):
         return table
 
     verdict = full
-    for hm, blocked, witnesses in rows:
-        if not blocked:
-            ok = full ^ meets(hm)
-            for w in witnesses:
-                ok |= full ^ meets(w)
-            verdict &= ok
+    for hm, witnesses in rows:
+        ok = full ^ meets(hm)
+        for w in witnesses:
+            ok |= full ^ meets(w)
+        verdict &= ok
     return frozenset(a for a in range(n) if verdict & member[a])
 
 
@@ -191,9 +190,9 @@ def test_reachable_states_agree_with_exhaustive_union():
 
 
 def test_mask_body_tests_match_body_status():
-    # body_status is the reference: on conditional facts, a row's flag is
-    # a false body or supersession, and t_operator fires a fact exactly
-    # when its body is true (and its head is not all false).
+    # body_status is the reference: on conditional facts, the rows are the
+    # live facts whose body is not false, and t_operator fires a fact
+    # exactly when its body is true (and its head is not all false).
     rng = random.Random(7700)
     seen = {t: 0 for t in Truth}
     for seed in range(150):
@@ -204,17 +203,25 @@ def test_mask_body_tests_match_body_status():
             s = _random_state(rng, len(n.atom_names))
             if not state_consistent(s):
                 continue
-            dropped = superseded_in(n, atom_mask(s.false_atoms))
-            rows = _rule_rows(n, s)
-            assert len(rows) == len(n.rules)
-            for r, (_, blocked, _) in zip(n.rules, rows):
+            live = live_in(n, atom_mask(s.false_atoms))
+            heads = []
+            for r in n.rules:
                 status = body_status(s, r)
                 seen[status] += 1
-                assert blocked == (status is Truth.FALSE or r in dropped)
+                if r in live and status is not Truth.FALSE:
+                    heads.append(r.head_mask)
                 rest = r.head - s.false_atoms
                 fired = {rest} if status is Truth.TRUE and rest else set()
                 assert t_operator(n.with_rules([r]), s) == fired
+            assert sorted(h for h, _ in _rule_rows(n, s)) == sorted(heads)
     assert min(seen.values()) >= 50
+
+
+def test_rows_skip_superseded_and_false_body_facts():
+    # a | c is superseded by a, and the body of e :- not b is false once b
+    # holds: neither can be unblocked, so neither has a row.
+    p = parse_program("a. a | c. e :- not b.")
+    assert _rule_rows(p, state(p, pos=["b"])) == [(atom_mask(atoms(p, "a")), [])]
 
 
 def test_t_operator_fires_true_bodies_only():
