@@ -57,7 +57,6 @@ from .residual import (
     saturation,
     strong_reduction,
     strong_residual,
-    tpg_step,
 )
 from .unfounded import (
     NO_GREATEST,
@@ -78,6 +77,7 @@ from .harness import (
     minimal_models,
     normal_wfs,
     random_program,
+    tpg_step,
 )
 
 __version__ = "0.1.0"

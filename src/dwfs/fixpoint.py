@@ -11,14 +11,15 @@ slot's contributions from earlier rounds as a running set, so a round
 touches only its new clauses. It can also resume from the fixpoint of a
 prefix of its rules, joining only the rules after the prefix over it: the
 raw engine of the argumentation route does so along a chain of growing
-reducts. The fixpoint stays raw: non-minimal members are kept.
+reducts. residual.lft runs it too, with a rule's negative body in the bits
+above the atom table. The fixpoint stays raw: non-minimal members are kept.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .core import Program, atom_mask, canonicalize, mask_atoms, mask_bits
+from .core import CapacityError, Program, atom_mask, canonicalize, mask_atoms, mask_bits
 
 
 def _require_positive(p: Program):
@@ -75,7 +76,10 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
 
 
 def _lfp_masks(
-    rules: Iterable[tuple[int, int]], start: Iterable[int] = (), closed: int = 0
+    rules: Iterable[tuple[int, int]],
+    start: Iterable[int] = (),
+    closed: int = 0,
+    cap: int | None = None,
 ) -> set:
     """The accumulated limit of the hyperresolution operator from the empty
     set, for rules given as (head mask, body mask) pairs: every clause mask
@@ -96,7 +100,9 @@ def _lfp_masks(
     is made once, under the first slot that draws a new clause. A new
     contribution that an earlier clause already makes joins nothing the
     earlier rounds missed. The slots are joined last first, and each one's
-    new contributions join its running set right after its own join.
+    new contributions join its running set right after its own join. With a
+    cap (and no start), CapacityError exactly when the limit holds more than
+    cap clauses, checked after every join and every round.
     """
     rules = list(rules)
     known = set(start)
@@ -112,9 +118,13 @@ def _lfp_masks(
     derived: set[int] = set()
     for (head, _), old in zip(rules[closed:], older[closed:]):
         derived |= _join(head, old)
+        if cap is not None and len(derived) > cap:
+            raise CapacityError(f"saturation exceeded {cap} stored rules")
     fresh = [d for d in derived if d not in known]
     known.update(fresh)
     while fresh:
+        if cap is not None and len(known) > cap:
+            raise CapacityError(f"saturation exceeded {cap} stored rules")
         by_atom = _index(fresh, bodies)
         touched = 0  # the atoms of the new clauses
         for d in fresh:
@@ -131,6 +141,8 @@ def _lfp_masks(
                 new = _slot(premises, b, head) - old[i]
                 if new:
                     derived |= _join(head, old[:i] + [new] + old[i + 1 :])
+                    if cap is not None and len(derived) > cap:
+                        raise CapacityError(f"saturation exceeded {cap} stored rules")
                     old[i] |= new
         fresh = [d for d in derived if d not in known]
         known.update(fresh)

@@ -1,12 +1,12 @@
 """Random program generation, independent oracles (classical entailment and
-minimal models by truth table, the normal well-founded model), and
-cross-semantics equivalence checking."""
+minimal models by truth table, the normal well-founded model, lft's round
+tpg_step), and cross-semantics equivalence checking."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .argumentation import Engine, wfds
 from .core import (
@@ -21,7 +21,7 @@ from .core import (
 )
 from .fixpoint import _require_positive
 from .parser import render_program, state_json
-from .residual import dwfs_classic, dwfs_star
+from .residual import _check_facts, dwfs_classic, dwfs_star
 from .unfounded import uwfs
 
 DEFAULT_ORACLE_BOUND = 20
@@ -171,6 +171,30 @@ def normal_wfs(p: Program) -> ModelState:
         frozenset(frozenset((a,)) for a in true_set),
         p.base - least_model(true_set),
     )
+
+
+def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
+    """One saturation round: resolve every rule's positive body atoms against
+    conditional facts from j whose heads contain them, delaying negation.
+    Iterated from the empty set it reaches residual.lft, one whole round at a
+    time; a rule's premise tuples are joined body atom by body atom, and
+    equal partial joins merge."""
+    j = _check_facts(j)
+    by_head: dict[int, list[Rule]] = {}
+    for f in j:
+        for a in f.head:
+            by_head.setdefault(a, []).append(f)
+    out = set()
+    for r in p.rules:
+        # The (head, negative body) pairs of the premise tuples joined so far.
+        joined = {(r.head, r.neg_body)}
+        for b in r.pos_body:
+            cands = by_head.get(b, ())
+            joined = {
+                (h | (f.head - {b}), n | f.neg_body) for h, n in joined for f in cands
+            }
+        out.update(Rule(h, frozenset(), n) for h, n in joined)
+    return frozenset(out)
 
 
 SEMANTICS_NAMES = ("wfds", "wfds-raw", "dwfs-star", "uwfs")

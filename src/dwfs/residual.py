@@ -1,6 +1,8 @@
 """Bottom-up computation of the transformation-based semantics: saturation
-of a program into conditional facts, strong reduction, the strong residual
-program, its read-off state, and the classic reduction baseline.
+of a program into conditional facts (lft, unpruned, on fixpoint's kernel;
+saturated_program, pruned, on a binary-resolution worklist), strong
+reduction, the strong residual program, its read-off state, and the
+classic reduction baseline.
 
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts).
@@ -22,6 +24,7 @@ from .core import (
     mask_atoms,
     mask_bits,
 )
+from .fixpoint import _lfp_masks
 from .transforms import TransformKind, TransformStep, s_implies
 
 DEFAULT_LFT_CAP = 1_000_000
@@ -35,46 +38,17 @@ def _check_facts(n: Iterable[Rule]) -> frozenset:
     return facts
 
 
-def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
-    """One saturation round: resolve every rule's positive body atoms against
-    conditional facts from j whose heads contain them, delaying negation."""
-    j = _check_facts(j)
-    by_head: dict[int, list[Rule]] = defaultdict(list)
-    for f in j:
-        for a in f.head:
-            by_head[a].append(f)
-    out = set()
-    for r in p.rules:
-        combos: list[list[Rule]] = [[]]
-        for b in sorted(r.pos_body):
-            cands = by_head.get(b)
-            if not cands:
-                combos = []
-                break
-            combos = [c + [f] for c in combos for f in cands]
-        for combo in combos:
-            head = set(r.head)
-            neg = set(r.neg_body)
-            for b, f in zip(sorted(r.pos_body), combo):
-                head |= f.head - {b}
-                neg |= f.neg_body
-            out.add(Rule(frozenset(head), frozenset(), frozenset(neg)))
-    return frozenset(out)
-
-
-def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
-    """The binary-resolution worklist behind lft and saturation: resolve one
+def _saturate(p: Program, limit: int) -> tuple[frozenset, int]:
+    """The binary-resolution worklist behind saturated_program: resolve one
     positive body atom at a time, lowest atom first, against stored
-    conditional facts. With prune, a new fact that a stored fact subsumes
-    (head and negative body both subsets) is not stored, and storing a fact
-    evicts the stored facts it subsumes. Also with prune, a partial rule
-    that is a tautology (its head meets its remaining positive body) is
-    stored but never resolved: resolving the shared atom against a fact
-    gives a superset of that fact in head and negative body, and every
-    later resolvent stays one, so it adds no subsumption-minimal fact. This
-    covers input tautologies and partials that become tautologies after a
-    resolution. Returns the stored facts and the peak number of stored
-    rules; CapacityError once that number exceeds limit.
+    conditional facts. A new fact that a stored fact subsumes (head and
+    negative body both subsets) is not stored, and storing a fact evicts the
+    stored facts it subsumes. A partial rule that is a tautology (its head
+    meets its remaining positive body), from the input or after a
+    resolution, is stored but never resolved: resolving the shared atom
+    against a fact gives a superset of that fact in head and negative body,
+    and so does every later resolvent. Returns the stored facts and the
+    peak number of stored rules; CapacityError once that exceeds limit.
 
     Works on atom masks: a fact is its (head, negative body) pair, a partial
     rule its (head, positive body, negative body) triple, and the indexes
@@ -106,10 +80,10 @@ def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
             r = (h, pm, n)
             if r not in partials:
                 partials.add(r)
-                if not (prune and h & pm):  # h & pm is Rule.is_tautology on masks
+                if not h & pm:  # Rule.is_tautology on masks
                     partials_by_slot[pm & -pm].add(r)
                     work.append(r)
-        elif (h, n) not in facts and not (prune and subsumed(h, n)):
+        elif (h, n) not in facts and not subsumed(h, n):
             f = (h, n)
             facts.add(f)
             for a in mask_bits(h):
@@ -142,17 +116,18 @@ def _saturate(p: Program, limit: int, prune: bool) -> tuple[frozenset, int]:
 
 def lft(p: Program, cap: int | None = None) -> frozenset:
     """Least fixpoint transformation: all conditional facts derivable by
-    resolving away positive body atoms.
-
-    Computed by a binary-resolution worklist (one body atom at a time, in id
-    order); this reaches exactly the saturation of tpg_step, which the tests
-    cross-check, without materializing whole premise tuples. Nothing is
-    pruned, so this is the specification that `saturation` is checked
-    against and what `dwfs lft` and `dwfs trace` print; the routes read
-    `saturation` instead. CapacityError once more than `cap` rules (else
-    DEFAULT_LFT_CAP) are stored.
+    resolving away positive body atoms, nothing pruned: the specification
+    that `saturation` is checked against, itself checked against iterating
+    harness.tpg_step, and what `dwfs lft` and `dwfs trace` print. Computed by
+    the kernel fixpoint._lfp_masks, each clause carrying its negative body in
+    the bits above the atom table. CapacityError once more than `cap` facts
+    (else DEFAULT_LFT_CAP) are derived.
     """
-    return _saturate(p, DEFAULT_LFT_CAP if cap is None else cap, prune=False)[0]
+    n = len(p.atom_names)
+    rules = ((r.head_mask | r.neg_mask << n, r.pos_mask) for r in p.rules)
+    closure = _lfp_masks(rules, cap=DEFAULT_LFT_CAP if cap is None else cap)
+    low = ~(-1 << n)
+    return frozenset(Rule(mask_atoms(d & low), (), mask_atoms(d >> n)) for d in closure)
 
 
 def saturated_program(p: Program, cap: int | None = None) -> Program:
@@ -160,17 +135,16 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     subsumption-minimal facts of lft(p), those no other fact of lft(p)
     subsumes with a head and a negative body that are both subsets.
 
-    The same worklist as lft, pruned forward and backward by subsumption as
-    facts are stored (Brass and Dix's residual-program computation), and
-    never resolving a tautology, which yields only subsumed facts. This is
-    the one saturation memo: it is computed once per Program instance and
-    kept on it, with the peak number of rules stored on the way, so a later
-    call whose cap lies below that peak still raises CapacityError. Every
-    route reads it, and its live facts per false-atom set (live_in).
+    Computed by the worklist _saturate (Brass and Dix's residual-program
+    computation). This is the one saturation memo: it is computed once per
+    Program instance and kept on it, with the peak number of rules stored
+    on the way, so a later call whose cap lies below that peak still raises
+    CapacityError. Every route reads it, and its live facts per false-atom
+    set (live_in).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
-        facts, peak = _saturate(p, limit, prune=True)
+        facts, peak = _saturate(p, limit)
         p._saturated = p.with_rules(facts), peak
     q, peak = p._saturated
     if peak > limit:
@@ -221,18 +195,17 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
 
 
 def live_in(q: Program, false: int = 0) -> frozenset:
-    """q's conditional facts minus those superseded finds with the atoms of
-    the mask false assumed false: the facts that no strictly stronger one
-    s-implies once those atoms are discounted, the only ones a route reads.
-    Computed once per program and mask and kept on q, in a table keyed by
-    the mask: on saturated_program(p), wfds sweeps it in every admissibility
-    round, uwfs reads it in every W step and dwfs_star in its first
-    reduction pass."""
+    """q's rules, all conditional facts, minus those superseded finds with
+    the atoms of the mask false assumed false: the facts that no strictly
+    stronger one s-implies once those atoms are discounted, the only ones a
+    route reads. Computed once per program and mask and kept on q, in a
+    table keyed by the mask: on saturated_program(p), wfds sweeps it in every
+    admissibility round, uwfs reads it in every W step and dwfs_star in its
+    first reduction pass."""
     table = q._live
     got = table.get(false)
     if got is None:
-        facts = frozenset(r for r in q.rules if r.is_conditional_fact)
-        got = table[false] = facts - superseded(facts, mask_atoms(false))
+        got = table[false] = q.rules - superseded(q.rules, mask_atoms(false))
     return got
 
 

@@ -116,6 +116,8 @@ def test_saturation_agrees_with_naive_iteration():
     programs = [random_program(GeneratorConfig(seed, num_atoms=4, num_rules=5))
                 for seed in range(15)]
     programs += [parse_program(text) for text in _LATE_TAUTOLOGIES]
+    # Criterion-2 programs, with bodies of up to three atoms.
+    programs += [random_program(GeneratorConfig(seed, 6, 8)) for seed in range(1, 41)]
     for p in programs:
         naive: frozenset = frozenset()
         while True:
@@ -145,6 +147,16 @@ def test_saturation_capacity_cap():
         saturation(p, cap=1)
 
 
+def test_lft_cap_counts_facts_exactly():
+    # The cap bounds lft's facts, not the work or the partial rules on the way.
+    for seed in range(100):
+        p = random_program(GeneratorConfig(seed, 6, 8))
+        n = len(lft(p))
+        assert len(lft(p, cap=n)) == n
+        with pytest.raises(CapacityError):
+            lft(p, cap=n - 1)
+
+
 def test_saturation_cap_holds_after_memo():
     p = parse_program(SATURATE)
     facts = saturation(p)
@@ -158,7 +170,7 @@ def test_saturation_cap_holds_after_memo():
 
 
 def test_blow_up_program_saturates_small_and_fast():
-    # Its unpruned lft keeps 5,213 facts and runs for minutes.
+    # Its unpruned lft keeps 5,213 facts (see test_lft_of_blow_up_program).
     p = random_program(
         GeneratorConfig(seed=0, num_atoms=10, num_rules=16, max_head=2,
                         max_pos_body=2, max_neg_body=2)
@@ -169,6 +181,14 @@ def test_blow_up_program_saturates_small_and_fast():
     elapsed = time.perf_counter() - start
     assert all(s == states[0] for s in states)
     assert elapsed < 2.0
+
+
+def test_lft_of_blow_up_program():
+    # The time bound is over ten times what lft takes on a 2-core machine.
+    p = random_program(GeneratorConfig(0, 10, 16, 2, 2, 2))
+    start = time.perf_counter()
+    assert len(lft(p)) == 5213
+    assert time.perf_counter() - start < 20
 
 
 def test_strong_reduction_removes_moved_implication():
