@@ -68,19 +68,23 @@ def mask_atoms(m: int) -> frozenset:
     return frozenset(out)
 
 
-def minimal_masks(masks: Iterable[int]) -> list:
+def minimal_masks(masks: Iterable[int], by_lowest: dict | None = None) -> list:
     """The subset-minimal members of a collection of atom masks, fewest
     atoms first.
 
     Only a member with fewer atoms can be a strict subset of m, and its
     lowest atom then lies in m, so each m is tested against the members
-    kept so far under the one-atom masks of its own atoms.
+    kept so far under the one-atom masks of its own atoms. by_lowest, when
+    given, is that index of nonzero masks kept earlier: a member that one of
+    them subsumes (equal ones included) is dropped too, and the kept members
+    are added to it.
     """
     masks = set(masks)
     if 0 in masks:
         return [0]
     kept: list[int] = []
-    by_lowest: dict[int, list[int]] = {}
+    if by_lowest is None:
+        by_lowest = {}
     for m in sorted(masks, key=int.bit_count):
         # mask_bits inlined: on CPython 3.11 that takes 17% off this
         # function's time over the calls the five routes make on sparse

@@ -6,13 +6,13 @@ core.atom_mask): a rule is its head mask and its body mask, a clause is a
 mask, and each body atom is a slot. A slot resolving atom b on premise d
 contributes d minus b minus the rule's head, so premises that differ only
 there merge before any join, and the slots are joined one at a time into a
-set. The fixpoint kernel, _lfp_masks, is semi-naive and keeps each rule
-slot's contributions from earlier rounds as a running set, so a round
-touches only its new clauses. It can also resume from the fixpoint of a
-prefix of its rules, joining only the rules after the prefix over it: the
-raw engine of the argumentation route does so along a chain of growing
-reducts. residual.lft runs it too, with a rule's negative body in the bits
-above the atom table. The fixpoint stays raw: non-minimal members are kept.
+set. The semi-naive rounds (_Rounds) keep each rule slot's contributions
+from earlier rounds as a running set, so a round touches only its new
+clauses. The fixpoint kernel, _lfp_masks, keeps every clause they derive;
+it can resume from the fixpoint of a prefix of its rules, as the raw engine
+of the argumentation route does along a chain of growing reducts.
+residual.lft runs it with a rule's negative body in the bits above the
+atom table; residual._saturate runs the rounds pruned by subsumption.
 """
 
 from __future__ import annotations
@@ -75,6 +75,60 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
     return frozenset(mask_atoms(d) for d in out)
 
 
+class _Rounds:
+    """The semi-naive rounds of the hyperresolution operator over rules
+    given as (head mask, body mask) pairs. Per rule, each body slot keeps as
+    a running set what the clauses of earlier rounds contribute to it
+    (Bancilhon and Ramakrishnan's semi-naive differential, kept per slot),
+    starting from what the clauses in start contribute."""
+
+    def __init__(self, rules: list, start: Iterable[int] = ()):
+        self.rules = rules
+        self.slots = [list(mask_bits(body)) for _, body in rules]
+        bodies = 0
+        for _, body in rules:
+            bodies |= body
+        self.bodies = bodies
+        by_atom = _index(start, bodies)
+        self.older = [
+            [_slot(by_atom[b], b, head) if b in by_atom else set() for b in body_atoms]
+            for (head, _), body_atoms in zip(rules, self.slots)
+        ]
+
+    def derive(self, fresh: list, cap: int | None = None, held: int = 0) -> set:
+        """What one round derives from the new clauses fresh: every join
+        that draws at least one contribution of fresh that no earlier clause
+        makes, each made once. Indexes fresh alone, under body atoms only.
+        Slot i draws the new contributions, the slots before it the earlier
+        ones and the slots after it both, so each join is made under the
+        first slot that draws a new clause; a new contribution that an
+        earlier clause already makes joins nothing earlier rounds missed.
+        The slots are joined last first, and each one's new contributions
+        join its running set right after its own join. With a cap,
+        CapacityError as soon as held plus the clauses derived exceed it.
+        """
+        by_atom = _index(fresh, self.bodies)
+        touched = 0  # the atoms of the new clauses
+        for d in fresh:
+            touched |= d
+        derived: set[int] = set()
+        for (head, body), body_atoms, old in zip(self.rules, self.slots, self.older):
+            if not body & touched:
+                continue
+            for i in range(len(body_atoms) - 1, -1, -1):
+                b = body_atoms[i]
+                premises = by_atom.get(b)
+                if not premises:
+                    continue
+                new = _slot(premises, b, head) - old[i]
+                if new:
+                    derived |= _join(head, old[:i] + [new] + old[i + 1 :])
+                    if cap is not None and held + len(derived) > cap:
+                        raise CapacityError(f"saturation exceeded {cap} stored rules")
+                    old[i] |= new
+        return derived
+
+
 def _lfp_masks(
     rules: Iterable[tuple[int, int]],
     start: Iterable[int] = (),
@@ -86,37 +140,19 @@ def _lfp_masks(
     derived, non-minimal members included. start, when given, is that limit
     for the first `closed` rules, and the computation continues from it.
 
-    Semi-naive, with the same limit as iterating cur | tps_step(p, cur): a
-    round derives only what joins at least one clause new in the previous
-    round. Per rule, each body slot keeps as a running set what the clauses
-    of earlier rounds contribute to it (Bancilhon and Ramakrishnan's
-    semi-naive differential, kept per slot). The running sets start as the
-    contributions of start, built in one pass; start is closed under the
-    first `closed` rules, so only the remaining rules are joined over it,
-    and their new clauses open the first round. Each round indexes its new
-    clauses alone, under body atoms only. Slot i draws the new
-    contributions that no earlier clause makes, the slots before it the
-    earlier contributions and the slots after it both, so every such join
-    is made once, under the first slot that draws a new clause. A new
-    contribution that an earlier clause already makes joins nothing the
-    earlier rounds missed. The slots are joined last first, and each one's
-    new contributions join its running set right after its own join. With a
-    cap (and no start), CapacityError exactly when the limit holds more than
-    cap clauses, checked after every join and every round.
+    Semi-naive (_Rounds), with the same limit as iterating
+    cur | tps_step(p, cur): a round derives only what joins at least one
+    clause new in the previous round. start is closed under the first
+    `closed` rules, so only the remaining rules are joined over it, and
+    their new clauses open the first round. With a cap (and no start),
+    CapacityError exactly when the limit holds more than cap clauses,
+    checked after every join and every round.
     """
     rules = list(rules)
     known = set(start)
-    slots = [list(mask_bits(body)) for _, body in rules]
-    bodies = 0
-    for _, body in rules:
-        bodies |= body
-    by_atom = _index(known, bodies)
-    older = [
-        [_slot(by_atom.get(b, ()), b, head) for b in body_atoms]
-        for (head, _), body_atoms in zip(rules, slots)
-    ]
+    rounds = _Rounds(rules, known)
     derived: set[int] = set()
-    for (head, _), old in zip(rules[closed:], older[closed:]):
+    for (head, _), old in zip(rules[closed:], rounds.older[closed:]):
         derived |= _join(head, old)
         if cap is not None and len(derived) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
@@ -125,25 +161,7 @@ def _lfp_masks(
     while fresh:
         if cap is not None and len(known) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
-        by_atom = _index(fresh, bodies)
-        touched = 0  # the atoms of the new clauses
-        for d in fresh:
-            touched |= d
-        derived = set()
-        for (head, body), body_atoms, old in zip(rules, slots, older):
-            if not body & touched:
-                continue
-            for i in range(len(body_atoms) - 1, -1, -1):
-                b = body_atoms[i]
-                premises = by_atom.get(b)
-                if not premises:
-                    continue
-                new = _slot(premises, b, head) - old[i]
-                if new:
-                    derived |= _join(head, old[:i] + [new] + old[i + 1 :])
-                    if cap is not None and len(derived) > cap:
-                        raise CapacityError(f"saturation exceeded {cap} stored rules")
-                    old[i] |= new
+        derived = rounds.derive(fresh, cap)
         fresh = [d for d in derived if d not in known]
         known.update(fresh)
     return known

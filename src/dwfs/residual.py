@@ -1,8 +1,8 @@
 """Bottom-up computation of the transformation-based semantics: saturation
-of a program into conditional facts (lft, unpruned, on fixpoint's kernel;
-saturated_program, pruned, on a binary-resolution worklist), strong
-reduction, the strong residual program, its read-off state, and the
-classic reduction baseline.
+of a program into conditional facts on fixpoint's semi-naive
+hyperresolution rounds (lft unpruned, saturated_program pruned by
+subsumption), strong reduction, the strong residual program, its read-off
+state, and the classic reduction baseline.
 
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts).
@@ -10,7 +10,7 @@ A negative program is a frozenset of Rule values with empty positive bodies
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Iterable
 
 from .core import (
@@ -19,12 +19,12 @@ from .core import (
     Program,
     Rule,
     atom_mask,
-    canonicalize,
     heads_mask,
     mask_atoms,
     mask_bits,
+    minimal_masks,
 )
-from .fixpoint import _lfp_masks
+from .fixpoint import _lfp_masks, _Rounds
 from .transforms import TransformKind, TransformStep, s_implies
 
 DEFAULT_LFT_CAP = 1_000_000
@@ -38,80 +38,50 @@ def _check_facts(n: Iterable[Rule]) -> frozenset:
     return facts
 
 
-def _saturate(p: Program, limit: int) -> tuple[frozenset, int]:
-    """The binary-resolution worklist behind saturated_program: resolve one
-    positive body atom at a time, lowest atom first, against stored
-    conditional facts. A new fact that a stored fact subsumes (head and
-    negative body both subsets) is not stored, and storing a fact evicts the
-    stored facts it subsumes. A partial rule that is a tautology (its head
-    meets its remaining positive body), from the input or after a
-    resolution, is stored but never resolved: resolving the shared atom
-    against a fact gives a superset of that fact in head and negative body,
-    and so does every later resolvent. Returns the stored facts and the
-    peak number of stored rules; CapacityError once that exceeds limit.
+def _encoded(p: Program) -> list:
+    """p's rules as (clause mask, body mask) pairs for fixpoint's kernel: a
+    clause carries its head, and its negative body in the bits above the
+    atom table."""
+    n = len(p.atom_names)
+    return [(r.head_mask | r.neg_mask << n, r.pos_mask) for r in p.rules]
 
-    Works on atom masks: a fact is its (head, negative body) pair, a partial
-    rule its (head, positive body, negative body) triple, and the indexes
-    are keyed by one-atom masks. Rule values are built only for the result.
+
+def _decoded(p: Program, clauses: Iterable[int]) -> frozenset:
+    """The conditional facts that clause masks encode, as in _encoded."""
+    n = len(p.atom_names)
+    low = ~(-1 << n)
+    return frozenset(Rule(mask_atoms(d & low), (), mask_atoms(d >> n)) for d in clauses)
+
+
+def _saturate(rules: list, limit: int) -> tuple[list, int]:
+    """The subset-minimal clauses of the limit of the hyperresolution
+    operator, for rules encoded as in _encoded, on fixpoint's semi-naive
+    rounds pruned by subsumption. Tautologies are left out: a resolvent of
+    one contains the premise it resolved on the shared atom. The input facts
+    open the first round, and each round admits only its minimal clauses
+    that no held clause subsumes; a clause derived from a subsumed premise
+    is subsumed by the subsumer or by what the subsumer derives in its
+    place. Held clauses are never evicted. Returns the subset-minimal held
+    clauses and the peak number of rules held at once (the input rules with
+    a positive body, the admitted clauses and the current round's
+    resolvents, fixed by the program alone); CapacityError once that
+    exceeds limit.
     """
-    facts: set[tuple[int, int]] = set()
-    facts_by_head: dict[int, set] = defaultdict(set)  # head atom -> facts
-    partials: set[tuple[int, int, int]] = set()
-    partials_by_slot: dict[int, set] = defaultdict(set)  # lowest body atom
-    work: deque[tuple] = deque()
+    base = sum(1 for _, body in rules if body)
+    derived = {head for head, body in rules if not body}
+    rounds = _Rounds([(h, body) for h, body in rules if body and not h & body])
+    held: list[int] = []
+    index: dict[int, list[int]] = {}  # held clauses by lowest atom
     peak = 0
-
-    def subsumed(h: int, n: int) -> bool:
-        """True if a stored fact subsumes (h, n); else evict those it subsumes."""
-        for a in mask_bits(h):
-            for hf, nf in facts_by_head.get(a, ()):
-                if not (hf & ~h or nf & ~n):
-                    return True
-        bucket = min((facts_by_head.get(a, ()) for a in mask_bits(h)), key=len)
-        for f in [f for f in bucket if not (h & ~f[0] or n & ~f[1])]:
-            facts.discard(f)
-            for a in mask_bits(f[0]):
-                facts_by_head[a].discard(f)
-        return False
-
-    def push(h: int, pm: int, n: int):
-        nonlocal peak
-        if pm:
-            r = (h, pm, n)
-            if r not in partials:
-                partials.add(r)
-                if not h & pm:  # Rule.is_tautology on masks
-                    partials_by_slot[pm & -pm].add(r)
-                    work.append(r)
-        elif (h, n) not in facts and not subsumed(h, n):
-            f = (h, n)
-            facts.add(f)
-            for a in mask_bits(h):
-                facts_by_head[a].add(f)
-            work.append(f)
-        stored = len(facts) + len(partials)
-        if stored > limit:
+    while True:
+        peak = max(peak, base + len(held) + len(derived))
+        if peak > limit:
             raise CapacityError(f"saturation exceeded {limit} stored rules")
-        peak = max(peak, stored)
-
-    for r in p.rules:
-        push(r.head_mask, r.pos_mask, r.neg_mask)
-    while work:
-        item = work.popleft()
-        if len(item) == 2:
-            if item not in facts:  # evicted while waiting
-                continue
-            hf, nf = item
-            for a in mask_bits(hf):
-                for h, pm, n in list(partials_by_slot.get(a, ())):
-                    push(h | (hf & ~a), pm & ~a, n | nf)
-        else:
-            h, pm, n = item
-            b = pm & -pm
-            for hf, nf in list(facts_by_head.get(b, ())):
-                push(h | (hf & ~b), pm & ~b, n | nf)
-    out = frozenset(Rule(mask_atoms(h), frozenset(), mask_atoms(n)) for h, n in facts)
-    return out, peak
+        fresh = minimal_masks(derived, index)
+        if not fresh:
+            return minimal_masks(held), peak
+        held += fresh
+        derived = rounds.derive(fresh, limit, base + len(held))
 
 
 def lft(p: Program, cap: int | None = None) -> frozenset:
@@ -119,15 +89,12 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     resolving away positive body atoms, nothing pruned: the specification
     that `saturation` is checked against, itself checked against iterating
     harness.tpg_step, and what `dwfs lft` and `dwfs trace` print. Computed by
-    the kernel fixpoint._lfp_masks, each clause carrying its negative body in
-    the bits above the atom table. CapacityError once more than `cap` facts
-    (else DEFAULT_LFT_CAP) are derived.
+    the kernel fixpoint._lfp_masks on the encoding of _encoded.
+    CapacityError once more than `cap` facts (else DEFAULT_LFT_CAP) are
+    derived.
     """
-    n = len(p.atom_names)
-    rules = ((r.head_mask | r.neg_mask << n, r.pos_mask) for r in p.rules)
-    closure = _lfp_masks(rules, cap=DEFAULT_LFT_CAP if cap is None else cap)
-    low = ~(-1 << n)
-    return frozenset(Rule(mask_atoms(d & low), (), mask_atoms(d >> n)) for d in closure)
+    closure = _lfp_masks(_encoded(p), cap=DEFAULT_LFT_CAP if cap is None else cap)
+    return _decoded(p, closure)
 
 
 def saturated_program(p: Program, cap: int | None = None) -> Program:
@@ -135,17 +102,17 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     subsumption-minimal facts of lft(p), those no other fact of lft(p)
     subsumes with a head and a negative body that are both subsets.
 
-    Computed by the worklist _saturate (Brass and Dix's residual-program
-    computation). This is the one saturation memo: it is computed once per
-    Program instance and kept on it, with the peak number of rules stored
-    on the way, so a later call whose cap lies below that peak still raises
-    CapacityError. Every route reads it, and its live facts per false-atom
-    set (live_in).
+    Computed by _saturate, on the kernel's rounds pruned by subsumption
+    (Brass and Dix's residual-program computation). This is the one
+    saturation memo: it is computed once per Program instance and kept on
+    it, with the peak number of rules held on the way, so a later call
+    whose cap lies below that peak still raises CapacityError. Every route
+    reads it, and its live facts per false-atom set (live_in).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
-        facts, peak = _saturate(p, limit)
-        p._saturated = p.with_rules(facts), peak
+        facts, peak = _saturate(_encoded(p), limit)
+        p._saturated = p.with_rules(_decoded(p, facts)), peak
     q, peak = p._saturated
     if peak > limit:
         raise CapacityError(f"saturation exceeded {limit} stored rules")
@@ -273,7 +240,7 @@ def read_off(p: Program, n: Iterable[Rule]) -> ModelState:
     """State read directly from a residual program: unconditional fact heads
     are true, atoms outside every head are false."""
     n = frozenset(n)
-    pos = canonicalize(r.head for r in n if not r.neg_body)
+    pos = [r.head for r in n if not r.neg_body]
     return ModelState(pos, p.base - mask_atoms(heads_mask(n)))
 
 

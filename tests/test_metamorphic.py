@@ -4,6 +4,8 @@ exhaustive oracle, so they run at sizes the truth-table oracles cannot reach.
 - Re-interning the atoms in a random order, under new names, leaves every
   route's state unchanged up to the renaming. The hot layer computes on atom
   masks, so this guards every place that depends on the order of bits.
+  Under the same names the copy is the same program, and its saturation
+  raises CapacityError at the same caps.
 - A disjoint union of two programs has the union of their states: no
   s-implication crosses components, since it needs h2 within h1 | n1.
 - On normal programs of 100-300 atoms every route equals the alternating
@@ -20,6 +22,7 @@ import random
 import time
 
 from dwfs import (
+    CapacityError,
     GeneratorConfig,
     ModelState,
     Program,
@@ -103,6 +106,41 @@ def test_reinterning_atoms_renames_every_state():
             assert got[name] == _map_state(want[name], new_id), (p, name)
             checked += 1
     assert checked == 48 * len(ROUTES)
+
+
+def _capped(p, cap) -> bool:
+    """True when saturating a fresh copy of p (no memo) raises at cap."""
+    try:
+        residual.saturation(Program(p.rules, p.atom_names), cap)
+    except CapacityError:
+        return True
+    return False
+
+
+def test_saturation_cap_is_a_function_of_the_program():
+    # A copy with its atoms re-interned in another order, under the same
+    # names, is the same program (Program.__eq__), so the caps at which its
+    # saturation raises must be the same ones. They raise below one least
+    # passing cap, found here by doubling and bisection.
+    rnd = random.Random(7)
+    for seed in range(300):
+        p = _criterion_2(seed) if seed % 2 == 0 else _dense(seed)
+        n = len(p.atom_names)
+        new_id = list(range(n))
+        rnd.shuffle(new_id)
+        names = [""] * n
+        for a, b in enumerate(new_id):
+            names[b] = p.atom_names[a]
+        q = Program(_map_rules(p.rules, new_id), names)
+        assert q == p
+        low, high = 0, 1
+        while _capped(p, high):
+            low, high = high + 1, 2 * high
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (mid + 1, high) if _capped(p, mid) else (low, mid)
+        for cap in range(max(0, high - 2), high + 2):
+            assert _capped(q, cap) == _capped(p, cap) == (cap < high), (seed, cap)
 
 
 def test_disjoint_union_has_union_of_states():

@@ -99,9 +99,11 @@ def _subsumption_minimal(facts):
     )
 
 
-# Programs with a partial rule that becomes a tautology only after a
-# resolution: resolving a in "c :- a, b." against "a | b." leaves
-# "c | b :- b.", which the pruned saturation stores but never resolves.
+# Programs where resolving one body atom leaves the rest of the body in the
+# head: resolving a in "c :- a, b." against "a | b." alone would leave
+# "c | b :- b.", a tautology. The hyperresolution rounds resolve every body
+# atom at once, so "c :- a, b." joins "a | b." on both slots into
+# "a | b | c.", which "a | b." subsumes.
 _LATE_TAUTOLOGIES = [
     "a | b. c :- a, b.",
     "a | b :- not x. c :- a, b, not y. d :- c.",
@@ -137,6 +139,19 @@ def test_saturation_agrees_with_naive_iteration():
         assert saturation(p) == _subsumption_minimal(full)
         pruned += len(saturation(p)) < len(full)
     assert pruned > 20
+    # The bench's sparse family, and the dense family but for seed 6, whose
+    # lft takes seconds.
+    programs = [
+        random_program(GeneratorConfig(seed, 18 + seed % 7, 18 + seed % 7, 2, 1, 2))
+        for seed in range(1, 61)
+    ]
+    programs += [
+        random_program(GeneratorConfig(seed, 10, 16, 2, 2, 2))
+        for seed in range(1, 26)
+        if seed != 6
+    ]
+    for p in programs:
+        assert saturation(p) == _subsumption_minimal(lft(p))
 
 
 def test_saturation_capacity_cap():
