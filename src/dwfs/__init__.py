@@ -10,8 +10,6 @@ from .core import (
     Program,
     RouteError,
     Rule,
-    Truth,
-    body_status,
     canonicalize,
     satisfies_negative,
     satisfies_positive,
@@ -71,6 +69,8 @@ from .unfounded import (
 from .harness import (
     EquivalenceReport,
     GeneratorConfig,
+    Truth,
+    body_status,
     check_equivalence,
     entails_classical,
     gcwa_negatives,

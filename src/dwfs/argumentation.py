@@ -41,6 +41,7 @@ from .core import (
     RouteError,
     Rule,
     atom_mask,
+    canonical_sets,
     mask_atoms,
     mask_bits,
     minimal_masks,
@@ -90,16 +91,17 @@ class _Session:
 
     Literal sets and support sets are atom masks (core.atom_mask): a literal
     set is one mask, a support set a tuple of masks, decoded to atom sets
-    only at the API edge (cons, attack witnesses). The canonical engine reads
-    a support set off the saturation's fact masks. The raw engine takes the
+    only at the API edge (cons, attack witnesses, the wfds state). The
+    canonical engine reads a support set off the saturation's fact pairs
+    (residual.fact_masks), never decoded to Rules. The raw engine takes the
     fixpoint kernel of the reduct's rule masks, tautologies left out
     (reduct_rules); a reduct is named by the indices of the distinct
     positive rules it keeps, and many literal sets share one. A new reduct
     resumes from the cached support of the latest reduct whose rules it
     keeps; only the support tuples are kept, not the kernel's running sets.
-    The facts an admissibility round sweeps are not kept here: they are the
-    saturation's live facts for the round's literals (residual.live_in),
-    which the Program keeps and every route and engine shares.
+    The fact pairs an admissibility round sweeps are not kept here: they are
+    the saturation's live facts for the round's literals (residual.live_in),
+    which the saturated Program keeps and every route and engine shares.
     """
 
     def __init__(self, program: Program, engine: Engine):
@@ -114,10 +116,8 @@ class _Session:
             if self.engine is Engine.CANONICAL:
                 # The reduct's least model state, read off the saturation:
                 # its facts with negative body in lits, negation dropped.
-                facts = self.saturated.rules
-                got = tuple(
-                    minimal_masks(f.head_mask for f in facts if not f.neg_mask & ~lits)
-                )
+                facts = residual.fact_masks(self.saturated)
+                got = tuple(minimal_masks(h for h, n in facts if not n & ~lits))
             else:
                 positive, rules = self.reduct_rules
                 kept = frozenset(i for i, n in rules if not n & ~lits)
@@ -182,11 +182,6 @@ class _Session:
     def saturated(self) -> Program:
         return residual.saturated_program(self.program)
 
-    def live(self, lits: int) -> frozenset:
-        """The saturation's facts that no stronger fact supersedes once the
-        atoms of lits are discounted."""
-        return residual.live_in(self.saturated, lits)
-
     def remainders(self, lits: int) -> dict[int, list]:
         """The distinct nonempty support members minus lits, under the
         one-atom mask of their lowest atom. Non-minimal ones are kept:
@@ -218,15 +213,14 @@ class _Session:
         """
         remainders = self.remainders(delta_lits)
         armed = 0
-        for fact in self.live(delta_lits):
-            head = fact.head_mask
-            t = (fact.neg_mask | head) & ~delta_lits
+        for head, neg in residual.live_in(self.saturated, delta_lits):
+            t = (neg | head) & ~delta_lits
             common = -1  # the atoms of every remainder within t; -1 while none is
             for a in mask_bits(t):
                 for rest in remainders.get(a, ()):
                     if not rest & ~t:
                         common &= rest
-            armed |= head if common < 0 else head & ~fact.neg_mask & common
+            armed |= head if common < 0 else head & ~neg & common
         return armed
 
     def wfdh_literals(self) -> int:
@@ -242,9 +236,9 @@ class _Session:
             delta = nxt
         raise AdmissibilityError("admissibility iteration exceeded the atom-count bound")
 
-    def cons(self, lits: int) -> frozenset:
-        """Canonical core of everything lits supports: each support member
-        minus lits, or, when nothing is left, each of its atoms alone."""
+    def cons(self, lits: int) -> list:
+        """Atom masks whose minimal ones are the canonical core of all lits
+        supports: each support member minus lits, or else each of its atoms."""
         core = []
         for b in self.support(lits):
             rest = b & ~lits
@@ -252,7 +246,7 @@ class _Session:
                 core.append(rest)
             else:
                 core.extend(mask_bits(b))
-        return frozenset(mask_atoms(m) for m in minimal_masks(core))
+        return core
 
 
 def derives(
@@ -266,7 +260,7 @@ def derives(
 
 def cons(p: Program, delta: Hypothesis, engine: Engine = Engine.CANONICAL) -> frozenset:
     """Canonical core of everything delta supports."""
-    return _Session(p, engine).cons(atom_mask(delta.literal_assumptions))
+    return canonical_sets(_Session(p, engine).cons(atom_mask(delta.literal_assumptions)))
 
 
 def attacks(
@@ -310,4 +304,4 @@ def wfds(p: Program, engine: Engine = Engine.CANONICAL) -> ModelState:
     """The well-founded state: admissible assumptions plus what they support."""
     session = _Session(p, engine)
     lits = session.wfdh_literals()
-    return ModelState(session.cons(lits), mask_atoms(lits))
+    return ModelState._of_masks(session.cons(lits), lits)

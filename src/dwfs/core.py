@@ -10,7 +10,6 @@ instead of being materialized.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -26,12 +25,6 @@ class CapacityError(RuntimeError):
 class RouteError(RuntimeError):
     """A route stopped without a state for a reason other than capacity: a
     fixpoint iteration found its operator undefined or broke an invariant."""
-
-
-class Truth(enum.Enum):
-    TRUE = "true"
-    FALSE = "false"
-    UNDEFINED = "undefined"
 
 
 def _fset(xs) -> frozenset:
@@ -102,6 +95,11 @@ def minimal_masks(masks: Iterable[int], by_lowest: dict | None = None) -> list:
     return kept
 
 
+def canonical_sets(masks: Iterable[int]) -> frozenset:
+    """The subset-minimal members of the atom masks, decoded to atom sets."""
+    return frozenset(mask_atoms(m) for m in minimal_masks(masks))
+
+
 @dataclass(frozen=True)
 class Rule:
     """head <- pos_body, not neg_body, each part a duplicate-free atom set.
@@ -147,11 +145,16 @@ class Rule:
         return self.head | self.pos_body | self.neg_body
 
 
-def heads_mask(rules: Iterable[Rule]) -> int:
-    """The atom mask of every head atom of the rules."""
+def decode_facts(facts: Iterable[tuple[int, int]]) -> frozenset:
+    """The conditional facts that (head mask, negative body mask) pairs encode."""
+    return frozenset(Rule(mask_atoms(h), (), mask_atoms(n)) for h, n in facts)
+
+
+def heads_mask(heads: Iterable[int]) -> int:
+    """The union of the head masks heads: the atom mask of every head atom."""
     acc = 0
-    for r in rules:
-        acc |= r.head_mask
+    for h in heads:
+        acc |= h
     return acc
 
 
@@ -165,9 +168,12 @@ class Program:
     here). Instances are immutable by convention; two programs compare equal
     when their rule sets and bases coincide up to atom names, so interning
     order is irrelevant to equality.
+
+    A saturation holds its facts as (head mask, negative body mask) pairs,
+    _facts, with _rules None until first read (residual.saturated_program).
     """
 
-    __slots__ = ("rules", "atom_names", "_names_key", "_saturated", "_live")
+    __slots__ = ("_rules", "_facts", "atom_names", "_names_key", "_saturated", "_live")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -180,11 +186,18 @@ class Program:
             if (r.head_mask | r.pos_mask | r.neg_mask) >> n:
                 a = next(a for a in r.atoms() if a >= n)
                 raise ValueError(f"atom id {a} outside table of size {n}")
-        self.rules = rules
+        self._rules = rules
+        self._facts = None  # (head, negative body) mask pairs, see residual.fact_masks
         self.atom_names = names
         self._names_key = None
         self._saturated = None  # (Program, peak), see residual.saturated_program
-        self._live: dict = {}  # false-atom mask -> facts, see residual.live_in
+        self._live: dict = {}  # false-atom mask -> fact pairs, see residual.live_in
+
+    @property
+    def rules(self) -> frozenset:
+        if self._rules is None:
+            self._rules = decode_facts(self._facts)
+        return self._rules
 
     @property
     def base(self) -> frozenset:
@@ -227,9 +240,7 @@ class Program:
 def canonicalize(ds: Iterable[frozenset]) -> frozenset:
     """Keep only subset-minimal disjunctions (the antichain core). Idempotent.
     The atom-set form of minimal_masks."""
-    # Maps each minimal mask back to its disjunction instead of decoding it.
-    by_mask = {atom_mask(d): _fset(d) for d in ds}
-    return frozenset(by_mask[m] for m in minimal_masks(by_mask))
+    return canonical_sets(atom_mask(d) for d in ds)
 
 
 def subsumes(a: frozenset, b: frozenset) -> bool:
@@ -251,6 +262,15 @@ class ModelState:
     def __post_init__(self):
         object.__setattr__(self, "pos", canonicalize(self.pos))
         object.__setattr__(self, "false_atoms", _fset(self.false_atoms))
+
+    @classmethod
+    def _of_masks(cls, core: Iterable[int], false: int) -> "ModelState":
+        """The state of the minimal members of the atom masks core and the
+        false-atom mask false: the routes' constructor, decoding once."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "pos", canonical_sets(core))
+        object.__setattr__(s, "false_atoms", mask_atoms(false))
+        return s
 
     def unit_true_atoms(self) -> frozenset:
         return frozenset(a for d in self.pos if len(d) == 1 for a in d)
@@ -289,15 +309,3 @@ def state_consistent(s: ModelState) -> bool:
     atom that is unit-true: its one-atom member lies within the false atoms."""
     return not any(a <= s.false_atoms for a in s.pos)
 
-
-def body_status(s: ModelState, r: Rule) -> Truth:
-    """Three-valued status of a rule body against a model state."""
-    if all(frozenset((b,)) in s.pos for b in r.pos_body) and r.neg_body <= s.false_atoms:
-        return Truth.TRUE
-    if any(b in s.false_atoms for b in r.pos_body):
-        return Truth.FALSE
-    if any(frozenset((c,)) in s.pos for c in r.neg_body):
-        return Truth.FALSE
-    if any(a <= r.neg_body for a in s.pos):
-        return Truth.FALSE
-    return Truth.UNDEFINED

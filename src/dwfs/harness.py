@@ -1,9 +1,11 @@
 """Random program generation, independent oracles (classical entailment and
 minimal models by truth table, the normal well-founded model, lft's round
-tpg_step), and cross-semantics equivalence checking."""
+tpg_step, the body status the unfounded rows are checked against), and
+cross-semantics equivalence checking."""
 
 from __future__ import annotations
 
+import enum
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
@@ -171,6 +173,25 @@ def normal_wfs(p: Program) -> ModelState:
         frozenset(frozenset((a,)) for a in true_set),
         p.base - least_model(true_set),
     )
+
+
+class Truth(enum.Enum):
+    TRUE = "true"
+    FALSE = "false"
+    UNDEFINED = "undefined"
+
+
+def body_status(s: ModelState, r: Rule) -> Truth:
+    """Three-valued status of a rule body against a model state."""
+    if all(frozenset((b,)) in s.pos for b in r.pos_body) and r.neg_body <= s.false_atoms:
+        return Truth.TRUE
+    if any(b in s.false_atoms for b in r.pos_body):
+        return Truth.FALSE
+    if any(frozenset((c,)) in s.pos for c in r.neg_body):
+        return Truth.FALSE
+    if any(a <= r.neg_body for a in s.pos):
+        return Truth.FALSE
+    return Truth.UNDEFINED
 
 
 def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:

@@ -5,7 +5,9 @@ subsumption), strong reduction, the strong residual program, its read-off
 state, and the classic reduction baseline.
 
 A negative program is a frozenset of Rule values with empty positive bodies
-(conditional facts).
+(conditional facts). The saturation, its live tables and the reduction loops
+keep such facts as (head mask, negative body mask) pairs, the fact store,
+and decode them to Rules only at the API edge.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .core import (
     Program,
     Rule,
     atom_mask,
+    decode_facts,
     heads_mask,
     mask_atoms,
     mask_bits,
@@ -32,9 +35,8 @@ DEFAULT_LFT_CAP = 1_000_000
 
 def _check_facts(n: Iterable[Rule]) -> frozenset:
     facts = frozenset(n)
-    for r in facts:
-        if r.pos_body:
-            raise ValueError("negative program may contain only conditional facts")
+    if any(r.pos_mask for r in facts):
+        raise ValueError("negative program may contain only conditional facts")
     return facts
 
 
@@ -46,12 +48,16 @@ def _encoded(p: Program) -> list:
     return [(r.head_mask | r.neg_mask << n, r.pos_mask) for r in p.rules]
 
 
-def _decoded(p: Program, clauses: Iterable[int]) -> frozenset:
-    """The conditional facts that clause masks encode, as in _encoded."""
+def _split(p: Program, clauses: Iterable[int]) -> frozenset:
+    """The (head mask, negative body mask) pairs of clauses as in _encoded."""
     n = len(p.atom_names)
     low = ~(-1 << n)
-    return frozenset(Rule(mask_atoms(d & low), (), mask_atoms(d >> n)) for d in clauses)
+    return frozenset((d & low, d >> n) for d in clauses)
 
+
+def _pairs(facts: Iterable[Rule]) -> frozenset:
+    """The (head mask, negative body mask) pairs of conditional facts."""
+    return frozenset((r.head_mask, r.neg_mask) for r in facts)
 
 def _saturate(rules: list, limit: int) -> tuple[list, int]:
     """The subset-minimal clauses of the limit of the hyperresolution
@@ -94,7 +100,7 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     derived.
     """
     closure = _lfp_masks(_encoded(p), cap=DEFAULT_LFT_CAP if cap is None else cap)
-    return _decoded(p, closure)
+    return decode_facts(_split(p, closure))
 
 
 def saturated_program(p: Program, cap: int | None = None) -> Program:
@@ -107,12 +113,15 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     saturation memo: it is computed once per Program instance and kept on
     it, with the peak number of rules held on the way, so a later call
     whose cap lies below that peak still raises CapacityError. Every route
-    reads it, and its live facts per false-atom set (live_in).
+    reads its fact pairs (fact_masks) and their live tables (live_in); its
+    rules are decoded from the pairs once, on first read (saturation).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
         facts, peak = _saturate(_encoded(p), limit)
-        p._saturated = p.with_rules(_decoded(p, facts)), peak
+        q = Program((), p.atom_names)
+        q._rules, q._facts = None, _split(p, facts)
+        p._saturated = q, peak
     q, peak = p._saturated
     if peak > limit:
         raise CapacityError(f"saturation exceeded {limit} stored rules")
@@ -120,9 +129,17 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
 
 
 def saturation(p: Program, cap: int | None = None) -> frozenset:
-    """The facts of the saturation: saturated_program(p, cap).rules, read
-    from its memo, so every call returns the same frozenset."""
+    """The facts of the saturation: saturated_program(p, cap).rules, decoded
+    from its memo once, so every call returns the same frozenset."""
     return saturated_program(p, cap).rules
+
+
+def fact_masks(q: Program) -> frozenset:
+    """q's facts as (head mask, negative body mask) pairs: a saturation's fact
+    store, else q's conditional facts (ValueError otherwise), encoded once."""
+    if q._facts is None:
+        q._facts = _pairs(_check_facts(q.rules))
+    return q._facts
 
 
 def _by_lowest_head_atom(forms) -> dict[int, list]:
@@ -140,19 +157,19 @@ def _candidates(index: dict, scope: int) -> list:
     return [f for a in mask_bits(scope) for f in index.get(a, ())]
 
 
-def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
-    """The conditional facts that a strictly stronger one s-implies, once
-    negative literals on assumed-false atoms are discounted.
+def _superseded_masks(facts: Iterable[tuple[int, int]], false: int = 0) -> frozenset:
+    """The (head mask, negative body mask) fact pairs that a strictly
+    stronger one s-implies once the atoms of the mask false are discounted.
 
     s_implies(h1, 0, n1, h2, 0, n2) needs h2 to lie within h1 | n1 (only
     negated atoms of the weaker fact may cover the stronger one's extra
     head atoms), so only forms whose lowest head atom lies in h1 | n1 are
     tested, read off an index by lowest head atom.
     """
-    off = ~atom_mask(assumed_false)
-    by_form: dict[tuple, list[Rule]] = defaultdict(list)
-    for r in facts:
-        by_form[r.head_mask, r.neg_mask & off].append(r)
+    off = ~false
+    by_form: dict[tuple, list] = defaultdict(list)
+    for h, n in facts:
+        by_form[h, n & off].append((h, n))
     index = _by_lowest_head_atom(by_form)
     out = []
     for h1, n1 in by_form:
@@ -161,59 +178,62 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
     return frozenset(out)
 
 
+def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
+    """The facts that a strictly stronger one s-implies, once negative
+    literals on assumed-false atoms are discounted (_superseded_masks)."""
+    facts = frozenset(facts)
+    gone = _superseded_masks(_pairs(facts), atom_mask(assumed_false))
+    return frozenset(r for r in facts if (r.head_mask, r.neg_mask) in gone)
+
+
 def live_in(q: Program, false: int = 0) -> frozenset:
-    """q's rules, all conditional facts, minus those superseded finds with
-    the atoms of the mask false assumed false: the facts that no strictly
-    stronger one s-implies once those atoms are discounted, the only ones a
-    route reads. Computed once per program and mask and kept on q, in a
-    table keyed by the mask: on saturated_program(p), wfds sweeps it in every
-    admissibility round, uwfs reads it in every W step and dwfs_star in its
-    first reduction pass."""
+    """q's fact pairs (fact_masks) that no strictly stronger one s-implies
+    once the atoms of the mask false are discounted, the only ones a route
+    reads. Computed once per program and mask and kept on q: on
+    saturated_program(p), wfds sweeps it in every admissibility round, uwfs
+    reads it in every W step and dwfs_star in its first reduction pass."""
     table = q._live
     got = table.get(false)
     if got is None:
-        got = table[false] = q.rules - superseded(q.rules, mask_atoms(false))
+        facts = fact_masks(q)
+        got = table[false] = facts - _superseded_masks(facts, false)
     return got
 
 
-def _reduce_negation(r: Rule, heads: int) -> Rule:
-    """r without the negative literals on atoms outside the head mask heads."""
-    if r.neg_mask & ~heads:
-        return Rule(r.head, frozenset(), mask_atoms(r.neg_mask & heads))
-    return r
+def _strong_reduce(facts: frozenset, live: frozenset | None = None) -> frozenset:
+    """strong_reduction over fact pairs, given the ones it keeps if known."""
+    if live is None:
+        live = facts - _superseded_masks(facts)
+    heads = heads_mask(h for h, _ in facts)
+    return frozenset((h, n & heads) for h, n in live)
 
 
 def strong_reduction(n: Iterable[Rule]) -> frozenset:
     """Drop facts that are s-implications of other facts, then delete every
     negative literal whose atom heads no fact of the input."""
-    n = _check_facts(n)
-    return _strong_reduce(n, n - superseded(n))
+    return decode_facts(_strong_reduce(_pairs(_check_facts(n))))
 
 
-def _strong_reduce(n: frozenset, live: frozenset) -> frozenset:
-    """strong_reduction(n) given the facts of n it keeps, live."""
-    heads = heads_mask(n)
-    return frozenset(_reduce_negation(r, heads) for r in live)
-
-
-def strong_residual(p: Program, cap: int | None = None) -> frozenset:
-    """Fixpoint of the strong reduction over the saturation of p. The first
-    pass keeps the saturation's live facts (live_in), the later ones go
-    through strong_reduction."""
+def _strong_fixpoint(p: Program, cap: int | None) -> frozenset:
+    """The strong residual program of p as fact pairs. The first pass keeps
+    the saturation's live facts (live_in)."""
     q = saturated_program(p, cap)
-    n, nxt = q.rules, _strong_reduce(q.rules, live_in(q))
+    n = fact_masks(q)
+    nxt = _strong_reduce(n, live_in(q))
     while nxt != n:
-        n, nxt = nxt, strong_reduction(nxt)
+        n, nxt = nxt, _strong_reduce(nxt)
     return n
 
 
-def classic_reduction(n: Iterable[Rule]) -> frozenset:
-    """Baseline reduction: drop plain implications of other facts and facts
-    negatively blocked by an unconditional fact, then delete dead negative
-    literals. Strictly weaker than strong_reduction."""
-    n = _check_facts(n)
-    heads = heads_mask(n)
-    index = _by_lowest_head_atom({(r.head_mask, r.neg_mask) for r in n})
+def strong_residual(p: Program, cap: int | None = None) -> frozenset:
+    """Fixpoint of the strong reduction over the saturation of p."""
+    return decode_facts(_strong_fixpoint(p, cap))
+
+
+def _classic_reduce(facts: frozenset) -> frozenset:
+    """classic_reduction over fact pairs."""
+    heads = heads_mask(h for h, _ in facts)
+    index = _by_lowest_head_atom(facts)
 
     def removable(h1: int, n1: int) -> bool:
         # A plain implication's head lies within h1, a blocking fact's head
@@ -223,35 +243,44 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
             for h2, n2 in _candidates(index, h1)
         ) or any(not n2 and not h2 & ~n1 for h2, n2 in _candidates(index, n1))
 
-    return frozenset(
-        _reduce_negation(r, heads) for r in n if not removable(r.head_mask, r.neg_mask)
-    )
+    return frozenset((h, n & heads) for h, n in facts if not removable(h, n))
 
 
-def classic_residual(p: Program, cap: int | None = None) -> frozenset:
-    """Fixpoint of the classic reduction over the saturation of p."""
-    n = saturation(p, cap)
-    while (nxt := classic_reduction(n)) != n:
+def classic_reduction(n: Iterable[Rule]) -> frozenset:
+    """Baseline reduction: drop plain implications of other facts and facts
+    negatively blocked by an unconditional fact, then delete dead negative
+    literals. Strictly weaker than strong_reduction."""
+    return decode_facts(_classic_reduce(_pairs(_check_facts(n))))
+
+
+def _classic_fixpoint(p: Program, cap: int | None) -> frozenset:
+    """The classic residual program of p as fact pairs."""
+    n = fact_masks(saturated_program(p, cap))
+    while (nxt := _classic_reduce(n)) != n:
         n = nxt
     return n
 
 
-def read_off(p: Program, n: Iterable[Rule]) -> ModelState:
-    """State read directly from a residual program: unconditional fact heads
-    are true, atoms outside every head are false."""
-    n = frozenset(n)
-    pos = [r.head for r in n if not r.neg_body]
-    return ModelState(pos, p.base - mask_atoms(heads_mask(n)))
+def classic_residual(p: Program, cap: int | None = None) -> frozenset:
+    """Fixpoint of the classic reduction over the saturation of p."""
+    return decode_facts(_classic_fixpoint(p, cap))
+
+
+def _read_off(p: Program, facts: frozenset) -> ModelState:
+    """State read directly from a residual program of fact pairs: heads of
+    unconditional facts are true, atoms outside every head are false."""
+    unheaded = ((1 << len(p.atom_names)) - 1) & ~heads_mask(h for h, _ in facts)
+    return ModelState._of_masks([h for h, n in facts if not n], unheaded)
 
 
 def dwfs_star(p: Program) -> ModelState:
     """Transformation-based semantics via the strong residual program."""
-    return read_off(p, strong_residual(p))
+    return _read_off(p, _strong_fixpoint(p, None))
 
 
 def dwfs_classic(p: Program) -> ModelState:
     """Baseline semantics via the classic reduction fixpoint."""
-    return read_off(p, classic_residual(p))
+    return _read_off(p, _classic_fixpoint(p, None))
 
 
 def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
@@ -259,12 +288,13 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
     steps (one elimination per dropped fact, then one positive reduction per
     deleted body literal), with the program it yields: strong_reduction(n)."""
     n = _check_facts(n)
-    heads = heads_mask(n)
-    dropped = superseded(n)
+    facts = _pairs(n)
+    heads = heads_mask(h for h, _ in facts)
+    dropped = _superseded_masks(facts)
     steps: list[TransformStep] = []
     kept = []
     for r in sorted(n, key=lambda r: (sorted(r.head), sorted(r.neg_body))):
-        if r in dropped:
+        if (r.head_mask, r.neg_mask) in dropped:
             steps.append(TransformStep(TransformKind.ELIM_S_IMPLICATION, frozenset((r,))))
         else:
             kept.append(r)
@@ -272,15 +302,10 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
         cur = r
         for c in sorted(mask_atoms(r.neg_mask & ~heads)):
             reduced = Rule(cur.head, frozenset(), cur.neg_body - {c})
-            steps.append(
-                TransformStep(
-                    TransformKind.POSITIVE_REDUCTION,
-                    frozenset((cur,)),
-                    frozenset((reduced,)),
-                )
-            )
+            removed, added = frozenset((cur,)), frozenset((reduced,))
+            steps.append(TransformStep(TransformKind.POSITIVE_REDUCTION, removed, added))
             cur = reduced
-    return steps, _strong_reduce(n, n - dropped)
+    return steps, decode_facts(_strong_reduce(facts, facts - dropped))
 
 
 def residual_trace(p: Program, cap: int | None = None):

@@ -93,7 +93,7 @@ def applicable(p: Program, kind: TransformKind) -> tuple:
             if any(is_s_implication(r1, r2) for r2 in p.rules if r2 != r1):
                 steps.append(TransformStep(kind, frozenset((r1,))))
     elif kind is TransformKind.POSITIVE_REDUCTION:
-        heads = heads_mask(p.rules)
+        heads = heads_mask(r.head_mask for r in p.rules)
         for r in p.rules:
             for c in sorted(mask_atoms(r.neg_mask & ~heads)):
                 reduced = Rule(r.head, r.pos_body, r.neg_body - {c})
@@ -125,7 +125,8 @@ def bd_semantics_axioms(s: ModelState, p: Program) -> bool:
     every disjunction that contains d, and a false atom as every negative
     disjunction that contains it."""
     facts_hold = all(satisfies_positive(s, r.head) for r in p.rules if r.is_fact)
-    unheaded_false = p.base - mask_atoms(heads_mask(p.rules)) <= s.false_atoms
+    heads = heads_mask(r.head_mask for r in p.rules)
+    unheaded_false = p.base - mask_atoms(heads) <= s.false_atoms
     return facts_hold and unheaded_false
 
 

@@ -6,7 +6,8 @@ the residual-program form of Brass and Dix: uwfs reads the program's
 saturation into that form (residual.saturated_program), since positive body
 atoms carry support information that only the saturated form exposes
 rule-locally. Every function here raises ValueError on a rule with a
-positive body.
+positive body. They read the facts as (head mask, negative body mask) pairs
+(residual.fact_masks, residual.live_in) and compute on atom masks.
 
 An atom set X is unfounded with respect to a state when every rule with a
 head atom in X is blocked. A rule is blocked when its body is false, when a
@@ -43,13 +44,8 @@ from .core import (
     Program,
     RouteError,
     atom_mask,
+    canonical_sets,
     mask_atoms,
-    minimal_masks,
-)
-
-_CONDITIONAL_FACTS_ONLY = (
-    "unfounded sets are computed over conditional facts only; "
-    "saturate a program with positive bodies first"
 )
 
 
@@ -80,20 +76,17 @@ def _rule_rows(p: Program, s: ModelState) -> list:
     its witness masks; a witness blocks the fact for X iff its mask is
     disjoint from X.
 
-    The facts are p's live facts for the state's false atoms
+    The facts are p's live fact pairs for the state's false atoms
     (residual.live_in): on the saturated program that uwfs reads, wfds and
     dwfs_star read the same table. Of those, a fact whose body is false has
     no row: a core member lies within its negated atoms and not every
     negated atom is false. The state's false atoms and core members are
     encoded once.
     """
-    if any(r.pos_mask for r in p.rules):
-        raise ValueError(_CONDITIONAL_FACTS_ONLY)
     false = atom_mask(s.false_atoms)
     core = [atom_mask(d) for d in s.pos]
     rows = []
-    for r in residual.live_in(p, false):
-        h, n = r.head_mask, r.neg_mask
+    for h, n in residual.live_in(p, false):
         if n & ~false and any(not c & ~n for c in core):
             continue
         enabling = n | false
@@ -137,19 +130,15 @@ def greatest_unfounded(p: Program, s: ModelState):
     return NO_GREATEST
 
 
+def _consequences(p: Program, false: int) -> list:
+    """t_operator's members under the false-atom mask false, as atom masks."""
+    return [h & ~false for h, n in residual.fact_masks(p) if not n & ~false and h & ~false]
+
+
 def t_operator(p: Program, s: ModelState) -> frozenset:
     """Immediate consequences: for every conditional fact whose negated
     atoms are all false, the head minus already-false atoms, canonically."""
-    false = atom_mask(s.false_atoms)
-    out = []
-    for r in p.rules:
-        if r.pos_mask:
-            raise ValueError(_CONDITIONAL_FACTS_ONLY)
-        if not r.neg_mask & ~false:
-            rest = r.head_mask & ~false
-            if rest:
-                out.append(rest)
-    return frozenset(mask_atoms(m) for m in minimal_masks(out))
+    return canonical_sets(_consequences(p, atom_mask(s.false_atoms)))
 
 
 def w_operator(p: Program, s: ModelState) -> ModelState:
@@ -160,7 +149,9 @@ def w_operator(p: Program, s: ModelState) -> ModelState:
         raise NoGreatestUnfoundedSetError(
             "well-founded operator undefined: no greatest unfounded set"
         )
-    return ModelState(s.pos | t_operator(p, s), s.false_atoms | u)
+    false = atom_mask(s.false_atoms)
+    core = [atom_mask(d) for d in s.pos] + _consequences(p, false)
+    return ModelState._of_masks(core, false | atom_mask(u))
 
 
 def uwfs(p: Program) -> ModelState:

@@ -20,6 +20,7 @@ from dwfs import (
     wfdh,
     wfds,
 )
+from dwfs import residual
 from dwfs.argumentation import _Session
 from dwfs.core import atom_mask, mask_atoms, minimal_masks
 from conftest import (
@@ -231,10 +232,10 @@ def _reference_admissible(session, delta_lits, atom):
     attacker must make, its negated atoms and its other head atoms not
     already assumed false."""
     rests = [r for group in session.remainders(delta_lits).values() for r in group]
-    for fact in session.live(delta_lits):
-        if not fact.head_mask >> atom & 1:
+    for head, neg in residual.live_in(session.saturated, delta_lits):
+        if not head >> atom & 1:
             continue
-        target = (fact.neg_mask | fact.head_mask & ~(1 << atom)) & ~delta_lits
+        target = (neg | head & ~(1 << atom)) & ~delta_lits
         if not any(not rest & ~target for rest in rests):
             return False
     return True

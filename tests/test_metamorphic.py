@@ -189,9 +189,12 @@ def test_every_route_equals_normal_wfs_at_scale():
 
 
 def _untabled(q, false=0):
-    """residual.live_in without its table."""
+    """residual.live_in without its table or fact store: the live facts'
+    (head mask, negative body mask) pairs, from the decoded rules through
+    the Rule-level superseded."""
     facts = frozenset(r for r in q.rules if r.is_conditional_fact)
-    return facts - residual.superseded(facts, mask_atoms(false))
+    live = facts - residual.superseded(facts, mask_atoms(false))
+    return frozenset((r.head_mask, r.neg_mask) for r in live)
 
 
 def test_routes_in_any_order_on_shared_programs_match_fresh_parses(monkeypatch):

@@ -418,16 +418,16 @@ def test_indexed_scans_match_all_pairs_on_sparse_saturations():
 def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
     # Every route reads the saturation's supersession table, so across
     # check_equivalence's routes and rounds no (saturation, false set) pair
-    # reaches superseded twice.
-    real = residual.superseded
+    # reaches _superseded_masks, the supersession behind live_in, twice.
+    real = residual._superseded_masks
     calls = []
 
-    def spy(facts, assumed_false=frozenset()):
+    def spy(facts, false=0):
         facts = frozenset(facts)
-        calls.append((facts, frozenset(assumed_false)))
-        return real(facts, assumed_false)
+        calls.append((facts, false))
+        return real(facts, false)
 
-    monkeypatch.setattr(residual, "superseded", spy)
+    monkeypatch.setattr(residual, "_superseded_masks", spy)
     programs = [
         random_program(GeneratorConfig(seed + 3700, num_atoms=18 + seed % 7,
                                        num_rules=18 + seed % 7, max_head=2,
@@ -443,9 +443,86 @@ def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
         calls.clear()
         report = check_equivalence(p)
         assert report.equal and not report.errors
-        facts = saturation(p)
+        facts = residual.fact_masks(residual.saturated_program(p))
         false_sets = [false for got, false in calls if got == facts]
         assert len(false_sets) == len(set(false_sets)), p
-        assert frozenset() in false_sets
+        assert 0 in false_sets
         on_saturation += len(false_sets)
     assert on_saturation > 2 * len(programs)
+
+
+def _fixpoint(step, n):
+    while (nxt := step(n)) != n:
+        n = nxt
+    return n
+
+
+def _strong_reduction_all_pairs(facts):
+    """strong_reduction with every pair of fact forms tested."""
+    heads = frozenset().union(*(r.head for r in facts))
+    return frozenset(
+        Rule(r.head, frozenset(), r.neg_body & heads)
+        for r in facts - _superseded_all_pairs(facts, frozenset())
+    )
+
+
+def _residual_programs():
+    for seed in range(200):  # criterion 2
+        yield random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
+    for seed in range(60):  # sparse, 18 to 24 atoms
+        n = 18 + seed % 7
+        yield random_program(GeneratorConfig(seed, num_atoms=n, num_rules=n, max_head=2,
+                                             max_pos_body=1, max_neg_body=2))
+    for seed in range(1, 61):  # dense
+        yield random_program(GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                                             max_pos_body=2, max_neg_body=2))
+
+
+def test_mask_level_residual_loops_match_all_pairs_references():
+    # The residual fixpoints run on the saturation's mask pairs; the
+    # references iterate the Rule-level all-pairs definitions from the
+    # decoded saturation.
+    reduced = 0
+    for p in _residual_programs():
+        facts = saturation(p)
+        want = _fixpoint(_strong_reduction_all_pairs, facts)
+        assert strong_residual(p) == want, p
+        assert classic_residual(p) == _fixpoint(_classic_reduction_all_pairs, facts), p
+        reduced += want != facts
+    assert reduced > 100
+
+
+def test_routes_never_decode_the_saturation(monkeypatch):
+    # The routes read the saturation's mask pairs: no Rule is built while
+    # check_equivalence and dwfs_classic run. saturation(p) then decodes
+    # each fact once and returns the same frozenset on a repeat call.
+    built = []
+    real = Rule.__post_init__
+
+    def spy(self):
+        built.append(self)
+        real(self)
+
+    programs = [random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
+                for seed in range(40)]
+    programs += [
+        random_program(GeneratorConfig(seed, num_atoms=n, num_rules=n, max_head=2,
+                                       max_pos_body=1, max_neg_body=2))
+        for seed, n in enumerate((18, 21, 24) * 10)
+    ]
+    programs += [random_program(GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                                                max_pos_body=2, max_neg_body=2))
+                 for seed in range(1, 21)]
+    monkeypatch.setattr(Rule, "__post_init__", spy)
+    for p in programs:
+        report = check_equivalence(p)
+        assert report.equal and not report.errors
+        dwfs_classic(p)
+        assert not built, p
+    for p in programs:
+        facts = saturation(p)
+        assert len(built) == len(facts)
+        assert saturation(p) is facts
+        assert saturated_program(p).rules is facts
+        assert len(built) == len(facts)
+        built.clear()

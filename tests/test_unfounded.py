@@ -208,7 +208,7 @@ def test_mask_body_tests_match_body_status():
             for r in n.rules:
                 status = body_status(s, r)
                 seen[status] += 1
-                if r in live and status is not Truth.FALSE:
+                if (r.head_mask, r.neg_mask) in live and status is not Truth.FALSE:
                     heads.append(r.head_mask)
                 rest = r.head - s.false_atoms
                 fired = {rest} if status is Truth.TRUE and rest else set()
