@@ -3,9 +3,10 @@ three-valued model states with their satisfaction and consistency predicates.
 
 Atoms are dense integer ids indexing a per-program name table. A positive
 disjunction is a nonempty frozenset of atom ids read disjunctively. A model
-state stores only its canonical positive core plus a set of false atoms;
-closure under super-disjunctions is realized by the satisfaction predicates
-instead of being materialized.
+state stores only its canonical positive core plus a set of false atoms, as
+masks decoded on first read; closure under super-disjunctions is realized
+by the satisfaction predicates instead of being materialized. minimal_masks
+is the subsumption kernel of every layer, s-implication included (residual).
 """
 
 from __future__ import annotations
@@ -78,21 +79,25 @@ def minimal_masks(masks: Iterable[int], by_lowest: dict | None = None) -> list:
     kept: list[int] = []
     if by_lowest is None:
         by_lowest = {}
+    get = by_lowest.get
     for m in sorted(masks, key=int.bit_count):
-        # mask_bits inlined: on CPython 3.11 that takes 17% off this
-        # function's time over the calls the five routes make on sparse
-        # 18-24 atom programs.
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            group = by_lowest.get(low)
-            if group and not all(k & ~m for k in group):
-                break
-        else:
+        if not _covers(m, get):
             kept.append(m)
             by_lowest.setdefault(m & -m, []).append(m)
     return kept
+
+
+def _covers(m: int, get) -> bool:
+    """Whether some mask of a by-lowest-atom index (get is its dict.get)
+    lies within m: only one whose lowest atom lies in m can."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        for k in get(low, ()):
+            if not k & ~m:
+                return True
+    return False
 
 
 def canonical_sets(masks: Iterable[int]) -> frozenset:
@@ -127,6 +132,15 @@ class Rule:
         put(self, "head_mask", atom_mask(head))
         put(self, "pos_mask", atom_mask(pos))
         put(self, "neg_mask", atom_mask(neg))
+
+    @classmethod
+    def _of(cls, head, pos, neg, head_mask: int, pos_mask: int, neg_mask: int) -> "Rule":
+        """The rule of the given atom frozensets (head nonempty) and their
+        masks, without __post_init__'s re-encoding: the parser's constructor."""
+        r = object.__new__(cls)
+        r.__dict__.update(head=head, pos_body=pos, neg_body=neg, head_mask=head_mask,
+                          pos_mask=pos_mask, neg_mask=neg_mask)
+        return r
 
     @property
     def is_fact(self) -> bool:
@@ -248,29 +262,49 @@ def subsumes(a: frozenset, b: frozenset) -> bool:
     return _fset(a) <= _fset(b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class ModelState:
     """Canonical positive core plus false atoms.
 
+    Held as masks: core_masks, the frozenset of the core's minimal member
+    masks, and false_mask, on which states compare and hash and which the
+    routes read. pos and false_atoms are decoded once, on first read.
     Membership of an arbitrary pure disjunction in the (implicitly closed)
     state is answered by satisfies_positive / satisfies_negative.
     """
 
-    pos: frozenset = frozenset()
-    false_atoms: frozenset = frozenset()
+    core_masks: frozenset
+    false_mask: int
+    _sets = None  # (pos, false_atoms) once decoded; not a field
 
-    def __post_init__(self):
-        object.__setattr__(self, "pos", canonicalize(self.pos))
-        object.__setattr__(self, "false_atoms", _fset(self.false_atoms))
+    def __init__(self, pos=frozenset(), false_atoms=frozenset()):
+        core = frozenset(minimal_masks(atom_mask(d) for d in pos))
+        self.__dict__.update(core_masks=core, false_mask=atom_mask(false_atoms))
 
     @classmethod
     def _of_masks(cls, core: Iterable[int], false: int) -> "ModelState":
-        """The state of the minimal members of the atom masks core and the
-        false-atom mask false: the routes' constructor, decoding once."""
+        """The routes' constructor: core and false_atoms as atom masks."""
         s = object.__new__(cls)
-        object.__setattr__(s, "pos", canonical_sets(core))
-        object.__setattr__(s, "false_atoms", mask_atoms(false))
+        s.__dict__.update(core_masks=frozenset(minimal_masks(core)), false_mask=false)
         return s
+
+    def _decode(self) -> tuple:
+        """(pos, false_atoms), decoded from the masks and kept."""
+        sets = self.__dict__["_sets"] = (
+            frozenset(mask_atoms(m) for m in self.core_masks), mask_atoms(self.false_mask)
+        )
+        return sets
+
+    @property
+    def pos(self) -> frozenset:
+        return (self._sets or self._decode())[0]
+
+    @property
+    def false_atoms(self) -> frozenset:
+        return (self._sets or self._decode())[1]
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(pos={self.pos!r}, false_atoms={self.false_atoms!r})"
 
     def unit_true_atoms(self) -> frozenset:
         return frozenset(a for d in self.pos if len(d) == 1 for a in d)

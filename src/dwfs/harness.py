@@ -239,8 +239,8 @@ def compute_semantics(p: Program, name: str) -> ModelState:
 
 def states_agree(a: ModelState, b: ModelState) -> bool:
     """Agreement on every pure disjunction; canonical cores make this a
-    structural comparison."""
-    return a.pos == b.pos and a.false_atoms == b.false_atoms
+    structural comparison, of the states' masks."""
+    return a == b
 
 
 def find_divergence(a: ModelState, b: ModelState):

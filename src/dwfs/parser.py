@@ -91,17 +91,20 @@ def parse_program(text: str) -> Program:
     i = 0
     while i < end:
         head = set()
+        head_mask = 0
         while True:
             a = ids.get(tokens[i])
             if a is None:
                 a = _new_atom(text, tokens, i, ids, "in a rule head")
             head.add(a)
+            head_mask |= 1 << a
             i += 1
             if tokens[i] != "|":
                 break
             i += 1
         pos_body = set()
         neg_body = set()
+        pos_mask = neg_mask = 0
         tok = tokens[i]
         i += 1
         if tok == ":-":
@@ -112,11 +115,13 @@ def parse_program(text: str) -> Program:
                     if a is None:
                         a = _new_atom(text, tokens, i, ids, "after 'not'")
                     neg_body.add(a)
+                    neg_mask |= 1 << a
                 else:
                     a = ids.get(tokens[i])
                     if a is None:
                         a = _new_atom(text, tokens, i, ids, None)
                     pos_body.add(a)
+                    pos_mask |= 1 << a
                 tok = tokens[i + 1]
                 i += 2
                 if tok == ",":
@@ -128,7 +133,8 @@ def parse_program(text: str) -> Program:
         elif tok != ".":
             found = tok or "end of input"
             raise _error(text, tokens, i - 1, f"expected ':-' or '.', found {found!r}")
-        rules.add(Rule(frozenset(head), frozenset(pos_body), frozenset(neg_body)))
+        rules.add(Rule._of(frozenset(head), frozenset(pos_body), frozenset(neg_body),
+                           head_mask, pos_mask, neg_mask))
     return Program(rules, ids)
 
 

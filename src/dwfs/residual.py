@@ -8,12 +8,16 @@ A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts). The saturation, its live tables and the reduction loops
 keep such facts as (head mask, negative body mask) pairs, the fact store,
 and decode them to Rules only at the API edge.
+
+On such facts a different fact (h2, n2) s-implies (h1, n1) exactly when h2
+and n2 lie within h1 and n1, or n2 is empty and h2 lies within h1 | n1
+(transforms.s_implies); supersession and the classic reduction test both
+cases in one kernel, _weaker_forms.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .core import (
     CapacityError,
@@ -24,11 +28,11 @@ from .core import (
     decode_facts,
     heads_mask,
     mask_atoms,
-    mask_bits,
     minimal_masks,
+    _covers,
 )
 from .fixpoint import _lfp_masks, _Rounds
-from .transforms import TransformKind, TransformStep, s_implies
+from .transforms import TransformKind, TransformStep
 
 DEFAULT_LFT_CAP = 1_000_000
 
@@ -142,40 +146,38 @@ def fact_masks(q: Program) -> frozenset:
     return q._facts
 
 
-def _by_lowest_head_atom(forms) -> dict[int, list]:
-    """(head, negative body) mask pairs under the one-atom mask of their
-    lowest head atom."""
-    index: dict[int, list] = defaultdict(list)
-    for h, n in forms:
-        index[h & -h].append((h, n))
-    return index
-
-
-def _candidates(index: dict, scope: int) -> list:
-    """The indexed forms whose lowest head atom lies in scope, which
-    include every form whose head lies within scope."""
-    return [f for a in mask_bits(scope) for f in index.get(a, ())]
-
-
-def _superseded_masks(facts: Iterable[tuple[int, int]], false: int = 0) -> frozenset:
-    """The (head mask, negative body mask) fact pairs that a strictly
-    stronger one s-implies once the atoms of the mask false are discounted.
-
-    s_implies(h1, 0, n1, h2, 0, n2) needs h2 to lie within h1 | n1 (only
-    negated atoms of the weaker fact may cover the stronger one's extra
-    head atoms), so only forms whose lowest head atom lies in h1 | n1 are
-    tested, read off an index by lowest head atom.
+def _weaker_forms(forms: Collection[tuple[int, int]], blocking: bool) -> set:
+    """The distinct (head mask, negative body mask) forms made redundant by
+    another: one whose head and negative body lie within theirs (their
+    combined mask h | n << width is then not minimal), or an unconditional
+    one whose head lies within their head and negative body, or, when
+    blocking, their negative body (a probe of the minimal unconditional
+    heads, the minimal combined masks below bit width, in the one
+    minimal_masks pass's index by lowest atom, by the _covers test that
+    pass runs on each mask).
     """
+    width = heads_mask(h for h, _ in forms).bit_length()
+    below = (1 << width) - 1
+    combined = {h | n << width: (h, n) for h, n in forms}
+    index: dict[int, list] = {}
+    minimal = minimal_masks(combined, index)
+    out = {combined[c] for c in combined.keys() - minimal}
+    get = index.get
+    for c in minimal:
+        n = c >> width
+        # An indexed mask within scope is an unconditional head, not c.
+        if n and _covers((n if blocking else c | n) & below, get):
+            out.add(combined[c])
+    return out
+
+
+def _superseded_masks(facts: Collection[tuple[int, int]], false: int = 0) -> frozenset:
+    """The (head mask, negative body mask) fact pairs that a strictly
+    stronger one s-implies once the atoms of the mask false are discounted:
+    _weaker_forms over the distinct discounted forms."""
     off = ~false
-    by_form: dict[tuple, list] = defaultdict(list)
-    for h, n in facts:
-        by_form[h, n & off].append((h, n))
-    index = _by_lowest_head_atom(by_form)
-    out = []
-    for h1, n1 in by_form:
-        if any(s_implies(h1, 0, n1, h2, 0, n2) for h2, n2 in _candidates(index, h1 | n1)):
-            out.extend(by_form[h1, n1])
-    return frozenset(out)
+    gone = _weaker_forms({(h, n & off) for h, n in facts}, False)
+    return frozenset((h, n) for h, n in facts if (h, n & off) in gone)
 
 
 def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
@@ -231,19 +233,11 @@ def strong_residual(p: Program, cap: int | None = None) -> frozenset:
 
 
 def _classic_reduce(facts: frozenset) -> frozenset:
-    """classic_reduction over fact pairs."""
+    """classic_reduction over fact pairs: plain implications and blocked
+    facts are _weaker_forms with blocking."""
     heads = heads_mask(h for h, _ in facts)
-    index = _by_lowest_head_atom(facts)
-
-    def removable(h1: int, n1: int) -> bool:
-        # A plain implication's head lies within h1, a blocking fact's head
-        # within n1.
-        return any(
-            not (h2 & ~h1 or n2 & ~n1) and (h2, n2) != (h1, n1)
-            for h2, n2 in _candidates(index, h1)
-        ) or any(not n2 and not h2 & ~n1 for h2, n2 in _candidates(index, n1))
-
-    return frozenset((h, n & heads) for h, n in facts if not removable(h, n))
+    gone = _weaker_forms(facts, True)
+    return frozenset((h, n & heads) for h, n in facts.difference(gone))
 
 
 def classic_reduction(n: Iterable[Rule]) -> frozenset:

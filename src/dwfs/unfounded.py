@@ -7,13 +7,15 @@ saturation into that form (residual.saturated_program), since positive body
 atoms carry support information that only the saturated form exposes
 rule-locally. Every function here raises ValueError on a rule with a
 positive body. They read the facts as (head mask, negative body mask) pairs
-(residual.fact_masks, residual.live_in) and compute on atom masks.
+(residual.fact_masks, residual.live_in) and a state as the masks it holds,
+and never decode a state, in uwfs's W steps included.
 
 An atom set X is unfounded with respect to a state when every rule with a
 head atom in X is blocked. A rule is blocked when its body is false, when a
 conditional fact with a strictly smaller head holds under the rule's own
 negated atoms plus the already-false atoms (the rule then never yields a
-minimal derivation), or when the state satisfies a disjunction inside what
+minimal derivation; live_in drops it, on the two cases of s-implication
+that residual states), or when the state satisfies a disjunction inside what
 an attacker relying on the rule must assume false: the rule's negated atoms
 and its head atoms outside X.
 
@@ -81,10 +83,9 @@ def _rule_rows(p: Program, s: ModelState) -> list:
     dwfs_star read the same table. Of those, a fact whose body is false has
     no row: a core member lies within its negated atoms and not every
     negated atom is false. The state's false atoms and core members are
-    encoded once.
+    read as the masks it holds.
     """
-    false = atom_mask(s.false_atoms)
-    core = [atom_mask(d) for d in s.pos]
+    false, core = s.false_mask, s.core_masks
     rows = []
     for h, n in residual.live_in(p, false):
         if n & ~false and any(not c & ~n for c in core):
@@ -138,7 +139,7 @@ def _consequences(p: Program, false: int) -> list:
 def t_operator(p: Program, s: ModelState) -> frozenset:
     """Immediate consequences: for every conditional fact whose negated
     atoms are all false, the head minus already-false atoms, canonically."""
-    return canonical_sets(_consequences(p, atom_mask(s.false_atoms)))
+    return canonical_sets(_consequences(p, s.false_mask))
 
 
 def w_operator(p: Program, s: ModelState) -> ModelState:
@@ -149,8 +150,8 @@ def w_operator(p: Program, s: ModelState) -> ModelState:
         raise NoGreatestUnfoundedSetError(
             "well-founded operator undefined: no greatest unfounded set"
         )
-    false = atom_mask(s.false_atoms)
-    core = [atom_mask(d) for d in s.pos] + _consequences(p, false)
+    false = s.false_mask
+    core = [*s.core_masks, *_consequences(p, false)]
     return ModelState._of_masks(core, false | atom_mask(u))
 
 

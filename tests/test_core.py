@@ -16,6 +16,7 @@ from dwfs import (
     state_consistent,
     subsumes,
 )
+from dwfs.core import atom_mask
 from conftest import atoms, state
 
 
@@ -127,6 +128,30 @@ def test_state_stores_canonical_core():
     p = parse_program("a. a | b.")
     s = ModelState(frozenset({atoms(p, "a"), atoms(p, "a b")}))
     assert s.pos == frozenset({atoms(p, "a")})
+
+
+_DISJUNCTIONS = st.frozensets(st.frozensets(st.integers(0, 5), min_size=1, max_size=4),
+                              max_size=8)
+
+
+@given(_DISJUNCTIONS, st.frozensets(st.integers(0, 5)))
+def test_state_from_atom_sets_equals_state_from_masks(pos, false):
+    s = ModelState(pos, false)
+    t = ModelState._of_masks([atom_mask(d) for d in pos], atom_mask(false))
+    assert s == t and hash(s) == hash(t)
+    assert s.pos == t.pos == canonicalize(pos)
+    assert s.false_atoms == t.false_atoms == false
+    assert repr(s) == f"ModelState(pos={s.pos!r}, false_atoms={s.false_atoms!r})"
+
+
+def test_state_repr_and_immutability():
+    s = ModelState(frozenset({frozenset({0}), frozenset({0, 1})}), frozenset({2}))
+    assert repr(s) == "ModelState(pos=frozenset({frozenset({0})}), false_atoms=frozenset({2}))"
+    assert repr(ModelState()) == "ModelState(pos=frozenset(), false_atoms=frozenset())"
+    for name in ("pos", "false_atoms", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, frozenset())
+    assert s != ModelState(frozenset({frozenset({0})}))
 
 
 def test_body_status_false_by_subsumed_negation():

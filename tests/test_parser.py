@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from dwfs import (
     GeneratorConfig,
     ParseError,
+    Rule,
     parse_program,
     random_program,
     render_program,
     render_state,
     state_json,
 )
+from dwfs.core import atom_mask
 from conftest import SUPPORT_DEMO, TRAVEL, atoms, state
 
 
@@ -33,6 +35,25 @@ def test_travel_program_shape():
 def test_duplicate_rules_merge():
     p = parse_program("a :- b. a :- b.")
     assert len(p.rules) == 1
+
+
+def test_parsed_rules_carry_their_masks():
+    # The parser builds each rule's masks as it scans; they must be those a
+    # Rule built from the same parts computes.
+    programs = [random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
+                for seed in range(30)]
+    programs += [random_program(GeneratorConfig(seed, num_atoms=24, num_rules=24, max_head=2,
+                                                max_pos_body=1, max_neg_body=2))
+                 for seed in range(30)]
+    for q in programs:
+        p = parse_program(render_program(q))
+        assert p.rule_names() == q.rule_names()
+        for r in p.rules:
+            assert r.head_mask == atom_mask(r.head)
+            assert r.pos_mask == atom_mask(r.pos_body)
+            assert r.neg_mask == atom_mask(r.neg_body)
+            built = Rule(r.head, r.pos_body, r.neg_body)
+            assert r == built and hash(r) == hash(built)
 
 
 def test_interning_follows_first_occurrence():

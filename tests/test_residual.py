@@ -3,6 +3,7 @@ import time
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dwfs import (
     CapacityError,
@@ -27,7 +28,7 @@ from dwfs import (
     wfds,
 )
 import dwfs.residual as residual
-from dwfs.core import atom_mask
+from dwfs.core import ModelState, atom_mask, decode_facts
 from dwfs.harness import check_equivalence
 from dwfs.residual import (
     classic_residual,
@@ -397,6 +398,30 @@ def _classic_reduction_all_pairs(facts):
     )
 
 
+# (head mask, negative body mask) fact pairs over six atoms, heads
+# nonempty. Heads and negative bodies come from small pools, so that equal
+# heads, unconditional facts and forms that coincide once false atoms are
+# discounted are common.
+_HEADS = st.sampled_from([1, 2, 3, 4, 6, 7, 12, 32, 33, 48])
+_NEGS = st.sampled_from([0, 0, 1, 2, 3, 4, 8, 12, 16, 24, 48])
+_FACT_PAIRS = st.frozensets(st.tuples(_HEADS, _NEGS), max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_FACT_PAIRS, st.integers(0, 63))
+def test_subsumption_kernel_matches_all_pairs_s_implies(facts, false):
+    off = ~false
+    want = frozenset(
+        (h1, n1)
+        for h1, n1 in facts
+        if any(s_implies(h1, 0, n1 & off, h2, 0, n2 & off) for h2, n2 in facts)
+    )
+    assert residual._superseded_masks(facts, false) == want
+    assert decode_facts(residual._classic_reduce(facts)) == _classic_reduction_all_pairs(
+        decode_facts(facts)
+    )
+
+
 def test_indexed_scans_match_all_pairs_on_sparse_saturations():
     rnd = random.Random(12)
     hits = checked = 0
@@ -492,6 +517,21 @@ def test_mask_level_residual_loops_match_all_pairs_references():
     assert reduced > 100
 
 
+def _decode_test_programs():
+    """90 programs: criterion-2, sparse 18 to 24 atoms and dense."""
+    programs = [random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
+                for seed in range(40)]
+    programs += [
+        random_program(GeneratorConfig(seed, num_atoms=n, num_rules=n, max_head=2,
+                                       max_pos_body=1, max_neg_body=2))
+        for seed, n in enumerate((18, 21, 24) * 10)
+    ]
+    programs += [random_program(GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                                                max_pos_body=2, max_neg_body=2))
+                 for seed in range(1, 21)]
+    return programs
+
+
 def test_routes_never_decode_the_saturation(monkeypatch):
     # The routes read the saturation's mask pairs: no Rule is built while
     # check_equivalence and dwfs_classic run. saturation(p) then decodes
@@ -503,16 +543,7 @@ def test_routes_never_decode_the_saturation(monkeypatch):
         built.append(self)
         real(self)
 
-    programs = [random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
-                for seed in range(40)]
-    programs += [
-        random_program(GeneratorConfig(seed, num_atoms=n, num_rules=n, max_head=2,
-                                       max_pos_body=1, max_neg_body=2))
-        for seed, n in enumerate((18, 21, 24) * 10)
-    ]
-    programs += [random_program(GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
-                                                max_pos_body=2, max_neg_body=2))
-                 for seed in range(1, 21)]
+    programs = _decode_test_programs()
     monkeypatch.setattr(Rule, "__post_init__", spy)
     for p in programs:
         report = check_equivalence(p)
@@ -526,3 +557,27 @@ def test_routes_never_decode_the_saturation(monkeypatch):
         assert saturated_program(p).rules is facts
         assert len(built) == len(facts)
         built.clear()
+
+
+def test_routes_never_decode_their_states(monkeypatch):
+    # A route's state stays masks, uwfs's W steps included: no state is
+    # decoded to atom sets while check_equivalence and dwfs_classic run.
+    # Reading pos, then false_atoms, decodes a state once.
+    decoded = []
+    real = ModelState._decode
+
+    def spy(self):
+        decoded.append(self)
+        return real(self)
+
+    monkeypatch.setattr(ModelState, "_decode", spy)
+    for p in _decode_test_programs():
+        report = check_equivalence(p)
+        assert report.equal and not report.errors
+        states = [*report.states.values(), dwfs_classic(p)]
+        assert not decoded, p
+        for s in states:
+            pos = s.pos
+            assert s.pos is pos and s.false_atoms is s.false_atoms
+            assert len(decoded) == 1 and decoded[0] is s
+            decoded.clear()
