@@ -17,9 +17,11 @@ every atom at once, in one sweep over the facts that no stronger fact
 supersedes under the round's false atoms (_Session.armed over
 residual.live_in).
 
-The hypotheses of one iteration only grow, so each reduct keeps the rules
-of the one before. The raw engine resumes the fixpoint of a reduct from the
-cached fixpoint of the latest reduct whose rules it keeps. It leaves
+The canonical engine reads a hypothesis's support off the live facts its
+round sweeps: under literals L, the live facts whose negative body lies
+within L carry exactly the subset-minimal such heads. The hypotheses of
+one iteration only grow, so each reduct keeps the rules of the one before,
+and the raw engine grows one fixpoint closure along that chain. It leaves
 tautologies (rules whose head meets their positive body) out of every
 reduct, an elimination from Brass and Dix's transformation system: a
 resolvent of a tautology contains the premise it resolved on the shared
@@ -44,9 +46,8 @@ from .core import (
     canonical_sets,
     mask_atoms,
     mask_bits,
-    minimal_masks,
 )
-from .fixpoint import _lfp_masks
+from .fixpoint import _close, _Rounds
 
 
 class AdmissibilityError(RouteError):
@@ -86,52 +87,44 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 
 class _Session:
-    """Memoized per-hypothesis support sets over the program's saturation
-    (kept on the Program, see residual.saturated_program).
+    """Support sets over the program's saturation (kept on the Program, see
+    residual.saturated_program), one structure read per engine.
 
-    Literal sets and support sets are atom masks (core.atom_mask): a literal
-    set is one mask, a support set a tuple of masks, decoded to atom sets
-    only at the API edge (cons, attack witnesses, the wfds state). The
-    canonical engine reads a support set off the saturation's fact pairs
-    (residual.fact_masks), never decoded to Rules. The raw engine takes the
-    fixpoint kernel of the reduct's rule masks, tautologies left out
-    (reduct_rules); a reduct is named by the indices of the distinct
-    positive rules it keeps, and many literal sets share one. A new reduct
-    resumes from the cached support of the latest reduct whose rules it
-    keeps; only the support tuples are kept, not the kernel's running sets.
-    The fact pairs an admissibility round sweeps are not kept here: they are
-    the saturation's live facts for the round's literals (residual.live_in),
-    which the saturated Program keeps and every route and engine shares.
+    Literal sets and support sets are atom masks (core.atom_mask), decoded
+    to atom sets only at the API edge (cons, attack witnesses, the wfds
+    state). The canonical engine reads a support set off the saturation's
+    live facts for the literals (residual.live_in), the table its
+    admissibility round sweeps. The raw engine grows one closure of the
+    fixpoint kernel (fixpoint._close) over the reduct's rule masks,
+    tautologies left out (reduct_rules); a reduct is named by the indices
+    of the distinct positive rules it keeps, a new one adds the rules it
+    newly keeps, and one that drops a kept rule starts the closure again.
     """
 
     def __init__(self, program: Program, engine: Engine):
         self.program = program
         self.engine = engine
-        self._support: dict[int, tuple] = {}
-        self._raw: dict[frozenset, tuple] = {}  # kept positive rules -> support
+        self._rounds = _Rounds()
+        self._closure: set = set()
+        self._kept: frozenset = frozenset()  # the closure's positive rules
+        self._members: tuple = ()  # the closure, as of its last growth
 
-    def support(self, lits: int) -> tuple:
-        got = self._support.get(lits)
-        if got is None:
-            if self.engine is Engine.CANONICAL:
-                # The reduct's least model state, read off the saturation:
-                # its facts with negative body in lits, negation dropped.
-                facts = residual.fact_masks(self.saturated)
-                got = tuple(minimal_masks(h for h, n in facts if not n & ~lits))
-            else:
-                positive, rules = self.reduct_rules
-                kept = frozenset(i for i, n in rules if not n & ~lits)
-                got = self._raw.get(kept)
-                if got is None:
-                    # Resume from the latest reduct whose rules this one
-                    # keeps: along the hypothesis chain, the one before.
-                    base = next((k for k in reversed(self._raw) if k <= kept), frozenset())
-                    start = self._raw.get(base, ())
-                    order = sorted(base) + sorted(kept - base)
-                    got = tuple(_lfp_masks([positive[i] for i in order], start, len(base)))
-                    self._raw[kept] = got
-            self._support[lits] = got
-        return got
+    def support(self, lits: int):
+        if self.engine is Engine.CANONICAL:
+            # The reduct's least model state: a live fact whose negative
+            # body lies within lits has a subset-minimal head among those
+            # facts' heads, and each such head has a live fact.
+            live = residual.live_in(self.saturated, lits)
+            return {h for h, n in live if not n & ~lits}
+        positive, rules = self.reduct_rules
+        kept = frozenset(i for i, n in rules if not n & ~lits)
+        if kept != self._kept:
+            if not kept >= self._kept:
+                self._rounds, self._closure, self._kept = _Rounds(), set(), frozenset()
+            new = [positive[i] for i in sorted(kept - self._kept)]
+            self._members = tuple(_close(self._rounds, self._closure, new))
+            self._kept = kept
+        return self._members
 
     @cached_property
     def reduct_rules(self) -> tuple[list, list]:

@@ -14,11 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-Atom = int
-Disjunction = frozenset
-AtomSet = frozenset
-
-
 class CapacityError(RuntimeError):
     """An exhaustive oracle, enumeration, or saturation exceeded its bound."""
 

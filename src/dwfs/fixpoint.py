@@ -8,11 +8,11 @@ contributes d minus b minus the rule's head, so premises that differ only
 there merge before any join, and the slots are joined one at a time into a
 set. The semi-naive rounds (_Rounds) keep each rule slot's contributions
 from earlier rounds as a running set, so a round touches only its new
-clauses. The fixpoint kernel, _lfp_masks, keeps every clause they derive;
-it can resume from the fixpoint of a prefix of its rules, as the raw engine
-of the argumentation route does along a chain of growing reducts.
-residual.lft runs it with a rule's negative body in the bits above the
-atom table; residual._saturate runs the rounds pruned by subsumption.
+clauses. _close grows a closure by more rules, keeping every clause the
+rounds derive: the raw engine of the argumentation route grows one closure
+along its chain of growing reducts, and _lfp_masks closes a rule set from
+nothing. residual.lft runs it with a rule's negative body in the bits above
+the atom table; residual._saturate runs the rounds pruned by subsumption.
 """
 
 from __future__ import annotations
@@ -77,23 +77,30 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
 
 class _Rounds:
     """The semi-naive rounds of the hyperresolution operator over rules
-    given as (head mask, body mask) pairs. Per rule, each body slot keeps as
-    a running set what the clauses of earlier rounds contribute to it
-    (Bancilhon and Ramakrishnan's semi-naive differential, kept per slot),
-    starting from what the clauses in start contribute."""
+    given as (head mask, body mask) pairs, taken on by add. Per rule, each
+    body slot keeps as a running set what the clauses of earlier rounds
+    contribute to it (Bancilhon and Ramakrishnan's semi-naive differential,
+    kept per slot)."""
 
-    def __init__(self, rules: list, start: Iterable[int] = ()):
-        self.rules = rules
-        self.slots = [list(mask_bits(body)) for _, body in rules]
+    def __init__(self):
+        self.rules, self.slots, self.older, self.bodies = [], [], [], 0
+
+    def add(self, rules: list, known: Iterable[int]) -> list:
+        """Take on rules, each body slot starting from what the clauses in
+        known contribute to it; returns those new slots, per rule."""
         bodies = 0
         for _, body in rules:
             bodies |= body
-        self.bodies = bodies
-        by_atom = _index(start, bodies)
-        self.older = [
-            [_slot(by_atom[b], b, head) if b in by_atom else set() for b in body_atoms]
-            for (head, _), body_atoms in zip(rules, self.slots)
-        ]
+        self.bodies |= bodies
+        by_atom = _index(known, bodies)
+        added = []
+        for head, body in rules:
+            body_atoms = list(mask_bits(body))
+            self.slots.append(body_atoms)
+            added.append([_slot(by_atom.get(b, ()), b, head) for b in body_atoms])
+        self.rules += rules
+        self.older += added
+        return added
 
     def derive(self, fresh: list, cap: int | None = None, held: int = 0) -> set:
         """What one round derives from the new clauses fresh: every join
@@ -129,30 +136,22 @@ class _Rounds:
         return derived
 
 
-def _lfp_masks(
-    rules: Iterable[tuple[int, int]],
-    start: Iterable[int] = (),
-    closed: int = 0,
-    cap: int | None = None,
+def _close(
+    rounds: _Rounds, known: set, rules: Iterable[tuple[int, int]], cap: int | None = None
 ) -> set:
-    """The accumulated limit of the hyperresolution operator from the empty
-    set, for rules given as (head mask, body mask) pairs: every clause mask
-    derived, non-minimal members included. start, when given, is that limit
-    for the first `closed` rules, and the computation continues from it.
-
-    Semi-naive (_Rounds), with the same limit as iterating
-    cur | tps_step(p, cur): a round derives only what joins at least one
-    clause new in the previous round. start is closed under the first
-    `closed` rules, so only the remaining rules are joined over it, and
-    their new clauses open the first round. With a cap (and no start),
+    """Grow known, the accumulated limit of the hyperresolution operator
+    for the rules of rounds, into the limit for those rules plus the given
+    (head mask, body mask) pairs, and return it: every clause derived,
+    non-minimal members included. Only the given rules are joined over
+    known; their new clauses open the first round, and a round derives only
+    what joins a clause new in the previous round (_Rounds). The limit is
+    that of iterating cur | tps_step(p, cur). With a cap (and known empty),
     CapacityError exactly when the limit holds more than cap clauses,
     checked after every join and every round.
     """
     rules = list(rules)
-    known = set(start)
-    rounds = _Rounds(rules, known)
     derived: set[int] = set()
-    for (head, _), old in zip(rules[closed:], rounds.older[closed:]):
+    for (head, _), old in zip(rules, rounds.add(rules, known)):
         derived |= _join(head, old)
         if cap is not None and len(derived) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
@@ -165,6 +164,13 @@ def _lfp_masks(
         fresh = [d for d in derived if d not in known]
         known.update(fresh)
     return known
+
+
+def _lfp_masks(rules: Iterable[tuple[int, int]], cap: int | None = None) -> set:
+    """The accumulated limit of the hyperresolution operator from the empty
+    set, for rules given as (head mask, body mask) pairs (_close from
+    nothing)."""
+    return _close(_Rounds(), set(), rules, cap)
 
 
 def tps_lfp(p: Program) -> frozenset:

@@ -79,7 +79,8 @@ def _saturate(rules: list, limit: int) -> tuple[list, int]:
     """
     base = sum(1 for _, body in rules if body)
     derived = {head for head, body in rules if not body}
-    rounds = _Rounds([(h, body) for h, body in rules if body and not h & body])
+    rounds = _Rounds()
+    rounds.add([(h, body) for h, body in rules if body and not h & body], ())
     held: list[int] = []
     index: dict[int, list[int]] = {}  # held clauses by lowest atom
     peak = 0

@@ -316,10 +316,18 @@ def test_wfds_engines_agree():
         assert wfds(p, Engine.CANONICAL) == wfds(p, Engine.RAW)
 
 
-def test_raw_engine_states_unchanged_without_tautologies():
+def test_raw_engine_states_unchanged_without_tautologies(monkeypatch):
     # Dense programs, as in the raw-engine fixpoint tests. Dropping the
     # tautologies changes no state, and each raw support set reached has
     # the reduct's least model state as its subset-minimal members.
+    reached = []
+    real = _Session.support
+
+    def spy(self, lits_mask):
+        got = real(self, lits_mask)
+        reached.append((lits_mask, got))
+        return got
+
     checked = 0
     for seed in range(1, 101):
         p = random_program(
@@ -331,13 +339,43 @@ def test_raw_engine_states_unchanged_without_tautologies():
         checked += 1
         pruned = p.with_rules(r for r in p.rules if not r.is_tautology)
         assert wfds(p, Engine.RAW) == wfds(p, Engine.CANONICAL) == wfds(pruned, Engine.RAW), seed
-        session = _Session(p, Engine.RAW)
-        session.wfdh_literals()  # caches the support set of every round
-        for lits_mask, support in session._support.items():
+        reached.clear()
+        monkeypatch.setattr(_Session, "support", spy)
+        _Session(p, Engine.RAW).wfdh_literals()  # the support set of every round
+        monkeypatch.undo()
+        assert reached, seed
+        for lits_mask, support in reached:
             delta = Hypothesis(mask_atoms(lits_mask))
             got = {mask_atoms(m) for m in minimal_masks(support)}
             assert got == least_model_state(reduct(p, delta)), seed
     assert checked > 80
+
+
+def test_support_is_a_function_of_the_literals_alone():
+    # A session asked out of chain order (A, then B not containing A, then
+    # A again) answers as fresh sessions do: the raw engine starts its
+    # closure again when a reduct drops a rule it kept.
+    rnd = random.Random(20)
+    programs = [
+        random_program(GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
+                                       max_pos_body=2, max_neg_body=2))
+        for seed in range(1, 41)
+    ]
+    programs += [  # criterion 2 of the acceptance suite
+        random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8, max_head=3,
+                                       max_pos_body=3, max_neg_body=3,
+                                       neg_probability=0.5))
+        for seed in range(100)
+    ]
+    for p in programs:
+        n = len(p.atom_names)
+        a = rnd.getrandbits(n) | 1
+        b = rnd.getrandbits(n) & ~1
+        for engine in Engine:
+            session = _Session(p, engine)
+            for lits_mask in (a, b, a):
+                want = set(_Session(p, engine).support(lits_mask))
+                assert set(session.support(lits_mask)) == want, (engine, lits_mask)
 
 
 def test_wfdh_self_consistent_and_wfds_consistent():

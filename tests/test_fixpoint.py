@@ -21,7 +21,7 @@ from dwfs import (
     wfds,
 )
 from dwfs.core import mask_atoms
-from dwfs.fixpoint import _lfp_masks
+from dwfs.fixpoint import _close, _lfp_masks, _Rounds
 from dwfs.harness import atom_names
 from conftest import atoms
 
@@ -80,20 +80,22 @@ def _random_positive_programs(count):
 
 
 def _raw_engine_reducts(monkeypatch, seeds):
-    """Every fixpoint the raw engine takes, on dense programs: the reduct's
-    rules as (head mask, body mask) pairs, the fixpoint it resumed from and
-    the number of leading rules that one covers, and the kernel's result."""
-    requested = []
-    real = argumentation._lfp_masks
+    """Every closure growth of the raw engine, on dense programs, one list
+    per wfds call: the rules the closure held before, the rules added, the
+    closure before and the kernel's result."""
+    calls = []
+    real = argumentation._close
 
-    def spy(rules, start=(), closed=0):
+    def spy(rounds, known, rules, cap=None):
         rules = list(rules)
-        got = real(rules, start, closed)
-        requested.append((rules, tuple(start), closed, got))
+        held, start = list(rounds.rules), tuple(known)
+        got = real(rounds, known, rules, cap)
+        calls[-1].append((held, rules, start, frozenset(got)))
         return got
 
-    monkeypatch.setattr(argumentation, "_lfp_masks", spy)
+    monkeypatch.setattr(argumentation, "_close", spy)
     for seed in seeds:
+        calls.append([])
         wfds(
             random_program(
                 GeneratorConfig(seed, num_atoms=10, num_rules=16, max_head=2,
@@ -102,7 +104,7 @@ def _raw_engine_reducts(monkeypatch, seeds):
             Engine.RAW,
         )
     monkeypatch.undo()
-    return requested
+    return calls
 
 
 def _as_program(rules):
@@ -113,15 +115,15 @@ def _as_program(rules):
 
 
 def test_lfp_matches_naive_oracle_iteration(monkeypatch):
-    reducts = _raw_engine_reducts(monkeypatch, range(1, 41))
+    reducts = [r for call in _raw_engine_reducts(monkeypatch, range(1, 41)) for r in call]
     assert len(reducts) > 40
-    # The raw engine resumes along the hypothesis chain.
-    assert sum(closed > 0 for _, _, closed, _ in reducts) > 20
-    for rules, start, closed, got in reducts:
-        assert {mask_atoms(d) for d in got} == _oracle_lfp(_as_program(rules))
-        assert {mask_atoms(d) for d in start} == _oracle_lfp(_as_program(rules[:closed]))
+    # The raw engine grows one closure along the hypothesis chain.
+    assert sum(bool(start) for _, _, start, _ in reducts) > 20
+    for held, added, start, got in reducts:
+        assert {mask_atoms(d) for d in got} == _oracle_lfp(_as_program(held + added))
+        assert {mask_atoms(d) for d in start} == _oracle_lfp(_as_program(held))
     programs = list(_random_positive_programs(200))
-    programs += [_as_program(rules) for rules, _, _, _ in reducts]
+    programs += [_as_program(held + added) for held, added, _, _ in reducts]
     for q in programs:
         assert tps_lfp(q) == _oracle_lfp(q)
 
@@ -135,16 +137,18 @@ _RULES = st.lists(st.tuples(st.integers(1, 63), st.integers(0, 63)), max_size=10
 def test_lfp_resumes_from_a_prefix_fixpoint(rules, data):
     k = data.draw(st.integers(0, len(rules)))
     whole = _lfp_masks(rules)
-    assert _lfp_masks(rules, _lfp_masks(rules[:k]), k) == whole
+    rounds, known = _Rounds(), set()
+    _close(rounds, known, rules[:k])
+    assert _close(rounds, known, rules[k:]) == whole
     assert {mask_atoms(d) for d in whole} == _oracle_lfp(_as_program(rules))
 
 
 def test_raw_engine_computes_each_reduct_once(monkeypatch):
-    # Literal sets that keep the same rules share one reduct; its fixpoint
-    # is computed once per wfds call.
-    for seed in range(1, 41):
-        rules = [frozenset(r[0]) for r in _raw_engine_reducts(monkeypatch, [seed])]
-        assert len(rules) == len(set(rules)), seed
+    # Literal sets that keep the same rules share one reduct; each positive
+    # part joins the closure at most once per wfds call.
+    for seed, call in enumerate(_raw_engine_reducts(monkeypatch, range(1, 41)), 1):
+        added = [rule for _, rules, _, _ in call for rule in rules]
+        assert len(added) == len(set(added)), seed
 
 
 def test_step_matches_oracle_round():

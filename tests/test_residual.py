@@ -28,7 +28,7 @@ from dwfs import (
     wfds,
 )
 import dwfs.residual as residual
-from dwfs.core import ModelState, atom_mask, decode_facts
+from dwfs.core import ModelState, atom_mask, decode_facts, minimal_masks
 from dwfs.harness import check_equivalence
 from dwfs.residual import (
     classic_residual,
@@ -417,6 +417,12 @@ def test_subsumption_kernel_matches_all_pairs_s_implies(facts, false):
         if any(s_implies(h1, 0, n1 & off, h2, 0, n2 & off) for h2, n2 in facts)
     )
     assert residual._superseded_masks(facts, false) == want
+    # The live facts whose negative body lies within false carry exactly the
+    # subset-minimal heads of those facts (the canonical engine's support).
+    live = facts - residual._superseded_masks(facts, false)
+    assert {h for h, n in live if not n & ~false} == set(
+        minimal_masks(h for h, n in facts if not n & ~false)
+    )
     assert decode_facts(residual._classic_reduce(facts)) == _classic_reduction_all_pairs(
         decode_facts(facts)
     )
