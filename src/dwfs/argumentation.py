@@ -3,7 +3,9 @@ hypotheses under two derivation engines, the attack relation, admissibility,
 and the well-founded hypothesis fixpoint.
 
 Admissibility is decided fact-wise over the program's saturation into
-conditional facts: every derivation of an atom flows through such a fact,
+conditional facts (the route memo, residual.route_program, which leaves
+out the facts a unit fact supersedes under every hypothesis of the
+iteration): every derivation of an atom flows through such a fact,
 so "not a" is admissible when every fact with a in its head is disarmed.
 A fact is disarmed when a strictly stronger fact (smaller head, conditions
 within the fact's own conditions plus already-false atoms) supersedes it,
@@ -19,14 +21,17 @@ residual.live_in).
 
 The canonical engine reads a hypothesis's support off the live facts its
 round sweeps: under literals L, the live facts whose negative body lies
-within L carry exactly the subset-minimal such heads. The hypotheses of
-one iteration only grow, so each reduct keeps the rules of the one before,
-and the raw engine grows one fixpoint closure along that chain. It leaves
-tautologies (rules whose head meets their positive body) out of every
-reduct, an elimination from Brass and Dix's transformation system: a
-resolvent of a tautology contains the premise it resolved on the shared
-atom, so the subset-minimal support members, and with them every state,
-are unchanged.
+within L carry exactly the subset-minimal such heads. For literals that
+meet the unit atoms, which only a caller of cons, derives, attacks or
+admissible can ask about, it reads the specification memo
+(residual.saturated_program) instead; those one-shot calls keep no table
+on either memo. The hypotheses of one iteration only grow, so each reduct
+keeps the rules of the one before, and the raw engine grows one fixpoint
+closure along that chain. It leaves tautologies (rules whose head meets
+their positive body) out of every reduct, an elimination from Brass and
+Dix's transformation system: a resolvent of a tautology contains the
+premise it resolved on the shared atom, so the subset-minimal support
+members, and with them every state, are unchanged.
 """
 
 from __future__ import annotations
@@ -88,22 +93,25 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 class _Session:
     """Support sets over the program's saturation (kept on the Program, see
-    residual.saturated_program), one structure read per engine.
+    residual.route_program), one structure read per engine.
 
     Literal sets and support sets are atom masks (core.atom_mask), decoded
     to atom sets only at the API edge (cons, attack witnesses, the wfds
     state). The canonical engine reads a support set off the saturation's
-    live facts for the literals (residual.live_in), the table its
-    admissibility round sweeps. The raw engine grows one closure of the
+    live facts for the literals (live), the table its admissibility round
+    sweeps. A route session keeps its tables on the memo (residual.live_in),
+    where every route reads them; a session of a one-shot API call (keep
+    false) keeps them to itself. The raw engine grows one closure of the
     fixpoint kernel (fixpoint._close) over the reduct's rule masks,
     tautologies left out (reduct_rules); a reduct is named by the indices
     of the distinct positive rules it keeps, a new one adds the rules it
     newly keeps, and one that drops a kept rule starts the closure again.
     """
 
-    def __init__(self, program: Program, engine: Engine):
+    def __init__(self, program: Program, engine: Engine, keep: bool = True):
         self.program = program
         self.engine = engine
+        self._own: dict | None = None if keep else {}  # lits -> live facts
         self._rounds = _Rounds()
         self._closure: set = set()
         self._kept: frozenset = frozenset()  # the closure's positive rules
@@ -114,8 +122,7 @@ class _Session:
             # The reduct's least model state: a live fact whose negative
             # body lies within lits has a subset-minimal head among those
             # facts' heads, and each such head has a live fact.
-            live = residual.live_in(self.saturated, lits)
-            return {h for h, n in live if not n & ~lits}
+            return {h for h, n in self.live(lits) if not n & ~lits}
         positive, rules = self.reduct_rules
         kept = frozenset(i for i, n in rules if not n & ~lits)
         if kept != self._kept:
@@ -172,8 +179,23 @@ class _Session:
         return None
 
     @cached_property
-    def saturated(self) -> Program:
-        return residual.saturated_program(self.program)
+    def memo(self) -> tuple[Program, int]:
+        """The route memo and its unit atoms (residual.route_program)."""
+        return residual.route_program(self.program)
+
+    def live(self, lits: int) -> frozenset:
+        """The saturation's live fact pairs under the literals lits, off the
+        route memo unless lits meets its unit atoms: both memos have the
+        same live facts under every other literal set (residual.route_program)."""
+        q, units = self.memo
+        if lits & units:
+            q = residual.saturated_program(self.program)
+        if self._own is None:
+            return residual.live_in(q, lits)
+        got = self._own.get(lits)
+        if got is None:
+            got = self._own[lits] = residual._live_facts(q, lits)
+        return got
 
     def remainders(self, lits: int) -> dict[int, list]:
         """The distinct nonempty support members minus lits, under the
@@ -206,7 +228,7 @@ class _Session:
         """
         remainders = self.remainders(delta_lits)
         armed = 0
-        for head, neg in residual.live_in(self.saturated, delta_lits):
+        for head, neg in self.live(delta_lits):
             t = (neg | head) & ~delta_lits
             common = -1  # the atoms of every remainder within t; -1 while none is
             for a in mask_bits(t):
@@ -248,12 +270,13 @@ def derives(
     """True iff delta supports the positive disjunction a: some support-set
     member equals a plus atoms cancelled by delta's literal assumptions."""
     lits = atom_mask(delta.literal_assumptions)
-    return _Session(p, engine).derives(lits, atom_mask(a))
+    return _Session(p, engine, keep=False).derives(lits, atom_mask(a))
 
 
 def cons(p: Program, delta: Hypothesis, engine: Engine = Engine.CANONICAL) -> frozenset:
     """Canonical core of everything delta supports."""
-    return canonical_sets(_Session(p, engine).cons(atom_mask(delta.literal_assumptions)))
+    session = _Session(p, engine, keep=False)
+    return canonical_sets(session.cons(atom_mask(delta.literal_assumptions)))
 
 
 def attacks(
@@ -268,7 +291,7 @@ def attacks(
     derivable. Clause 2: the disjunction of some nonempty set of the target's
     literal assumptions is derivable.
     """
-    return _Session(p, engine).attack_witness(delta, target)
+    return _Session(p, engine, keep=False).attack_witness(delta, target)
 
 
 def self_consistent(p: Program, delta: Hypothesis) -> bool:
@@ -285,7 +308,7 @@ def admissible(
     """True iff the assumption "not atom" is admissible with respect to delta:
     every attacker deriving the atom is superseded or counterattacked."""
     lits = atom_mask(delta.literal_assumptions)
-    return not _Session(p, engine).armed(lits) >> atom & 1
+    return not _Session(p, engine, keep=False).armed(lits) >> atom & 1
 
 
 def wfdh(p: Program, engine: Engine = Engine.CANONICAL) -> Hypothesis:

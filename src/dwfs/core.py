@@ -63,22 +63,40 @@ def minimal_masks(masks: Iterable[int], by_lowest: dict | None = None) -> list:
 
     Only a member with fewer atoms can be a strict subset of m, and its
     lowest atom then lies in m, so each m is tested against the members
-    kept so far under the one-atom masks of its own atoms. by_lowest, when
-    given, is that index of nonzero masks kept earlier: a member that one of
-    them subsumes (equal ones included) is dropped too, and the kept members
-    are added to it.
+    kept so far under the one-atom masks of its own atoms, and only under
+    those that are some kept member's lowest atom. by_lowest, when given,
+    is that index of nonzero masks kept earlier: a member that one of them
+    subsumes (equal ones included) is dropped too, and the kept members are
+    added to it. A repeated member is dropped the same way, by its first
+    copy.
     """
-    masks = set(masks)
-    if 0 in masks:
+    ordered = sorted(masks, key=int.bit_count)
+    if ordered and not ordered[0]:
         return [0]
     kept: list[int] = []
     if by_lowest is None:
         by_lowest = {}
+    lows = 0  # the atoms under which by_lowest holds a mask
+    for low in by_lowest:
+        lows |= low
     get = by_lowest.get
-    for m in sorted(masks, key=int.bit_count):
-        if not _covers(m, get):
+    for m in ordered:
+        # _covers(m, get), inlined, over the indexed atoms of m only: this
+        # loop is the hot path of every layer.
+        rest = m & lows
+        covered = False
+        while rest and not covered:
+            low = rest & -rest
+            rest ^= low
+            for k in get(low):
+                if not k & ~m:
+                    covered = True
+                    break
+        if not covered:
             kept.append(m)
-            by_lowest.setdefault(m & -m, []).append(m)
+            low = m & -m
+            lows |= low
+            by_lowest.setdefault(low, []).append(m)
     return kept
 
 
@@ -179,10 +197,12 @@ class Program:
     order is irrelevant to equality.
 
     A saturation holds its facts as (head mask, negative body mask) pairs,
-    _facts, with _rules None until first read (residual.saturated_program).
+    _facts, with _rules None until first read (residual.saturated_program,
+    residual.route_program).
     """
 
-    __slots__ = ("_rules", "_facts", "atom_names", "_names_key", "_saturated", "_live")
+    __slots__ = ("_rules", "_facts", "atom_names", "_names_key", "_saturated", "_reduced",
+                 "_live")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -199,7 +219,8 @@ class Program:
         self._facts = None  # (head, negative body) mask pairs, see residual.fact_masks
         self.atom_names = names
         self._names_key = None
-        self._saturated = None  # (Program, peak), see residual.saturated_program
+        self._saturated = None  # (Program, peak, 0), see residual.saturated_program
+        self._reduced = None  # (Program, peak, unit atoms), see residual.route_program
         self._live: dict = {}  # false-atom mask -> fact pairs, see residual.live_in
 
     @property

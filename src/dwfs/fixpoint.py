@@ -111,7 +111,9 @@ class _Rounds:
         first slot that draws a new clause; a new contribution that an
         earlier clause already makes joins nothing earlier rounds missed.
         The slots are joined last first, and each one's new contributions
-        join its running set right after its own join. With a cap,
+        join its running set right after its own join. A one-slot rule's
+        join is the head with each new contribution, and a join with
+        another slot's running set empty is skipped. With a cap,
         CapacityError as soon as held plus the clauses derived exceed it.
         """
         by_atom = _index(fresh, self.bodies)
@@ -122,6 +124,14 @@ class _Rounds:
         for (head, body), body_atoms, old in zip(self.rules, self.slots, self.older):
             if not body & touched:
                 continue
+            if len(body_atoms) == 1:  # fresh holds the body atom: body & touched
+                new = _slot(by_atom[body], body, head) - old[0]
+                if new:
+                    derived |= {head | c for c in new}
+                    if cap is not None and held + len(derived) > cap:
+                        raise CapacityError(f"saturation exceeded {cap} stored rules")
+                    old[0] |= new
+                continue
             for i in range(len(body_atoms) - 1, -1, -1):
                 b = body_atoms[i]
                 premises = by_atom.get(b)
@@ -129,9 +139,11 @@ class _Rounds:
                     continue
                 new = _slot(premises, b, head) - old[i]
                 if new:
-                    derived |= _join(head, old[:i] + [new] + old[i + 1 :])
-                    if cap is not None and held + len(derived) > cap:
-                        raise CapacityError(f"saturation exceeded {cap} stored rules")
+                    slots = old[:i] + [new] + old[i + 1 :]
+                    if all(slots):  # an empty running set joins nothing
+                        derived |= _join(head, slots)
+                        if cap is not None and held + len(derived) > cap:
+                            raise CapacityError(f"saturation exceeded {cap} stored rules")
                     old[i] |= new
         return derived
 

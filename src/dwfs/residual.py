@@ -1,8 +1,16 @@
 """Bottom-up computation of the transformation-based semantics: saturation
 of a program into conditional facts on fixpoint's semi-naive
 hyperresolution rounds (lft unpruned, saturated_program pruned by
-subsumption), strong reduction, the strong residual program, its read-off
+subsumption, route_program pruned and reduced by unit facts while
+saturating), strong reduction, the strong residual program, its read-off
 state, and the classic reduction baseline.
+
+A Program keeps two saturation memos. saturated_program is the
+specification, the subset-minimal facts of lft. route_program, the one
+every route reads, drops on the way each fact whose negative body holds a
+unit atom a (one with the fact "a."), which that fact s-implies under any
+false atoms that leave a out: Brass, Dix, Freitag and Zukowski's
+reduction while unfolding. A route computes only the route memo.
 
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts). The saturation, its live tables and the reduction loops
@@ -63,19 +71,31 @@ def _pairs(facts: Iterable[Rule]) -> frozenset:
     """The (head mask, negative body mask) pairs of conditional facts."""
     return frozenset((r.head_mask, r.neg_mask) for r in facts)
 
-def _saturate(rules: list, limit: int) -> tuple[list, int]:
+def _saturate(rules: list, width: int, limit: int, reduce: bool) -> tuple[list, int, int]:
     """The subset-minimal clauses of the limit of the hyperresolution
-    operator, for rules encoded as in _encoded, on fixpoint's semi-naive
-    rounds pruned by subsumption. Tautologies are left out: a resolvent of
-    one contains the premise it resolved on the shared atom. The input facts
-    open the first round, and each round admits only its minimal clauses
-    that no held clause subsumes; a clause derived from a subsumed premise
-    is subsumed by the subsumer or by what the subsumer derives in its
-    place. Held clauses are never evicted. Returns the subset-minimal held
-    clauses and the peak number of rules held at once (the input rules with
-    a positive body, the admitted clauses and the current round's
-    resolvents, fixed by the program alone); CapacityError once that
-    exceeds limit.
+    operator, for rules encoded as in _encoded over an atom table of width
+    atoms, on fixpoint's semi-naive rounds pruned by subsumption.
+    Tautologies are left out: a resolvent of one contains the premise it
+    resolved on the shared atom. The input facts open the first round, and
+    each round admits only its minimal clauses that no held clause
+    subsumes; a clause derived from a subsumed premise is subsumed by the
+    subsumer or by what the subsumer derives in its place. Held clauses are
+    never evicted.
+
+    With reduce, negative reduction by unit facts runs while saturating:
+    the unit atoms (a with the fact "a." admitted) are collected as clauses
+    are admitted, a derived clause whose negative body meets them is
+    dropped before admission, and the held clauses are filtered once at the
+    end. A resolvent's negative body holds its premises' ones, so no clause
+    that is kept is derived from, or subsumed by, a dropped one; the result
+    is the unreduced one less the clauses whose negative body meets the
+    unit atoms.
+
+    Returns the kept clauses, the peak number of rules held at once (the
+    input rules with a positive body, the admitted clauses and the current
+    round's resolvents before any is dropped, fixed by the program alone),
+    and the mask of unit atoms (0 without reduce); CapacityError once that
+    peak exceeds limit.
     """
     base = sum(1 for _, body in rules if body)
     derived = {head for head, body in rules if not body}
@@ -83,15 +103,24 @@ def _saturate(rules: list, limit: int) -> tuple[list, int]:
     rounds.add([(h, body) for h, body in rules if body and not h & body], ())
     held: list[int] = []
     index: dict[int, list[int]] = {}  # held clauses by lowest atom
+    drop = 0  # the unit atoms, shifted to the negative-body bits
     peak = 0
     while True:
         peak = max(peak, base + len(held) + len(derived))
         if peak > limit:
             raise CapacityError(f"saturation exceeded {limit} stored rules")
+        if drop:
+            derived = [d for d in derived if not d & drop]
         fresh = minimal_masks(derived, index)
         if not fresh:
-            return minimal_masks(held), peak
+            if drop:
+                held = [d for d in held if not d & drop]
+            return minimal_masks(held), peak, drop >> width
         held += fresh
+        if reduce:
+            for d in fresh:
+                if not d & (d - 1):  # one atom, a head atom: a unit fact
+                    drop |= d << width
         derived = rounds.derive(fresh, limit, base + len(held))
 
 
@@ -108,29 +137,65 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     return decode_facts(_split(p, closure))
 
 
+def _memo(p: Program, limit: int, reduce: bool) -> tuple[Program, int, int]:
+    """A saturation memo of p (_saturate, reducing by unit facts when
+    reduce): the saturated program over p's atom table, the peak and the
+    unit atoms."""
+    facts, peak, units = _saturate(_encoded(p), len(p.atom_names), limit, reduce)
+    q = Program((), p.atom_names)
+    q._rules, q._facts = None, _split(p, facts)
+    return q, peak, units
+
+
+def _checked(memo: tuple, limit: int) -> tuple[Program, int]:
+    """A memo's program and unit atoms; CapacityError if its peak exceeds
+    limit."""
+    q, peak, units = memo
+    if peak > limit:
+        raise CapacityError(f"saturation exceeded {limit} stored rules")
+    return q, units
+
+
 def saturated_program(p: Program, cap: int | None = None) -> Program:
     """The saturation of p, as a program over p's atom table: the
     subsumption-minimal facts of lft(p), those no other fact of lft(p)
     subsumes with a head and a negative body that are both subsets.
 
     Computed by _saturate, on the kernel's rounds pruned by subsumption
-    (Brass and Dix's residual-program computation). This is the one
-    saturation memo: it is computed once per Program instance and kept on
-    it, with the peak number of rules held on the way, so a later call
-    whose cap lies below that peak still raises CapacityError. Every route
-    reads its fact pairs (fact_masks) and their live tables (live_in); its
-    rules are decoded from the pairs once, on first read (saturation).
+    (Brass and Dix's residual-program computation). This is the
+    specification memo: it is computed once per Program instance and kept
+    on it, with the peak number of rules held on the way, so a later call
+    whose cap lies below that peak still raises CapacityError. saturation
+    and the tests read it, and so does the argumentation route's support
+    for a hypothesis that assumes a unit atom false; every route reads
+    route_program instead. Its rules are decoded from the fact pairs
+    (fact_masks) once, on first read (saturation).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
-        facts, peak = _saturate(_encoded(p), limit)
-        q = Program((), p.atom_names)
-        q._rules, q._facts = None, _split(p, facts)
-        p._saturated = q, peak
-    q, peak = p._saturated
-    if peak > limit:
-        raise CapacityError(f"saturation exceeded {limit} stored rules")
-    return q
+        p._saturated = _memo(p, limit, False)
+    return _checked(p._saturated, limit)[0]
+
+
+def route_program(p: Program, cap: int | None = None) -> tuple[Program, int]:
+    """The saturation every route reads, and the mask of its unit atoms
+    (the atoms a with the fact "a." in it): saturated_program(p)'s facts
+    less those whose negative body meets the unit atoms, computed by
+    _saturate with negative reduction by unit facts while saturating, so
+    that the dropped facts never join. The second memo on p, kept with its
+    own peak (CapacityError as for saturated_program); a route never
+    computes the specification memo beside it.
+
+    Under false atoms L that miss the unit atoms, both memos have the same
+    live table (live_in): a dropped fact keeps a unit atom a in its
+    discounted negative body, so the fact "a." s-implies it, and it can
+    s-imply only facts whose negative body also holds a, which are dropped
+    too. No route's false atoms meet the unit atoms, which are true.
+    """
+    limit = DEFAULT_LFT_CAP if cap is None else cap
+    if p._reduced is None:
+        p._reduced = _memo(p, limit, True)
+    return _checked(p._reduced, limit)
 
 
 def saturation(p: Program, cap: int | None = None) -> frozenset:
@@ -175,7 +240,10 @@ def _weaker_forms(forms: Collection[tuple[int, int]], blocking: bool) -> set:
 def _superseded_masks(facts: Collection[tuple[int, int]], false: int = 0) -> frozenset:
     """The (head mask, negative body mask) fact pairs that a strictly
     stronger one s-implies once the atoms of the mask false are discounted:
-    _weaker_forms over the distinct discounted forms."""
+    _weaker_forms over the distinct discounted forms, which with no false
+    atom are the facts themselves."""
+    if not false:
+        return frozenset(_weaker_forms(facts, False))
     off = ~false
     gone = _weaker_forms({(h, n & off) for h, n in facts}, False)
     return frozenset((h, n) for h, n in facts if (h, n & off) in gone)
@@ -193,14 +261,19 @@ def live_in(q: Program, false: int = 0) -> frozenset:
     """q's fact pairs (fact_masks) that no strictly stronger one s-implies
     once the atoms of the mask false are discounted, the only ones a route
     reads. Computed once per program and mask and kept on q: on
-    saturated_program(p), wfds sweeps it in every admissibility round, uwfs
+    route_program(p), wfds sweeps it in every admissibility round, uwfs
     reads it in every W step and dwfs_star in its first reduction pass."""
     table = q._live
     got = table.get(false)
     if got is None:
-        facts = fact_masks(q)
-        got = table[false] = facts - _superseded_masks(facts, false)
+        got = table[false] = _live_facts(q, false)
     return got
+
+
+def _live_facts(q: Program, false: int) -> frozenset:
+    """live_in(q, false) built afresh and not kept on q."""
+    facts = fact_masks(q)
+    return facts - _superseded_masks(facts, false)
 
 
 def _strong_reduce(facts: frozenset, live: frozenset | None = None) -> frozenset:
@@ -218,9 +291,9 @@ def strong_reduction(n: Iterable[Rule]) -> frozenset:
 
 
 def _strong_fixpoint(p: Program, cap: int | None) -> frozenset:
-    """The strong residual program of p as fact pairs. The first pass keeps
-    the saturation's live facts (live_in)."""
-    q = saturated_program(p, cap)
+    """The strong residual program of p as fact pairs, over the route memo
+    (route_program). The first pass keeps its live facts (live_in)."""
+    q = route_program(p, cap)[0]
     n = fact_masks(q)
     nxt = _strong_reduce(n, live_in(q))
     while nxt != n:
@@ -249,8 +322,9 @@ def classic_reduction(n: Iterable[Rule]) -> frozenset:
 
 
 def _classic_fixpoint(p: Program, cap: int | None) -> frozenset:
-    """The classic residual program of p as fact pairs."""
-    n = fact_masks(saturated_program(p, cap))
+    """The classic residual program of p as fact pairs, over the route memo
+    (route_program)."""
+    n = fact_masks(route_program(p, cap)[0])
     while (nxt := _classic_reduce(n)) != n:
         n = nxt
     return n

@@ -3,12 +3,15 @@ well-founded operator they induce, on programs of conditional facts.
 
 The domain is a program of conditional facts (rules with no positive body),
 the residual-program form of Brass and Dix: uwfs reads the program's
-saturation into that form (residual.saturated_program), since positive body
-atoms carry support information that only the saturated form exposes
-rule-locally. Every function here raises ValueError on a rule with a
-positive body. They read the facts as (head mask, negative body mask) pairs
-(residual.fact_masks, residual.live_in) and a state as the masks it holds,
-and never decode a state, in uwfs's W steps included.
+saturation into that form (the route memo, residual.route_program), since
+positive body atoms carry support information that only the saturated form
+exposes rule-locally. The route memo leaves out the facts whose negative
+body holds a unit atom; a unit atom is never unfounded, so such a fact
+never fires and is superseded in every W step. Every function here raises
+ValueError on a rule with a positive body. They read the facts as (head
+mask, negative body mask) pairs (residual.fact_masks, residual.live_in)
+and a state as the masks it holds, and never decode a state, in uwfs's W
+steps included.
 
 An atom set X is unfounded with respect to a state when every rule with a
 head atom in X is blocked. A rule is blocked when its body is false, when a
@@ -158,8 +161,8 @@ def w_operator(p: Program, s: ModelState) -> ModelState:
 def uwfs(p: Program) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts (the saturated program
-    kept on p, see residual.saturated_program)."""
-    saturated = residual.saturated_program(p)
+    kept on p, see residual.route_program)."""
+    saturated = residual.route_program(p)[0]
     state = ModelState()
     while True:
         nxt = w_operator(saturated, state)

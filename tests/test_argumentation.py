@@ -9,6 +9,7 @@ from dwfs import (
     Hypothesis,
     admissible,
     attacks,
+    check_equivalence,
     cons,
     derives,
     least_model_state,
@@ -20,7 +21,7 @@ from dwfs import (
     wfdh,
     wfds,
 )
-from dwfs import residual
+from dwfs import harness, residual
 from dwfs.argumentation import _Session
 from dwfs.core import atom_mask, mask_atoms, minimal_masks
 from conftest import (
@@ -230,9 +231,10 @@ def _reference_admissible(session, delta_lits, atom):
     fact with the atom in its head, some remainder (a minimal nonempty
     support member minus delta_lits) lies within the assumptions an
     attacker must make, its negated atoms and its other head atoms not
-    already assumed false."""
+    already assumed false. The facts come from the specification memo, not
+    from the route memo the session reads."""
     rests = [r for group in session.remainders(delta_lits).values() for r in group]
-    for head, neg in residual.live_in(session.saturated, delta_lits):
+    for head, neg in residual.live_in(residual.saturated_program(session.program), delta_lits):
         if not head >> atom & 1:
             continue
         target = (neg | head & ~(1 << atom)) & ~delta_lits
@@ -405,3 +407,75 @@ def test_literal_attackers_suffice():
 def test_hypothesis_rejects_unit_disjunctive_assumption():
     with pytest.raises(ValueError):
         Hypothesis(frozenset(), frozenset({frozenset({1})}))
+
+
+def _table_counts(p):
+    """The live tables kept on p's saturation memos: the route memo's, and
+    the specification memo's once computed."""
+    counts = [len(residual.route_program(p)[0]._live)]
+    if p._saturated is not None:
+        counts.append(len(residual.saturated_program(p)._live))
+    return counts
+
+
+def test_one_shot_calls_keep_no_live_table():
+    # cons, derives, attacks and admissible build the tables they read
+    # without keeping them on the memo, whatever the hypothesis; one that
+    # assumes a unit atom false reads the specification memo. The dense
+    # program has 28 saturated facts and no unit atom, the sparse one three.
+    rnd = random.Random(8)
+    for cfg, unit_atoms in (
+        (GeneratorConfig(3, 16, 24, 2, 2, 2), 0),
+        (GeneratorConfig(3, 24, 24, 2, 1, 2), 3),
+    ):
+        p = random_program(cfg)
+        wfds(p)
+        assert bin(residual.route_program(p)[1]).count("1") == unit_atoms
+        kept = _table_counts(p)
+        n = len(p.atom_names)
+        for _ in range(3000):
+            cons(p, Hypothesis(mask_atoms(rnd.getrandbits(n) & rnd.getrandbits(n))))
+        for _ in range(100):
+            delta = Hypothesis(mask_atoms(rnd.getrandbits(n) & rnd.getrandbits(n)))
+            target = Hypothesis(mask_atoms(rnd.getrandbits(n)))
+            derives(p, delta, frozenset((rnd.randrange(n),)))
+            attacks(p, delta, target)
+            admissible(p, delta, rnd.randrange(n))
+        # Some hypothesis met the unit atoms, if any, and read the
+        # specification memo; no table was kept on either memo.
+        assert _table_counts(p) == kept + [0] * bool(unit_atoms)
+
+
+def test_later_routes_hit_the_tables_wfds_keeps(monkeypatch):
+    # Inside check_equivalence, wfds builds each live table the routes read
+    # once, and every lookup of the routes after it hits the memo.
+    real = residual.live_in
+    route = []
+    lookups = {}
+
+    def spy(q, false=0):
+        got = lookups.setdefault(route[-1], [0, 0])
+        got[0] += 1
+        got[1] += false in q._live
+        return real(q, false)
+
+    inner = harness.compute_semantics
+
+    def labelled(p, name):
+        route.append(name)
+        return inner(p, name)
+
+    monkeypatch.setattr(residual, "live_in", spy)
+    monkeypatch.setattr(harness, "compute_semantics", labelled)
+    for seed in range(60):
+        for cfg in (
+            GeneratorConfig(seed, 6, 8),
+            GeneratorConfig(seed, 18 + seed % 7, 18 + seed % 7, 2, 1, 2),
+            GeneratorConfig(seed + 1, 10, 16, 2, 2, 2),
+        ):
+            report = check_equivalence(random_program(cfg))
+            assert report.equal and not report.errors
+    assert set(lookups) == {"wfds", "wfds-raw", "dwfs-star", "uwfs"}
+    for name in ("wfds-raw", "dwfs-star", "uwfs"):
+        calls, hits = lookups[name]
+        assert hits == calls > 100, name

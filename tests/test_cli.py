@@ -8,10 +8,13 @@ import dwfs.harness as harness
 import dwfs.residual as residual
 from dwfs import (
     CapacityError,
+    GeneratorConfig,
     ModelState,
     RouteError,
     check_equivalence,
     parse_program,
+    random_program,
+    render_program,
     render_state,
     state_json,
 )
@@ -267,6 +270,26 @@ def test_capacity_exit_code(tmp_path, capsys):
     code, _ = _run(["residual", str(path), "--lft-cap", "1"])
     assert code == 3
     assert "capacity" in capsys.readouterr().err
+
+
+def test_residual_lft_cap_boundary_is_the_route_memo_peak(tmp_path, capsys):
+    # dwfs residual reads the route memo, so --lft-cap counts the most rules
+    # its saturation held at once: one below that peak exits 3, the peak
+    # itself passes. On this dense program the route memo, reduced by unit
+    # facts while saturating, peaks at 17 against the specification
+    # memo's 24, so caps 17 to 23 print the residual program.
+    path = tmp_path / "dense-07.lp"
+    path.write_text(render_program(random_program(GeneratorConfig(7, 10, 16, 2, 2, 2))))
+    p = parse_program(path.read_text())
+    residual.route_program(p)
+    residual.saturated_program(p)
+    peak = p._reduced[1]
+    assert (peak, p._saturated[1]) == (17, 24)
+    for extra in ([], ["--classic"]):
+        assert _run(["residual", str(path), "--lft-cap", str(peak - 1), *extra]) == (3, "")
+        assert "capacity error" in capsys.readouterr().err
+        code, out = _run(["residual", str(path), "--lft-cap", str(peak), *extra])
+        assert code == 0 and out == _run(["residual", str(path), *extra])[1] != ""
 
 
 def test_route_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -28,7 +28,7 @@ from dwfs import (
     wfds,
 )
 import dwfs.residual as residual
-from dwfs.core import ModelState, atom_mask, decode_facts, minimal_masks
+from dwfs.core import ModelState, atom_mask, decode_facts, heads_mask, minimal_masks
 from dwfs.harness import check_equivalence
 from dwfs.residual import (
     classic_residual,
@@ -447,7 +447,7 @@ def test_indexed_scans_match_all_pairs_on_sparse_saturations():
 
 
 def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
-    # Every route reads the saturation's supersession table, so across
+    # Every route reads the route memo's supersession table, so across
     # check_equivalence's routes and rounds no (saturation, false set) pair
     # reaches _superseded_masks, the supersession behind live_in, twice.
     real = residual._superseded_masks
@@ -474,7 +474,7 @@ def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
         calls.clear()
         report = check_equivalence(p)
         assert report.equal and not report.errors
-        facts = residual.fact_masks(residual.saturated_program(p))
+        facts = residual.fact_masks(residual.route_program(p)[0])
         false_sets = [false for got, false in calls if got == facts]
         assert len(false_sets) == len(set(false_sets)), p
         assert 0 in false_sets
@@ -521,6 +521,68 @@ def test_mask_level_residual_loops_match_all_pairs_references():
         assert classic_residual(p) == _fixpoint(_classic_reduction_all_pairs, facts), p
         reduced += want != facts
     assert reduced > 100
+
+
+def test_route_memo_is_the_saturation_less_what_unit_facts_supersede(monkeypatch):
+    # The routes read route_program(p): the specification memo's facts less
+    # those whose negative body meets the unit atoms. Under every false set
+    # check_equivalence's routes reach, and under random ones that miss the
+    # unit atoms, both memos have the same live table.
+    real = residual.live_in
+    reached = []
+
+    def spy(q, false=0):
+        reached.append(false)
+        return real(q, false)
+
+    monkeypatch.setattr(residual, "live_in", spy)
+    rnd = random.Random(21)
+    dropped = compared = 0
+    for p in _residual_programs():
+        reached.clear()
+        report = check_equivalence(p)
+        assert report.equal and not report.errors
+        q, units = residual.route_program(p)
+        spec = saturated_program(p)
+        facts = residual.fact_masks(spec)
+        assert units == heads_mask(h for h, n in facts if not n and not h & (h - 1))
+        assert residual.fact_masks(q) == frozenset((h, n) for h, n in facts if not n & units)
+        dropped += len(facts) - len(residual.fact_masks(q))
+        width = len(p.atom_names)
+        randoms = {rnd.getrandbits(width) & ~units for _ in range(4)}
+        for false in set(reached) | randoms:
+            assert not false & units, p
+            assert residual._live_facts(q, false) == residual._live_facts(spec, false), (p, false)
+            compared += 1
+    assert dropped > 100 and compared > 1000
+
+
+def test_routes_never_compute_the_specification_memo(monkeypatch):
+    # On the bench families, check_equivalence, dwfs_classic and both
+    # residual programs compute one saturation memo, the route memo.
+    real = residual._memo
+    memos = []
+
+    def spy(p, limit, reduce):
+        memos.append(reduce)
+        return real(p, limit, reduce)
+
+    monkeypatch.setattr(residual, "_memo", spy)
+    configs = [GeneratorConfig(seed, 6, 8, 3, 3, 3, 0.5) for seed in range(40)]
+    configs += [GeneratorConfig(seed, 5, 7, 1, 2, 2, 0.7) for seed in range(40)]
+    configs += [GeneratorConfig(seed, 5, 6, 3, 3, 3, 0.0) for seed in range(40)]
+    configs += [GeneratorConfig(seed, 10, 16, 2, 2, 2, 0.5) for seed in range(40)]
+    configs += [GeneratorConfig(seed, 18 + seed % 7, 18 + seed % 7, 2, 1, 2, 0.5)
+                for seed in range(40)]
+    for cfg in configs:
+        memos.clear()
+        p = random_program(cfg)
+        report = check_equivalence(p)
+        assert report.equal and not report.errors
+        dwfs_classic(p)
+        strong_residual(p)
+        classic_residual(p)
+        assert memos == [True], cfg
 
 
 def _decode_test_programs():
