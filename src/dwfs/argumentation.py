@@ -23,15 +23,18 @@ The canonical engine reads a hypothesis's support off the live facts its
 round sweeps: under literals L, the live facts whose negative body lies
 within L carry exactly the subset-minimal such heads. For literals that
 meet the unit atoms, which only a caller of cons, derives, attacks or
-admissible can ask about, it reads the specification memo
-(residual.saturated_program) instead; those one-shot calls keep no table
-on either memo. The hypotheses of one iteration only grow, so each reduct
-keeps the rules of the one before, and the raw engine grows one fixpoint
-closure along that chain. It leaves tautologies (rules whose head meets
-their positive body) out of every reduct, an elimination from Brass and
-Dix's transformation system: a resolvent of a tautology contains the
-premise it resolved on the shared atom, so the subset-minimal support
-members, and with them every state, are unchanged.
+admissible can ask about, it reads the saturation reduced by the unit
+atoms outside the literals (residual.saturation_keeping) instead, which
+has the specification memo's live facts there; those one-shot calls keep
+no table and no saturation on the Program. The hypotheses of one
+iteration only grow, so each reduct keeps the rules of the one before, and
+the raw engine grows one fixpoint closure along that chain, built from the
+program's mask triples (Program.masks), never its Rules. It leaves
+tautologies (rules whose head meets their positive body) out of every
+reduct, an elimination from Brass and Dix's transformation system: a
+resolvent of a tautology contains the premise it resolved on the shared
+atom, so the subset-minimal support members, and with them every state,
+are unchanged.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ class _Session:
     live facts for the literals (live), the table its admissibility round
     sweeps. A route session keeps its tables on the memo (residual.live_in),
     where every route reads them; a session of a one-shot API call (keep
-    false) keeps them to itself. The raw engine grows one closure of the
+    false) keeps them to itself, with the saturations it reads for literals
+    that meet the unit atoms. The raw engine grows one closure of the
     fixpoint kernel (fixpoint._close) over the reduct's rule masks,
     tautologies left out (reduct_rules); a reduct is named by the indices
     of the distinct positive rules it keeps, a new one adds the rules it
@@ -111,7 +115,9 @@ class _Session:
     def __init__(self, program: Program, engine: Engine, keep: bool = True):
         self.program = program
         self.engine = engine
-        self._own: dict | None = None if keep else {}  # lits -> live facts
+        self._keep = keep
+        self._own: dict = {}  # lits -> live facts not kept on the memo
+        self._keeping: dict = {}  # unit atoms in lits -> residual.saturation_keeping
         self._rounds = _Rounds()
         self._closure: set = set()
         self._kept: frozenset = frozenset()  # the closure's positive rules
@@ -142,11 +148,11 @@ class _Session:
         non-minimal members to every fixpoint."""
         index: dict[tuple, int] = {}
         rules = []
-        for r in self.program.rules:
-            if r.is_tautology:
+        for head, pos, neg in self.program.masks:
+            if head & pos:  # a tautology
                 continue
-            i = index.setdefault((r.head_mask, r.pos_mask), len(index))
-            rules.append((i, r.neg_mask))
+            i = index.setdefault((head, pos), len(index))
+            rules.append((i, neg))
         return list(index), rules
 
     def unit_support(self, lits: int) -> int:
@@ -185,12 +191,18 @@ class _Session:
 
     def live(self, lits: int) -> frozenset:
         """The saturation's live fact pairs under the literals lits, off the
-        route memo unless lits meets its unit atoms: both memos have the
-        same live facts under every other literal set (residual.route_program)."""
+        route memo unless lits meets its unit atoms: the route memo has the
+        specification memo's live facts under every other literal set
+        (residual.route_program). For literals that meet them, which no
+        route asks about, off the saturation reduced by the unit atoms
+        outside lits (residual.saturation_keeping), kept in the session."""
         q, units = self.memo
-        if lits & units:
-            q = residual.saturated_program(self.program)
-        if self._own is None:
+        kept = lits & units
+        if kept:
+            q = self._keeping.get(kept)
+            if q is None:
+                q = self._keeping[kept] = residual.saturation_keeping(self.program, kept)
+        elif self._keep:
             return residual.live_in(q, lits)
         got = self._own.get(lits)
         if got is None:

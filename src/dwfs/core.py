@@ -149,7 +149,7 @@ class Rule:
     @classmethod
     def _of(cls, head, pos, neg, head_mask: int, pos_mask: int, neg_mask: int) -> "Rule":
         """The rule of the given atom frozensets (head nonempty) and their
-        masks, without __post_init__'s re-encoding: the parser's constructor."""
+        masks, without __post_init__'s re-encoding: decode_rules' constructor."""
         r = object.__new__(cls)
         r.__dict__.update(head=head, pos_body=pos, neg_body=neg, head_mask=head_mask,
                           pos_mask=pos_mask, neg_mask=neg_mask)
@@ -177,6 +177,14 @@ def decode_facts(facts: Iterable[tuple[int, int]]) -> frozenset:
     return frozenset(Rule(mask_atoms(h), (), mask_atoms(n)) for h, n in facts)
 
 
+def decode_rules(masks: Iterable[tuple[int, int, int]]) -> frozenset:
+    """The rules that (head, positive body, negative body) mask triples
+    encode, each head nonempty."""
+    return frozenset(
+        Rule._of(mask_atoms(h), mask_atoms(p), mask_atoms(n), h, p, n) for h, p, n in masks
+    )
+
+
 def heads_mask(heads: Iterable[int]) -> int:
     """The union of the head masks heads: the atom mask of every head atom."""
     acc = 0
@@ -188,7 +196,12 @@ def heads_mask(heads: Iterable[int]) -> int:
 class Program:
     """A deduplicated finite rule set over an interned atom table.
 
-    `rules` is that set itself, a frozenset in no fixed order; ordering
+    The program holds its rules as one mask store: masks, the frozenset of
+    (head, positive body, negative body) mask triples, which every route
+    reads. `rules` is the same set as Rule values, a frozenset in no fixed
+    order, decoded from the store on first read (Program(rules, names)
+    keeps the rules it is given and fills the store from their masks);
+    equality, hashing, rendering and the transformations read it. Ordering
     happens only where output is rendered (render_program, the trace, the
     harness reports). The base is the whole table, which may include atoms
     no rule mentions (such atoms are false under every semantics computed
@@ -196,37 +209,65 @@ class Program:
     when their rule sets and bases coincide up to atom names, so interning
     order is irrelevant to equality.
 
-    A saturation holds its facts as (head mask, negative body mask) pairs,
-    _facts, with _rules None until first read (residual.saturated_program,
-    residual.route_program).
+    A saturation's store is its facts as (head mask, negative body mask)
+    pairs, _facts (residual.saturated_program, residual.route_program); its
+    triples are derived from them on first read.
     """
 
-    __slots__ = ("_rules", "_facts", "atom_names", "_names_key", "_saturated", "_reduced",
-                 "_live")
+    __slots__ = ("_rules", "_masks", "_facts", "atom_names", "_names_key", "_saturated",
+                 "_reduced", "_live")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate atom names in table")
         rules = frozenset(rules)
+        # A Rule holds no negative atom id: its masks cannot be built.
+        masks = frozenset((r.head_mask, r.pos_mask, r.neg_mask) for r in rules)
         n = len(names)
-        for r in rules:
-            # A Rule holds no negative atom id: its masks cannot be built.
-            if (r.head_mask | r.pos_mask | r.neg_mask) >> n:
-                a = next(a for a in r.atoms() if a >= n)
-                raise ValueError(f"atom id {a} outside table of size {n}")
+        used = 0
+        for h, p, m in masks:
+            used |= h | p | m
+        outside = used >> n
+        if outside:
+            a = n + (outside & -outside).bit_length() - 1
+            raise ValueError(f"atom id {a} outside table of size {n}")
+        self._init(names, masks, None)
         self._rules = rules
-        self._facts = None  # (head, negative body) mask pairs, see residual.fact_masks
+
+    def _init(self, names: tuple, masks: frozenset | None, facts: frozenset | None):
+        self._rules = None  # decoded from the store on first read
+        self._masks = masks
+        self._facts = facts  # (head, negative body) mask pairs, see residual.fact_masks
         self.atom_names = names
         self._names_key = None
-        self._saturated = None  # (Program, peak, 0), see residual.saturated_program
+        self._saturated = None  # (Program, peak, unit atoms), see residual.saturated_program
         self._reduced = None  # (Program, peak, unit atoms), see residual.route_program
         self._live: dict = {}  # false-atom mask -> fact pairs, see residual.live_in
+
+    @classmethod
+    def _of(cls, names: tuple, masks: frozenset | None = None,
+            facts: frozenset | None = None) -> "Program":
+        """The program over a table of distinct names of its mask triples
+        (the parser's constructor) or of its (head mask, negative body mask)
+        fact pairs (a saturation memo's), unchecked: every head nonempty and
+        every atom in the table."""
+        p = object.__new__(cls)
+        p._init(names, masks, facts)
+        return p
+
+    @property
+    def masks(self) -> frozenset:
+        """The rules as (head, positive body, negative body) mask triples."""
+        if self._masks is None:
+            self._masks = frozenset((h, 0, n) for h, n in self._facts)
+        return self._masks
 
     @property
     def rules(self) -> frozenset:
         if self._rules is None:
-            self._rules = decode_facts(self._facts)
+            facts = self._facts
+            self._rules = decode_rules(self._masks) if facts is None else decode_facts(facts)
         return self._rules
 
     @property
@@ -264,7 +305,8 @@ class Program:
         return hash(self._key())
 
     def __repr__(self):
-        return f"Program({len(self.rules)} rules over {len(self.atom_names)} atoms)"
+        store = self._masks if self._masks is not None else self._facts
+        return f"Program({len(store)} rules over {len(self.atom_names)} atoms)"
 
 
 def canonicalize(ds: Iterable[frozenset]) -> frozenset:

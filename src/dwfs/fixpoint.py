@@ -13,6 +13,8 @@ rounds derive: the raw engine of the argumentation route grows one closure
 along its chain of growing reducts, and _lfp_masks closes a rule set from
 nothing. residual.lft runs it with a rule's negative body in the bits above
 the atom table; residual._saturate runs the rounds pruned by subsumption.
+Every function here reads a program's mask triples (Program.masks), never
+its Rules.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .core import CapacityError, Program, atom_mask, canonicalize, mask_atoms, m
 
 
 def _require_positive(p: Program):
-    if any(r.neg_body for r in p.rules):
+    if any(neg for _, _, neg in p.masks):
         raise ValueError("operation requires a positive program (no default negation)")
 
 
@@ -68,9 +70,8 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
     _require_positive(p)
     by_atom = _index({atom_mask(d) for d in j})
     out: set[int] = set()
-    for r in p.rules:
-        head = r.head_mask
-        slots = [_slot(by_atom.get(b, ()), b, head) for b in mask_bits(r.pos_mask)]
+    for head, pos, _ in p.masks:
+        slots = [_slot(by_atom.get(b, ()), b, head) for b in mask_bits(pos)]
         out |= _join(head, slots)
     return frozenset(mask_atoms(d) for d in out)
 
@@ -190,9 +191,7 @@ def tps_lfp(p: Program) -> frozenset:
     (the _lfp_masks kernel, read back as atom sets). Non-minimal members are
     kept."""
     _require_positive(p)
-    return frozenset(
-        mask_atoms(d) for d in _lfp_masks((r.head_mask, r.pos_mask) for r in p.rules)
-    )
+    return frozenset(mask_atoms(d) for d in _lfp_masks((h, pos) for h, pos, _ in p.masks))
 
 
 def least_model_state(p: Program) -> frozenset:

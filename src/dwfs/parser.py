@@ -12,6 +12,11 @@ Blanks (space, tab, CR and LF) are insignificant and "%" starts a comment
 that runs to the next LF. Only LF starts a new line of an error position.
 Duplicate head atoms, duplicate body literals, and duplicate rules are
 silently merged.
+
+parse_program builds each rule as a (head, positive body, negative body)
+triple of atom masks (core.atom_mask) as it scans, and the Program from the
+set of those triples: it builds no Rule and no atom set, and the program's
+rules are decoded from the triples only when read.
 """
 
 from __future__ import annotations
@@ -87,24 +92,20 @@ def parse_program(text: str) -> Program:
     tokens.append("")  # the end of input
     end = len(tokens) - 1
     ids: dict[str, int] = {}
-    rules = set()
+    rules = set()  # (head, positive body, negative body) mask triples
     i = 0
     while i < end:
-        head = set()
-        head_mask = 0
+        head = 0
         while True:
             a = ids.get(tokens[i])
             if a is None:
                 a = _new_atom(text, tokens, i, ids, "in a rule head")
-            head.add(a)
-            head_mask |= 1 << a
+            head |= 1 << a
             i += 1
             if tokens[i] != "|":
                 break
             i += 1
-        pos_body = set()
-        neg_body = set()
-        pos_mask = neg_mask = 0
+        pos = neg = 0
         tok = tokens[i]
         i += 1
         if tok == ":-":
@@ -114,14 +115,12 @@ def parse_program(text: str) -> Program:
                     a = ids.get(tokens[i])
                     if a is None:
                         a = _new_atom(text, tokens, i, ids, "after 'not'")
-                    neg_body.add(a)
-                    neg_mask |= 1 << a
+                    neg |= 1 << a
                 else:
                     a = ids.get(tokens[i])
                     if a is None:
                         a = _new_atom(text, tokens, i, ids, None)
-                    pos_body.add(a)
-                    pos_mask |= 1 << a
+                    pos |= 1 << a
                 tok = tokens[i + 1]
                 i += 2
                 if tok == ",":
@@ -133,9 +132,8 @@ def parse_program(text: str) -> Program:
         elif tok != ".":
             found = tok or "end of input"
             raise _error(text, tokens, i - 1, f"expected ':-' or '.', found {found!r}")
-        rules.add(Rule._of(frozenset(head), frozenset(pos_body), frozenset(neg_body),
-                           head_mask, pos_mask, neg_mask))
-    return Program(rules, ids)
+        rules.add((head, pos, neg))
+    return Program._of(tuple(ids), masks=frozenset(rules))
 
 
 def render_rule(r: Rule, names) -> str:

@@ -10,7 +10,10 @@ specification, the subset-minimal facts of lft. route_program, the one
 every route reads, drops on the way each fact whose negative body holds a
 unit atom a (one with the fact "a."), which that fact s-implies under any
 false atoms that leave a out: Brass, Dix, Freitag and Zukowski's
-reduction while unfolding. A route computes only the route memo.
+reduction while unfolding. A route computes only the route memo;
+saturation_keeping, kept on no Program, drops only the facts on unit atoms
+outside a given mask. Every saturation reads the program's mask triples
+(Program.masks), never its Rules.
 
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts). The saturation, its live tables and the reduction loops
@@ -45,19 +48,22 @@ from .transforms import TransformKind, TransformStep
 DEFAULT_LFT_CAP = 1_000_000
 
 
+_NOT_FACTS = "negative program may contain only conditional facts"
+
+
 def _check_facts(n: Iterable[Rule]) -> frozenset:
     facts = frozenset(n)
     if any(r.pos_mask for r in facts):
-        raise ValueError("negative program may contain only conditional facts")
+        raise ValueError(_NOT_FACTS)
     return facts
 
 
 def _encoded(p: Program) -> list:
-    """p's rules as (clause mask, body mask) pairs for fixpoint's kernel: a
-    clause carries its head, and its negative body in the bits above the
-    atom table."""
+    """p's rules (its mask triples) as (clause mask, body mask) pairs for
+    fixpoint's kernel: a clause carries its head, and its negative body in
+    the bits above the atom table."""
     n = len(p.atom_names)
-    return [(r.head_mask | r.neg_mask << n, r.pos_mask) for r in p.rules]
+    return [(h | neg << n, pos) for h, pos, neg in p.masks]
 
 
 def _split(p: Program, clauses: Iterable[int]) -> frozenset:
@@ -71,7 +77,7 @@ def _pairs(facts: Iterable[Rule]) -> frozenset:
     """The (head mask, negative body mask) pairs of conditional facts."""
     return frozenset((r.head_mask, r.neg_mask) for r in facts)
 
-def _saturate(rules: list, width: int, limit: int, reduce: bool) -> tuple[list, int, int]:
+def _saturate(rules: list, width: int, limit: int, keep: int) -> tuple[list, int, int]:
     """The subset-minimal clauses of the limit of the hyperresolution
     operator, for rules encoded as in _encoded over an atom table of width
     atoms, on fixpoint's semi-naive rounds pruned by subsumption.
@@ -82,20 +88,19 @@ def _saturate(rules: list, width: int, limit: int, reduce: bool) -> tuple[list, 
     subsumer or by what the subsumer derives in its place. Held clauses are
     never evicted.
 
-    With reduce, negative reduction by unit facts runs while saturating:
-    the unit atoms (a with the fact "a." admitted) are collected as clauses
-    are admitted, a derived clause whose negative body meets them is
-    dropped before admission, and the held clauses are filtered once at the
-    end. A resolvent's negative body holds its premises' ones, so no clause
-    that is kept is derived from, or subsumed by, a dropped one; the result
-    is the unreduced one less the clauses whose negative body meets the
-    unit atoms.
+    Negative reduction by the unit atoms outside the atom mask keep runs
+    while saturating: the unit atoms (a with the fact "a." admitted) are
+    collected as clauses are admitted, a derived clause whose negative body
+    meets those outside keep is dropped before admission, and the held
+    clauses are filtered once at the end. A resolvent's negative body holds
+    its premises' ones, so no clause that is kept is derived from, or
+    subsumed by, a dropped one; the result is the unreduced one (keep -1)
+    less the clauses whose negative body meets the unit atoms outside keep.
 
     Returns the kept clauses, the peak number of rules held at once (the
     input rules with a positive body, the admitted clauses and the current
     round's resolvents before any is dropped, fixed by the program alone),
-    and the mask of unit atoms (0 without reduce); CapacityError once that
-    peak exceeds limit.
+    and the mask of unit atoms; CapacityError once that peak exceeds limit.
     """
     base = sum(1 for _, body in rules if body)
     derived = {head for head, body in rules if not body}
@@ -103,7 +108,8 @@ def _saturate(rules: list, width: int, limit: int, reduce: bool) -> tuple[list, 
     rounds.add([(h, body) for h, body in rules if body and not h & body], ())
     held: list[int] = []
     index: dict[int, list[int]] = {}  # held clauses by lowest atom
-    drop = 0  # the unit atoms, shifted to the negative-body bits
+    units = 0
+    drop = 0  # the unit atoms outside keep, shifted to the negative-body bits
     peak = 0
     while True:
         peak = max(peak, base + len(held) + len(derived))
@@ -115,12 +121,12 @@ def _saturate(rules: list, width: int, limit: int, reduce: bool) -> tuple[list, 
         if not fresh:
             if drop:
                 held = [d for d in held if not d & drop]
-            return minimal_masks(held), peak, drop >> width
+            return minimal_masks(held), peak, units
         held += fresh
-        if reduce:
-            for d in fresh:
-                if not d & (d - 1):  # one atom, a head atom: a unit fact
-                    drop |= d << width
+        for d in fresh:
+            if not d & (d - 1):  # one atom, a head atom: a unit fact
+                units |= d
+                drop |= (d & ~keep) << width
         derived = rounds.derive(fresh, limit, base + len(held))
 
 
@@ -137,14 +143,12 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     return decode_facts(_split(p, closure))
 
 
-def _memo(p: Program, limit: int, reduce: bool) -> tuple[Program, int, int]:
-    """A saturation memo of p (_saturate, reducing by unit facts when
-    reduce): the saturated program over p's atom table, the peak and the
-    unit atoms."""
-    facts, peak, units = _saturate(_encoded(p), len(p.atom_names), limit, reduce)
-    q = Program((), p.atom_names)
-    q._rules, q._facts = None, _split(p, facts)
-    return q, peak, units
+def _memo(p: Program, limit: int, keep: int) -> tuple[Program, int, int]:
+    """A saturation of p reduced by the unit atoms outside the mask keep
+    (_saturate; by none with keep -1, by all with keep 0), as a program of
+    fact pairs over p's atom table, with the peak and the unit atoms."""
+    facts, peak, units = _saturate(_encoded(p), len(p.atom_names), limit, keep)
+    return Program._of(p.atom_names, facts=_split(p, facts)), peak, units
 
 
 def _checked(memo: tuple, limit: int) -> tuple[Program, int]:
@@ -166,14 +170,14 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     specification memo: it is computed once per Program instance and kept
     on it, with the peak number of rules held on the way, so a later call
     whose cap lies below that peak still raises CapacityError. saturation
-    and the tests read it, and so does the argumentation route's support
-    for a hypothesis that assumes a unit atom false; every route reads
-    route_program instead. Its rules are decoded from the fact pairs
-    (fact_masks) once, on first read (saturation).
+    and the tests read it; every route reads route_program instead, and a
+    one-shot argumentation call about a unit atom saturation_keeping. Its
+    rules are decoded from the fact pairs (fact_masks) once, on first read
+    (saturation).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
-        p._saturated = _memo(p, limit, False)
+        p._saturated = _memo(p, limit, -1)
     return _checked(p._saturated, limit)[0]
 
 
@@ -194,8 +198,25 @@ def route_program(p: Program, cap: int | None = None) -> tuple[Program, int]:
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._reduced is None:
-        p._reduced = _memo(p, limit, True)
+        p._reduced = _memo(p, limit, 0)
     return _checked(p._reduced, limit)
+
+
+def saturation_keeping(p: Program, keep: int) -> Program:
+    """The saturation of p less the facts whose negative body meets a unit
+    atom outside the atom mask keep, under the default cap and kept
+    nowhere: _saturate with negative reduction by those unit atoms only.
+
+    Under false atoms L whose unit atoms lie within keep, it has the live
+    table (live_in) of saturated_program(p), by route_program's argument
+    restricted to the atoms outside keep: a dropped fact keeps a unit atom
+    a outside L in its discounted negative body, so "a." s-implies it, and
+    it can s-imply only facts that are dropped too. The one-shot cons,
+    derives, attacks and admissible read it for a hypothesis that assumes
+    a unit atom false, which the route memo does not cover, without
+    computing the unreduced specification memo.
+    """
+    return _memo(p, DEFAULT_LFT_CAP, keep)[0]
 
 
 def saturation(p: Program, cap: int | None = None) -> frozenset:
@@ -206,9 +227,13 @@ def saturation(p: Program, cap: int | None = None) -> frozenset:
 
 def fact_masks(q: Program) -> frozenset:
     """q's facts as (head mask, negative body mask) pairs: a saturation's fact
-    store, else q's conditional facts (ValueError otherwise), encoded once."""
+    store, else q's conditional facts (ValueError otherwise), read off its
+    mask triples once."""
     if q._facts is None:
-        q._facts = _pairs(_check_facts(q.rules))
+        masks = q.masks
+        if any(pos for _, pos, _ in masks):
+            raise ValueError(_NOT_FACTS)
+        q._facts = frozenset((h, n) for h, _, n in masks)
     return q._facts
 
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+import time
 
 import pytest
 
@@ -418,11 +420,20 @@ def _table_counts(p):
     return counts
 
 
-def test_one_shot_calls_keep_no_live_table():
+def test_one_shot_calls_keep_no_live_table(monkeypatch):
     # cons, derives, attacks and admissible build the tables they read
     # without keeping them on the memo, whatever the hypothesis; one that
-    # assumes a unit atom false reads the specification memo. The dense
-    # program has 28 saturated facts and no unit atom, the sparse one three.
+    # assumes a unit atom false reads a saturation reduced by the unit atoms
+    # outside its literals, kept by its session alone. The dense program
+    # has 28 saturated facts and no unit atom, the sparse one three.
+    real = residual.saturation_keeping
+    keeping = []
+
+    def spy(p, keep):
+        keeping.append(keep)
+        return real(p, keep)
+
+    monkeypatch.setattr(residual, "saturation_keeping", spy)
     rnd = random.Random(8)
     for cfg, unit_atoms in (
         (GeneratorConfig(3, 16, 24, 2, 2, 2), 0),
@@ -441,9 +452,45 @@ def test_one_shot_calls_keep_no_live_table():
             derives(p, delta, frozenset((rnd.randrange(n),)))
             attacks(p, delta, target)
             admissible(p, delta, rnd.randrange(n))
-        # Some hypothesis met the unit atoms, if any, and read the
-        # specification memo; no table was kept on either memo.
-        assert _table_counts(p) == kept + [0] * bool(unit_atoms)
+        # Some hypothesis met the unit atoms, if any, and read a saturation
+        # reduced outside them; no table and no specification memo was kept.
+        units = residual.route_program(p)[1]
+        assert bool(keeping) == bool(unit_atoms)
+        assert all(keep and not keep & ~units for keep in keeping)
+        assert _table_counts(p) == kept and p._saturated is None
+        keeping.clear()
+
+
+def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family():
+    # Assuming a unit atom false used to read the unreduced specification
+    # memo, which runs for minutes on this family; the saturation reduced
+    # by the other unit atoms takes well under 0.1 s per call on a 2-core
+    # machine. An alarm stops a regression instead of letting it hang, and
+    # the time bound is about ten times what the calls take.
+    def expired(signum, frame):
+        raise TimeoutError("one-shot calls about unit atoms ran past 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    try:
+        start = time.perf_counter()
+        for s in range(12):
+            cfg = GeneratorConfig(9600 + s, 300, 600, max_head=1, max_pos_body=2,
+                                  max_neg_body=2, neg_probability=0.9)
+            p = random_program(cfg)
+            units = residual.route_program(p)[1]
+            for a in sorted(mask_atoms(units))[:3]:
+                delta = Hypothesis({a})
+                # A hypothesis that assumes a unit atom false attacks itself.
+                assert frozenset({a}) in cons(p, delta)
+                assert derives(p, delta, {a})
+                assert attacks(p, delta, delta) is not None
+                assert not admissible(p, delta, a)
+            assert p._saturated is None
+        assert time.perf_counter() - start < 30
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_later_routes_hit_the_tables_wfds_keeps(monkeypatch):

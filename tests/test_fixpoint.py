@@ -15,6 +15,7 @@ from dwfs import (
     least_model_state,
     parse_program,
     random_program,
+    render_program,
     subsumes,
     tps_lfp,
     tps_step,
@@ -171,6 +172,33 @@ def test_step_requires_positive_program():
     p = parse_program("a :- not b.")
     with pytest.raises(ValueError):
         tps_step(p, set())
+
+
+def test_parsed_positive_programs_match_the_program_of_their_rules():
+    # A parsed positive program reads its mask triples; the program built
+    # from its decoded Rules must give the same answers.
+    rnd = random.Random(42)
+    for seed in range(60):
+        cfg = GeneratorConfig(seed, 6, 8, max_neg_body=0, neg_probability=0.0)
+        text = render_program(random_program(cfg))
+        p = parse_program(text)
+        q = Program(parse_program(text).rules, p.atom_names)
+        lfp = tps_lfp(p)
+        assert lfp == tps_lfp(q)
+        assert least_model_state(p) == least_model_state(q)
+        for _ in range(3):
+            j = [d for d in lfp if rnd.random() < 0.5]
+            assert tps_step(p, j) == tps_step(q, j)
+        assert p._rules is None
+
+
+def test_parsed_negation_is_rejected():
+    p = parse_program("a :- b, not c. b.")
+    for program in (p, Program(p.rules, p.atom_names)):
+        for call in (lambda: tps_lfp(program), lambda: tps_step(program, set()),
+                     lambda: least_model_state(program)):
+            with pytest.raises(ValueError, match="positive program"):
+                call()
 
 
 def test_step_resolves_body_atom_against_premise():

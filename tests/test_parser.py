@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dwfs import (
     GeneratorConfig,
     ParseError,
+    Program,
     Rule,
     parse_program,
     random_program,
@@ -15,6 +16,7 @@ from dwfs import (
     state_json,
 )
 from dwfs.core import atom_mask
+from dwfs.residual import saturated_program
 from conftest import SUPPORT_DEMO, TRAVEL, atoms, state
 
 
@@ -54,6 +56,41 @@ def test_parsed_rules_carry_their_masks():
             assert r.neg_mask == atom_mask(r.neg_body)
             built = Rule(r.head, r.pos_body, r.neg_body)
             assert r == built and hash(r) == hash(built)
+
+
+def _bench_family_texts():
+    """Rendered criterion-2, sparse 18 to 24 atom and dense programs."""
+    configs = [GeneratorConfig(seed, 6, 8) for seed in range(30)]
+    configs += [GeneratorConfig(seed, 18 + seed % 7, 18 + seed % 7, 2, 1, 2)
+                for seed in range(30)]
+    configs += [GeneratorConfig(seed, 10, 16, 2, 2, 2) for seed in range(30)]
+    return [render_program(random_program(cfg)) for cfg in configs]
+
+
+def test_parsed_program_equals_the_program_of_its_rules_and_its_reparse():
+    # The parser's mask triples make a Program equal, and hashing equal, to
+    # the one built from its decoded Rules and to its own re-parse.
+    for text in _bench_family_texts():
+        p = parse_program(text)
+        for q in (Program(p.rules, p.atom_names), parse_program(render_program(p))):
+            assert p == q and hash(p) == hash(q)
+            assert p.masks == q.masks
+
+
+def test_repr_decodes_nothing():
+    p = parse_program("a | b :- c, not d. a | b :- c, not d. c.")
+    assert repr(p) == "Program(2 rules over 4 atoms)"
+    assert p._rules is None
+    q = saturated_program(p)
+    assert repr(q) == "Program(2 rules over 4 atoms)"
+    assert q._rules is None and q._masks is None
+
+
+def test_duplicate_atoms_and_rules_merge_in_the_mask_store():
+    p = parse_program("a | a | b :- c, c, not d, not d. b | a :- c, not d. a :- c.")
+    assert len(p.masks) == 2 and len(p.rules) == 2
+    assert p == parse_program("b | a :- c, not d. a :- c.")
+    assert Program(p.rules, p.atom_names).masks == p.masks
 
 
 def test_interning_follows_first_occurrence():

@@ -9,18 +9,24 @@ from dwfs import (
     CapacityError,
     Engine,
     GeneratorConfig,
+    Hypothesis,
     Rule,
     TransformKind,
+    admissible,
     applicable,
     apply,
+    attacks,
     bd_semantics_axioms,
     classic_reduction,
+    cons,
+    derives,
     is_s_implication,
     dwfs_classic,
     dwfs_star,
     lft,
     parse_program,
     random_program,
+    render_program,
     strong_reduction,
     strong_residual,
     tpg_step,
@@ -28,7 +34,15 @@ from dwfs import (
     wfds,
 )
 import dwfs.residual as residual
-from dwfs.core import ModelState, atom_mask, decode_facts, heads_mask, minimal_masks
+from dwfs.argumentation import _Session
+from dwfs.core import (
+    ModelState,
+    atom_mask,
+    decode_facts,
+    heads_mask,
+    mask_atoms,
+    minimal_masks,
+)
 from dwfs.harness import check_equivalence
 from dwfs.residual import (
     classic_residual,
@@ -557,15 +571,48 @@ def test_route_memo_is_the_saturation_less_what_unit_facts_supersede(monkeypatch
     assert dropped > 100 and compared > 1000
 
 
+def test_saturation_keeping_has_the_specifications_live_table():
+    # For literals that meet the unit atoms, the one-shot argumentation
+    # calls read the saturation reduced by the unit atoms outside the
+    # literals: the specification memo's facts less those whose negative
+    # body meets a unit atom outside them, with the specification memo's
+    # live table under those literals.
+    rnd = random.Random(22)
+    compared = 0
+    for p in _residual_programs():
+        units = residual.route_program(p)[1]
+        if not units:
+            continue
+        spec = saturated_program(p)
+        facts = residual.fact_masks(spec)
+        width = len(p.atom_names)
+        for _ in range(3):
+            unit = rnd.choice([1 << a for a in range(width) if units >> a & 1])
+            lits = rnd.getrandbits(width) & rnd.getrandbits(width) | unit
+            keep = lits & units
+            q = residual.saturation_keeping(p, keep)
+            dropped = units & ~keep
+            assert residual.fact_masks(q) == frozenset((h, n) for h, n in facts
+                                                       if not n & dropped), p
+            want = residual._live_facts(spec, lits)
+            assert residual._live_facts(q, lits) == want, (p, lits)
+            assert _Session(p, Engine.CANONICAL, keep=False).live(lits) == want, (p, lits)
+            compared += 1
+    assert compared > 300
+
+
 def test_routes_never_compute_the_specification_memo(monkeypatch):
     # On the bench families, check_equivalence, dwfs_classic and both
-    # residual programs compute one saturation memo, the route memo.
+    # residual programs compute one saturation memo, the route memo (keep
+    # 0). The one-shot cons, derives, attacks and admissible compute no
+    # other memo; on hypotheses that meet the unit atoms they saturate
+    # keeping those atoms, never the specification memo (keep -1).
     real = residual._memo
     memos = []
 
-    def spy(p, limit, reduce):
-        memos.append(reduce)
-        return real(p, limit, reduce)
+    def spy(p, limit, keep):
+        memos.append(keep)
+        return real(p, limit, keep)
 
     monkeypatch.setattr(residual, "_memo", spy)
     configs = [GeneratorConfig(seed, 6, 8, 3, 3, 3, 0.5) for seed in range(40)]
@@ -574,6 +621,8 @@ def test_routes_never_compute_the_specification_memo(monkeypatch):
     configs += [GeneratorConfig(seed, 10, 16, 2, 2, 2, 0.5) for seed in range(40)]
     configs += [GeneratorConfig(seed, 18 + seed % 7, 18 + seed % 7, 2, 1, 2, 0.5)
                 for seed in range(40)]
+    rnd = random.Random(560)
+    met = 0
     for cfg in configs:
         memos.clear()
         p = random_program(cfg)
@@ -582,7 +631,23 @@ def test_routes_never_compute_the_specification_memo(monkeypatch):
         dwfs_classic(p)
         strong_residual(p)
         classic_residual(p)
-        assert memos == [True], cfg
+        assert memos == [0], cfg
+        n = len(p.atom_names)
+        units = residual.route_program(p)[1]
+        for _ in range(4):
+            lits = rnd.getrandbits(n) & rnd.getrandbits(n)
+            if units and rnd.random() < 0.5:
+                lits |= 1 << rnd.choice([a for a in range(n) if units >> a & 1])
+            met += bool(lits & units)
+            delta = Hypothesis(mask_atoms(lits))
+            for engine in Engine:
+                cons(p, delta, engine)
+                derives(p, delta, frozenset((rnd.randrange(n),)), engine)
+                attacks(p, delta, Hypothesis(mask_atoms(rnd.getrandbits(n))), engine)
+                admissible(p, delta, rnd.randrange(n), engine)
+        assert all(keep and not keep & ~units for keep in memos[1:]), cfg
+        assert p._saturated is None, cfg
+    assert met > 100
 
 
 def _decode_test_programs():
@@ -625,6 +690,40 @@ def test_routes_never_decode_the_saturation(monkeypatch):
         assert saturated_program(p).rules is facts
         assert len(built) == len(facts)
         built.clear()
+
+
+def test_routes_never_decode_a_parsed_programs_rules(monkeypatch):
+    # parse_program builds mask triples and no Rule; check_equivalence,
+    # dwfs_classic and both residual programs read the triples, so the
+    # program's Rules are never decoded.
+    built = []
+    real_init, real_of = Rule.__post_init__, Rule._of.__func__
+
+    def spy_init(self):
+        built.append(self)
+        real_init(self)
+
+    def spy_of(cls, *args):
+        built.append(args)
+        return real_of(cls, *args)
+
+    texts = [render_program(p) for p in _decode_test_programs()]
+    monkeypatch.setattr(Rule, "__post_init__", spy_init)
+    monkeypatch.setattr(Rule, "_of", classmethod(spy_of))
+    for text in texts:
+        p = parse_program(text)
+        assert not built and p._rules is None
+        report = check_equivalence(p)
+        assert report.equal and not report.errors
+        dwfs_classic(p)
+        assert not built
+        strong_residual(p)
+        classic_residual(p)
+        assert p._rules is None, text
+        built.clear()
+    # Reading rules decodes each rule once, through Rule._of.
+    p = parse_program(texts[-1])
+    assert len(p.rules) == len(built) and p.rules is p.rules
 
 
 def test_routes_never_decode_their_states(monkeypatch):

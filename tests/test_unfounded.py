@@ -7,20 +7,22 @@ from dwfs import (
     GeneratorConfig,
     ModelState,
     NO_GREATEST,
+    Program,
     Truth,
     body_status,
     greatest_unfounded,
     is_unfounded,
     parse_program,
     random_program,
+    render_program,
     state_consistent,
     t_operator,
     uwfs,
     w_operator,
     wfds,
 )
-from dwfs.residual import lft, live_in, saturated_program, saturation
-from dwfs.core import atom_mask
+from dwfs.residual import fact_masks, lft, live_in, saturated_program, saturation
+from dwfs.core import atom_mask, mask_atoms
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
 
@@ -61,6 +63,40 @@ def test_positive_bodies_are_rejected():
         t_operator(p, s)
     with pytest.raises(ValueError):
         w_operator(p, s)
+
+
+def test_parsed_conditional_facts_match_the_program_of_their_rules():
+    # A parsed program of conditional facts reads its mask triples; the
+    # program built from its decoded Rules must give the same answers.
+    rnd = random.Random(41)
+    for seed in range(60):
+        cfg = GeneratorConfig(seed, 6, 9, max_pos_body=0, neg_probability=0.7)
+        text = render_program(random_program(cfg))
+        p = parse_program(text)
+        q = Program(parse_program(text).rules, p.atom_names)
+        assert fact_masks(p) == fact_masks(q)
+        n = len(p.atom_names)
+        for _ in range(6):
+            pos = [mask_atoms(rnd.getrandbits(n)) for _ in range(rnd.randrange(3))]
+            false = mask_atoms(rnd.getrandbits(n) & rnd.getrandbits(n))
+            s = ModelState([d for d in pos if d], false)
+            x = mask_atoms(rnd.getrandbits(n))
+            assert t_operator(p, s) == t_operator(q, s)
+            assert is_unfounded(p, s, x) == is_unfounded(q, s, x)
+            assert greatest_unfounded(p, s) == greatest_unfounded(q, s)
+        assert p._rules is None
+
+
+def test_parsed_positive_bodies_are_rejected():
+    for text in ("c :- d. d.", "a | b :- not c, d."):
+        p = parse_program(text)
+        for program in (p, Program(p.rules, p.atom_names)):
+            with pytest.raises(ValueError, match="only conditional facts"):
+                fact_masks(program)
+            with pytest.raises(ValueError):
+                t_operator(program, ModelState())
+            with pytest.raises(ValueError):
+                greatest_unfounded(program, ModelState())
 
 
 def test_blocked_by_satisfied_remainder():
