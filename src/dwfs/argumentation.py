@@ -104,8 +104,7 @@ class _Session:
     live facts for the literals (live), the table its admissibility round
     sweeps. A route session keeps its tables on the memo (residual.live_in),
     where every route reads them; a session of a one-shot API call (keep
-    false) keeps them to itself, with the saturations it reads for literals
-    that meet the unit atoms. The raw engine grows one closure of the
+    false) keeps them to itself. The raw engine grows one closure of the
     fixpoint kernel (fixpoint._close) over the reduct's rule masks,
     tautologies left out (reduct_rules); a reduct is named by the indices
     of the distinct positive rules it keeps, a new one adds the rules it
@@ -117,7 +116,6 @@ class _Session:
         self.engine = engine
         self._keep = keep
         self._own: dict = {}  # lits -> live facts not kept on the memo
-        self._keeping: dict = {}  # unit atoms in lits -> residual.saturation_keeping
         self._rounds = _Rounds()
         self._closure: set = set()
         self._kept: frozenset = frozenset()  # the closure's positive rules
@@ -195,17 +193,16 @@ class _Session:
         specification memo's live facts under every other literal set
         (residual.route_program). For literals that meet them, which no
         route asks about, off the saturation reduced by the unit atoms
-        outside lits (residual.saturation_keeping), kept in the session."""
+        outside lits (residual.saturation_keeping); a one-shot session asks
+        about one literal set, so it saturates once."""
         q, units = self.memo
         kept = lits & units
-        if kept:
-            q = self._keeping.get(kept)
-            if q is None:
-                q = self._keeping[kept] = residual.saturation_keeping(self.program, kept)
-        elif self._keep:
+        if self._keep and not kept:
             return residual.live_in(q, lits)
         got = self._own.get(lits)
         if got is None:
+            if kept:
+                q = residual.saturation_keeping(self.program, kept)
             got = self._own[lits] = residual._live_facts(q, lits)
         return got
 

@@ -174,7 +174,7 @@ class Rule:
 
 def decode_facts(facts: Iterable[tuple[int, int]]) -> frozenset:
     """The conditional facts that (head mask, negative body mask) pairs encode."""
-    return frozenset(Rule(mask_atoms(h), (), mask_atoms(n)) for h, n in facts)
+    return decode_rules((h, 0, n) for h, n in facts)
 
 
 def decode_rules(masks: Iterable[tuple[int, int, int]]) -> frozenset:
@@ -211,7 +211,8 @@ class Program:
 
     A saturation's store is its facts as (head mask, negative body mask)
     pairs, _facts (residual.saturated_program, residual.route_program); its
-    triples are derived from them on first read.
+    triples are derived from them on first read, and its rules from those.
+    Only the route memo keeps live tables (_live, see residual.live_in).
     """
 
     __slots__ = ("_rules", "_masks", "_facts", "atom_names", "_names_key", "_saturated",
@@ -236,14 +237,16 @@ class Program:
         self._rules = rules
 
     def _init(self, names: tuple, masks: frozenset | None, facts: frozenset | None):
-        self._rules = None  # decoded from the store on first read
+        self._rules = None  # decoded from masks on first read
         self._masks = masks
         self._facts = facts  # (head, negative body) mask pairs, see residual.fact_masks
         self.atom_names = names
         self._names_key = None
         self._saturated = None  # (Program, peak, unit atoms), see residual.saturated_program
         self._reduced = None  # (Program, peak, unit atoms), see residual.route_program
-        self._live: dict = {}  # false-atom mask -> fact pairs, see residual.live_in
+        # false-atom mask -> live fact pairs (residual.live_in): a dict on the
+        # route memo alone (residual.route_program), None on every other program
+        self._live: dict | None = None
 
     @classmethod
     def _of(cls, names: tuple, masks: frozenset | None = None,
@@ -266,8 +269,7 @@ class Program:
     @property
     def rules(self) -> frozenset:
         if self._rules is None:
-            facts = self._facts
-            self._rules = decode_rules(self._masks) if facts is None else decode_facts(facts)
+            self._rules = decode_rules(self.masks)
         return self._rules
 
     @property

@@ -44,9 +44,9 @@ def _join(head: int, slots: list) -> set:
     return acc
 
 
-def _index(clauses: Iterable[int], atoms: int = -1) -> dict[int, list[int]]:
+def _index(clauses: Iterable[int], atoms: int) -> dict[int, list[int]]:
     """The clauses under the one-atom mask of each of their atoms in the
-    mask atoms (every atom by default)."""
+    mask atoms."""
     by_atom: dict[int, list[int]] = {}
     for d in clauses:
         rest = d & atoms
@@ -62,16 +62,15 @@ def tps_step(p: Program, j: Iterable[frozenset]) -> frozenset:
 
     For each rule A' <- b1,...,bm and premises Di in j with bi in Di, derive
     A' joined with every Di minus its resolved atom (repetitions merge).
-    Facts (m = 0) contribute their heads unconditionally. Runs the mask
-    kernel with every slot drawing from j; tps_lfp runs the same kernel
-    semi-naively, with the same sequence of accumulated sets as iterating
-    cur | tps_step(p, cur).
+    Facts (m = 0) contribute their heads unconditionally. Joins the slots
+    that _Rounds.add seeds from j, as _close does first; tps_lfp runs the
+    same kernel semi-naively, with the same sequence of accumulated sets as
+    iterating cur | tps_step(p, cur).
     """
     _require_positive(p)
-    by_atom = _index({atom_mask(d) for d in j})
+    rules = [(head, pos) for head, pos, _ in p.masks]
     out: set[int] = set()
-    for head, pos, _ in p.masks:
-        slots = [_slot(by_atom.get(b, ()), b, head) for b in mask_bits(pos)]
+    for (head, _), slots in zip(rules, _Rounds().add(rules, {atom_mask(d) for d in j})):
         out |= _join(head, slots)
     return frozenset(mask_atoms(d) for d in out)
 

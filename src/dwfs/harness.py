@@ -23,7 +23,7 @@ from .core import (
 )
 from .fixpoint import _require_positive
 from .parser import render_program, state_json
-from .residual import _check_facts, dwfs_classic, dwfs_star
+from .residual import _encode, dwfs_classic, dwfs_star
 from .unfounded import uwfs
 
 DEFAULT_ORACLE_BOUND = 20
@@ -200,7 +200,7 @@ def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
     Iterated from the empty set it reaches residual.lft, one whole round at a
     time; a rule's premise tuples are joined body atom by body atom, and
     equal partial joins merge."""
-    j = _check_facts(j)
+    j = _encode(j)[0]
     by_head: dict[int, list[Rule]] = {}
     for f in j:
         for a in f.head:

@@ -3,7 +3,10 @@ of a program into conditional facts on fixpoint's semi-naive
 hyperresolution rounds (lft unpruned, saturated_program pruned by
 subsumption, route_program pruned and reduced by unit facts while
 saturating), strong reduction, the strong residual program, its read-off
-state, and the classic reduction baseline.
+state, and the classic reduction baseline. Both residual programs come
+from one loop (_residual): a reduction pass (_reduce) drops the facts
+_weaker_forms finds and deletes dead negative literals, until nothing
+changes; the classic pass differs only in the blocking flag.
 
 A Program keeps two saturation memos. saturated_program is the
 specification, the subset-minimal facts of lft. route_program, the one
@@ -18,7 +21,9 @@ outside a given mask. Every saturation reads the program's mask triples
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts). The saturation, its live tables and the reduction loops
 keep such facts as (head mask, negative body mask) pairs, the fact store,
-and decode them to Rules only at the API edge.
+and decode them to Rules only at the API edge; the Rule-level entry points
+encode their input through one checked encoder (_encode). Live tables are
+kept on the route memo alone (live_in).
 
 On such facts a different fact (h2, n2) s-implies (h1, n1) exactly when h2
 and n2 lie within h1 and n1, or n2 is empty and h2 lies within h1 | n1
@@ -51,11 +56,14 @@ DEFAULT_LFT_CAP = 1_000_000
 _NOT_FACTS = "negative program may contain only conditional facts"
 
 
-def _check_facts(n: Iterable[Rule]) -> frozenset:
+def _encode(n: Iterable[Rule]) -> tuple[frozenset, frozenset]:
+    """The conditional facts n as a frozenset, with their (head mask,
+    negative body mask) pairs: the encoder of every Rule-level entry point.
+    ValueError on a rule with a positive body."""
     facts = frozenset(n)
     if any(r.pos_mask for r in facts):
         raise ValueError(_NOT_FACTS)
-    return facts
+    return facts, frozenset((r.head_mask, r.neg_mask) for r in facts)
 
 
 def _encoded(p: Program) -> list:
@@ -72,10 +80,6 @@ def _split(p: Program, clauses: Iterable[int]) -> frozenset:
     low = ~(-1 << n)
     return frozenset((d & low, d >> n) for d in clauses)
 
-
-def _pairs(facts: Iterable[Rule]) -> frozenset:
-    """The (head mask, negative body mask) pairs of conditional facts."""
-    return frozenset((r.head_mask, r.neg_mask) for r in facts)
 
 def _saturate(rules: list, width: int, limit: int, keep: int) -> tuple[list, int, int]:
     """The subset-minimal clauses of the limit of the hyperresolution
@@ -187,8 +191,9 @@ def route_program(p: Program, cap: int | None = None) -> tuple[Program, int]:
     less those whose negative body meets the unit atoms, computed by
     _saturate with negative reduction by unit facts while saturating, so
     that the dropped facts never join. The second memo on p, kept with its
-    own peak (CapacityError as for saturated_program); a route never
-    computes the specification memo beside it.
+    own peak (CapacityError as for saturated_program), and the one program
+    given a live table (live_in); a route never computes the specification
+    memo beside it.
 
     Under false atoms L that miss the unit atoms, both memos have the same
     live table (live_in): a dropped fact keeps a unit atom a in its
@@ -199,6 +204,7 @@ def route_program(p: Program, cap: int | None = None) -> tuple[Program, int]:
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._reduced is None:
         p._reduced = _memo(p, limit, 0)
+        p._reduced[0]._live = {}
     return _checked(p._reduced, limit)
 
 
@@ -277,18 +283,21 @@ def _superseded_masks(facts: Collection[tuple[int, int]], false: int = 0) -> fro
 def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
     """The facts that a strictly stronger one s-implies, once negative
     literals on assumed-false atoms are discounted (_superseded_masks)."""
-    facts = frozenset(facts)
-    gone = _superseded_masks(_pairs(facts), atom_mask(assumed_false))
+    facts, pairs = _encode(facts)
+    gone = _superseded_masks(pairs, atom_mask(assumed_false))
     return frozenset(r for r in facts if (r.head_mask, r.neg_mask) in gone)
 
 
 def live_in(q: Program, false: int = 0) -> frozenset:
     """q's fact pairs (fact_masks) that no strictly stronger one s-implies
     once the atoms of the mask false are discounted, the only ones a route
-    reads. Computed once per program and mask and kept on q: on
-    route_program(p), wfds sweeps it in every admissibility round, uwfs
-    reads it in every W step and dwfs_star in its first reduction pass."""
+    reads. Kept per mask in q's table when q has one, and only the route
+    memo has (route_program): there wfds sweeps it in every admissibility
+    round, uwfs reads it in every W step and dwfs_star in its first
+    reduction pass. On any other program it is built afresh."""
     table = q._live
+    if table is None:
+        return _live_facts(q, false)
     got = table.get(false)
     if got is None:
         got = table[false] = _live_facts(q, false)
@@ -301,63 +310,51 @@ def _live_facts(q: Program, false: int) -> frozenset:
     return facts - _superseded_masks(facts, false)
 
 
-def _strong_reduce(facts: frozenset, live: frozenset | None = None) -> frozenset:
-    """strong_reduction over fact pairs, given the ones it keeps if known."""
+def _reduce(facts: frozenset, blocking: bool, live: frozenset | None = None) -> frozenset:
+    """One reduction pass over fact pairs: drop the facts _weaker_forms
+    finds (s-implications of another fact; with blocking, the classic
+    plain implications and facts blocked by an unconditional one), then
+    delete every negative literal whose atom heads no fact of the input.
+    live, when given, is the facts the pass keeps."""
     if live is None:
-        live = facts - _superseded_masks(facts)
+        live = facts.difference(_weaker_forms(facts, blocking))
     heads = heads_mask(h for h, _ in facts)
     return frozenset((h, n & heads) for h, n in live)
+
+
+def _residual(p: Program, cap: int | None, blocking: bool) -> frozenset:
+    """The fixpoint of _reduce over the route memo (route_program) as fact
+    pairs: the strong residual program of p, or with blocking the classic
+    one. The strong first pass keeps the memo's live facts (live_in)."""
+    q = route_program(p, cap)[0]
+    n = fact_masks(q)
+    nxt = _reduce(n, blocking, None if blocking else live_in(q))
+    while nxt != n:
+        n, nxt = nxt, _reduce(nxt, blocking)
+    return n
 
 
 def strong_reduction(n: Iterable[Rule]) -> frozenset:
     """Drop facts that are s-implications of other facts, then delete every
     negative literal whose atom heads no fact of the input."""
-    return decode_facts(_strong_reduce(_pairs(_check_facts(n))))
-
-
-def _strong_fixpoint(p: Program, cap: int | None) -> frozenset:
-    """The strong residual program of p as fact pairs, over the route memo
-    (route_program). The first pass keeps its live facts (live_in)."""
-    q = route_program(p, cap)[0]
-    n = fact_masks(q)
-    nxt = _strong_reduce(n, live_in(q))
-    while nxt != n:
-        n, nxt = nxt, _strong_reduce(nxt)
-    return n
-
-
-def strong_residual(p: Program, cap: int | None = None) -> frozenset:
-    """Fixpoint of the strong reduction over the saturation of p."""
-    return decode_facts(_strong_fixpoint(p, cap))
-
-
-def _classic_reduce(facts: frozenset) -> frozenset:
-    """classic_reduction over fact pairs: plain implications and blocked
-    facts are _weaker_forms with blocking."""
-    heads = heads_mask(h for h, _ in facts)
-    gone = _weaker_forms(facts, True)
-    return frozenset((h, n & heads) for h, n in facts.difference(gone))
+    return decode_facts(_reduce(_encode(n)[1], False))
 
 
 def classic_reduction(n: Iterable[Rule]) -> frozenset:
     """Baseline reduction: drop plain implications of other facts and facts
     negatively blocked by an unconditional fact, then delete dead negative
     literals. Strictly weaker than strong_reduction."""
-    return decode_facts(_classic_reduce(_pairs(_check_facts(n))))
+    return decode_facts(_reduce(_encode(n)[1], True))
 
 
-def _classic_fixpoint(p: Program, cap: int | None) -> frozenset:
-    """The classic residual program of p as fact pairs, over the route memo
-    (route_program)."""
-    n = fact_masks(route_program(p, cap)[0])
-    while (nxt := _classic_reduce(n)) != n:
-        n = nxt
-    return n
+def strong_residual(p: Program, cap: int | None = None) -> frozenset:
+    """Fixpoint of the strong reduction over the saturation of p."""
+    return decode_facts(_residual(p, cap, False))
 
 
 def classic_residual(p: Program, cap: int | None = None) -> frozenset:
     """Fixpoint of the classic reduction over the saturation of p."""
-    return decode_facts(_classic_fixpoint(p, cap))
+    return decode_facts(_residual(p, cap, True))
 
 
 def _read_off(p: Program, facts: frozenset) -> ModelState:
@@ -369,20 +366,19 @@ def _read_off(p: Program, facts: frozenset) -> ModelState:
 
 def dwfs_star(p: Program) -> ModelState:
     """Transformation-based semantics via the strong residual program."""
-    return _read_off(p, _strong_fixpoint(p, None))
+    return _read_off(p, _residual(p, None, False))
 
 
 def dwfs_classic(p: Program) -> ModelState:
     """Baseline semantics via the classic reduction fixpoint."""
-    return _read_off(p, _classic_fixpoint(p, None))
+    return _read_off(p, _residual(p, None, True))
 
 
 def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
     """One strong-reduction pass, decomposed into elementary transformation
     steps (one elimination per dropped fact, then one positive reduction per
     deleted body literal), with the program it yields: strong_reduction(n)."""
-    n = _check_facts(n)
-    facts = _pairs(n)
+    n, facts = _encode(n)
     heads = heads_mask(h for h, _ in facts)
     dropped = _superseded_masks(facts)
     steps: list[TransformStep] = []
@@ -399,7 +395,7 @@ def reduction_pass(n: Iterable[Rule]) -> tuple[list[TransformStep], frozenset]:
             removed, added = frozenset((cur,)), frozenset((reduced,))
             steps.append(TransformStep(TransformKind.POSITIVE_REDUCTION, removed, added))
             cur = reduced
-    return steps, decode_facts(_strong_reduce(facts, facts - dropped))
+    return steps, decode_facts(_reduce(facts, False, facts - dropped))
 
 
 def residual_trace(p: Program, cap: int | None = None):

@@ -82,11 +82,12 @@ def _rule_rows(p: Program, s: ModelState) -> list:
     disjoint from X.
 
     The facts are p's live fact pairs for the state's false atoms
-    (residual.live_in): on the saturated program that uwfs reads, wfds and
-    dwfs_star read the same table. Of those, a fact whose body is false has
-    no row: a core member lies within its negated atoms and not every
-    negated atom is false. The state's false atoms and core members are
-    read as the masks it holds.
+    (residual.live_in): on the route memo that uwfs reads, wfds and
+    dwfs_star read the same table; on any other p they are built afresh
+    and kept nowhere. Of those, a fact whose body is false has no row: a
+    core member lies within its negated atoms and not every negated atom
+    is false. The state's false atoms and core members are read as the
+    masks it holds.
     """
     false, core = s.false_mask, s.core_masks
     rows = []

@@ -74,6 +74,15 @@ def test_tpg_rejects_non_facts_in_premises():
         tpg_step(p, {Rule(atoms(p, "a"), atoms(p, "b"))})
 
 
+def test_rule_level_reductions_reject_a_positive_body():
+    # "a :- b." is no conditional fact: read as "a." it would supersede
+    # "a | c.", so every Rule-level entry point rejects it instead.
+    p = parse_program("a :- b. a | c.")
+    for call in (superseded, strong_reduction, classic_reduction, residual.reduction_pass):
+        with pytest.raises(ValueError):
+            call(p.rules)
+
+
 def test_tpg_step_negative_rules_enter_directly():
     p = parse_program("a :- not b. c | d.")
     got = tpg_step(p, frozenset())
@@ -437,7 +446,7 @@ def test_subsumption_kernel_matches_all_pairs_s_implies(facts, false):
     assert {h for h, n in live if not n & ~false} == set(
         minimal_masks(h for h, n in facts if not n & ~false)
     )
-    assert decode_facts(residual._classic_reduce(facts)) == _classic_reduction_all_pairs(
+    assert decode_facts(residual._reduce(facts, True)) == _classic_reduction_all_pairs(
         decode_facts(facts)
     )
 
@@ -667,17 +676,23 @@ def _decode_test_programs():
 
 def test_routes_never_decode_the_saturation(monkeypatch):
     # The routes read the saturation's mask pairs: no Rule is built while
-    # check_equivalence and dwfs_classic run. saturation(p) then decodes
-    # each fact once and returns the same frozenset on a repeat call.
+    # check_equivalence and dwfs_classic run, by either constructor.
+    # saturation(p) then decodes each fact once and returns the same
+    # frozenset on a repeat call.
     built = []
-    real = Rule.__post_init__
+    real_init, real_of = Rule.__post_init__, Rule._of.__func__
 
-    def spy(self):
+    def spy_init(self):
         built.append(self)
-        real(self)
+        real_init(self)
+
+    def spy_of(cls, *args):
+        built.append(args)
+        return real_of(cls, *args)
 
     programs = _decode_test_programs()
-    monkeypatch.setattr(Rule, "__post_init__", spy)
+    monkeypatch.setattr(Rule, "__post_init__", spy_init)
+    monkeypatch.setattr(Rule, "_of", classmethod(spy_of))
     for p in programs:
         report = check_equivalence(p)
         assert report.equal and not report.errors

@@ -21,7 +21,14 @@ from dwfs import (
     w_operator,
     wfds,
 )
-from dwfs.residual import fact_masks, lft, live_in, saturated_program, saturation
+from dwfs.residual import (
+    fact_masks,
+    lft,
+    live_in,
+    route_program,
+    saturated_program,
+    saturation,
+)
 from dwfs.core import atom_mask, mask_atoms
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
@@ -353,3 +360,34 @@ def test_w_sequence_is_increasing():
                 assert satisfies_positive(later, d)
             for a in earlier.false_atoms:
                 assert satisfies_negative(later, frozenset((a,)))
+
+
+def test_unfounded_api_keeps_no_live_table():
+    # Only the route memo keeps live tables: is_unfounded,
+    # greatest_unfounded, t_operator and w_operator build the tables they
+    # read afresh on any other program, a saturated_program memo or a
+    # parsed program of conditional facts, so probing many states piles
+    # nothing up. uwfs, which passes the route memo, still keeps its tables.
+    rng = random.Random(23)
+    p = random_program(GeneratorConfig(3, 16, 24, 2, 2, 2))
+    text = render_program(random_program(GeneratorConfig(5, 12, 18, max_pos_body=0,
+                                                         neg_probability=0.7)))
+    programs = [saturated_program(p), parse_program(text)]
+    undefined = 0
+    for q in programs:
+        n = len(q.atom_names)
+        for _ in range(300):
+            pos = [mask_atoms(rng.getrandbits(n) & rng.getrandbits(n)) for _ in range(2)]
+            false = mask_atoms(rng.getrandbits(n) & rng.getrandbits(n))
+            s = ModelState([d for d in pos if d], false)
+            is_unfounded(q, s, mask_atoms(rng.getrandbits(n)))
+            greatest_unfounded(q, s)
+            t_operator(q, s)
+            try:
+                w_operator(q, s)
+            except NoGreatestUnfoundedSetError:
+                undefined += 1
+        assert q._live is None
+    assert 0 < undefined < 600
+    uwfs(p)
+    assert route_program(p)[0]._live and programs[0]._live is None
