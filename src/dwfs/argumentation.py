@@ -183,8 +183,8 @@ class _Session:
         return None
 
     @cached_property
-    def memo(self) -> tuple[Program, int]:
-        """The route memo and its unit atoms (residual.route_program)."""
+    def memo(self) -> residual.Saturation:
+        """The route memo (residual.route_program)."""
         return residual.route_program(self.program)
 
     def live(self, lits: int) -> frozenset:
@@ -195,8 +195,8 @@ class _Session:
         route asks about, off the saturation reduced by the unit atoms
         outside lits (residual.saturation_keeping); a one-shot session asks
         about one literal set, so it saturates once."""
-        q, units = self.memo
-        kept = lits & units
+        q = self.memo
+        kept = lits & q.units
         if self._keep and not kept:
             return residual.live_in(q, lits)
         got = self._own.get(lits)

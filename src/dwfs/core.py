@@ -209,14 +209,12 @@ class Program:
     when their rule sets and bases coincide up to atom names, so interning
     order is irrelevant to equality.
 
-    A saturation's store is its facts as (head mask, negative body mask)
-    pairs, _facts (residual.saturated_program, residual.route_program); its
-    triples are derived from them on first read, and its rules from those.
-    Only the route memo keeps live tables (_live, see residual.live_in).
+    A saturation (residual.Saturation) is a Program with the same one store;
+    the record of its fact pairs, peak, unit atoms and live table belongs to
+    residual.
     """
 
-    __slots__ = ("_rules", "_masks", "_facts", "atom_names", "_names_key", "_saturated",
-                 "_reduced", "_live")
+    __slots__ = ("_rules", "masks", "atom_names", "_names_key", "_saturated", "_reduced")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -233,38 +231,25 @@ class Program:
         if outside:
             a = n + (outside & -outside).bit_length() - 1
             raise ValueError(f"atom id {a} outside table of size {n}")
-        self._init(names, masks, None)
+        self._init(names, masks)
         self._rules = rules
 
-    def _init(self, names: tuple, masks: frozenset | None, facts: frozenset | None):
+    def _init(self, names: tuple, masks: frozenset):
         self._rules = None  # decoded from masks on first read
-        self._masks = masks
-        self._facts = facts  # (head, negative body) mask pairs, see residual.fact_masks
+        self.masks = masks  # the rules as (head, positive body, negative body) mask triples
         self.atom_names = names
         self._names_key = None
-        self._saturated = None  # (Program, peak, unit atoms), see residual.saturated_program
-        self._reduced = None  # (Program, peak, unit atoms), see residual.route_program
-        # false-atom mask -> live fact pairs (residual.live_in): a dict on the
-        # route memo alone (residual.route_program), None on every other program
-        self._live: dict | None = None
+        self._saturated = None  # residual.Saturation, see residual.saturated_program
+        self._reduced = None  # residual.Saturation, see residual.route_program
 
     @classmethod
-    def _of(cls, names: tuple, masks: frozenset | None = None,
-            facts: frozenset | None = None) -> "Program":
-        """The program over a table of distinct names of its mask triples
-        (the parser's constructor) or of its (head mask, negative body mask)
-        fact pairs (a saturation memo's), unchecked: every head nonempty and
-        every atom in the table."""
+    def _of(cls, names: tuple, masks: frozenset) -> "Program":
+        """The program over a table of distinct names of its mask triples,
+        unchecked: every head nonempty and every atom in the table. The
+        parser's constructor."""
         p = object.__new__(cls)
-        p._init(names, masks, facts)
+        p._init(names, masks)
         return p
-
-    @property
-    def masks(self) -> frozenset:
-        """The rules as (head, positive body, negative body) mask triples."""
-        if self._masks is None:
-            self._masks = frozenset((h, 0, n) for h, n in self._facts)
-        return self._masks
 
     @property
     def rules(self) -> frozenset:
@@ -307,8 +292,7 @@ class Program:
         return hash(self._key())
 
     def __repr__(self):
-        store = self._masks if self._masks is not None else self._facts
-        return f"Program({len(store)} rules over {len(self.atom_names)} atoms)"
+        return f"Program({len(self.masks)} rules over {len(self.atom_names)} atoms)"
 
 
 def canonicalize(ds: Iterable[frozenset]) -> frozenset:

@@ -133,7 +133,7 @@ def parse_program(text: str) -> Program:
             found = tok or "end of input"
             raise _error(text, tokens, i - 1, f"expected ':-' or '.', found {found!r}")
         rules.add((head, pos, neg))
-    return Program._of(tuple(ids), masks=frozenset(rules))
+    return Program._of(tuple(ids), frozenset(rules))
 
 
 def render_rule(r: Rule, names) -> str:

@@ -8,7 +8,10 @@ from one loop (_residual): a reduction pass (_reduce) drops the facts
 _weaker_forms finds and deletes dead negative literals, until nothing
 changes; the classic pass differs only in the blocking flag.
 
-A Program keeps two saturation memos. saturated_program is the
+A saturation is one record, a Saturation: the Program of its conditional
+facts, with the facts as (head mask, negative body mask) pairs, the peak
+number of rules held while saturating, the mask of its unit atoms and its
+live table. A Program keeps two of them as memos. saturated_program is the
 specification, the subset-minimal facts of lft. route_program, the one
 every route reads, drops on the way each fact whose negative body holds a
 unit atom a (one with the fact "a."), which that fact s-implies under any
@@ -20,10 +23,10 @@ outside a given mask. Every saturation reads the program's mask triples
 
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts). The saturation, its live tables and the reduction loops
-keep such facts as (head mask, negative body mask) pairs, the fact store,
-and decode them to Rules only at the API edge; the Rule-level entry points
-encode their input through one checked encoder (_encode). Live tables are
-kept on the route memo alone (live_in).
+keep such facts as (head mask, negative body mask) pairs and decode them to
+Rules only at the API edge; the Rule-level entry points encode their input
+through one checked encoder (_encode). Only the route memo's Saturation
+keeps a live table (live_in).
 
 On such facts a different fact (h2, n2) s-implies (h1, n1) exactly when h2
 and n2 lie within h1 and n1, or n2 is empty and h2 lies within h1 | n1
@@ -147,24 +150,45 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     return decode_facts(_split(p, closure))
 
 
-def _memo(p: Program, limit: int, keep: int) -> tuple[Program, int, int]:
+class Saturation(Program):
+    """A saturation of a program, as one record: the program of its
+    conditional facts over the program's atom table, with
+
+    - facts, the same facts as (head mask, negative body mask) pairs, which
+      the routes read (fact_masks);
+    - peak, the most rules held at once while saturating (_saturate), which
+      a later cap is checked against;
+    - units, the mask of its unit atoms (a with the fact "a.");
+    - live, its table of live facts per false-atom mask (live_in): a dict
+      on the route memo (route_program), None on every other saturation.
+    """
+
+    __slots__ = ("facts", "peak", "units", "live")
+
+    def __init__(self, names: tuple, facts: frozenset, peak: int, units: int):
+        self._init(names, frozenset((h, 0, n) for h, n in facts))
+        self.facts = facts
+        self.peak = peak
+        self.units = units
+        self.live: dict | None = None
+
+
+def _memo(p: Program, limit: int, keep: int) -> Saturation:
     """A saturation of p reduced by the unit atoms outside the mask keep
-    (_saturate; by none with keep -1, by all with keep 0), as a program of
-    fact pairs over p's atom table, with the peak and the unit atoms."""
+    (_saturate; by none with keep -1, by all with keep 0), over p's atom
+    table."""
     facts, peak, units = _saturate(_encoded(p), len(p.atom_names), limit, keep)
-    return Program._of(p.atom_names, facts=_split(p, facts)), peak, units
+    return Saturation(p.atom_names, _split(p, facts), peak, units)
 
 
-def _checked(memo: tuple, limit: int) -> tuple[Program, int]:
-    """A memo's program and unit atoms; CapacityError if its peak exceeds
-    limit."""
-    q, peak, units = memo
-    if peak > limit:
+def _checked(q: Saturation, limit: int) -> Saturation:
+    """The memo q; CapacityError if its peak exceeds limit."""
+    if q.peak > limit:
         raise CapacityError(f"saturation exceeded {limit} stored rules")
-    return q, units
+    return q
 
 
-def saturated_program(p: Program, cap: int | None = None) -> Program:
+def saturated_program(p: Program, cap: int | None = None) -> Saturation:
     """The saturation of p, as a program over p's atom table: the
     subsumption-minimal facts of lft(p), those no other fact of lft(p)
     subsumes with a head and a negative body that are both subsets.
@@ -176,24 +200,23 @@ def saturated_program(p: Program, cap: int | None = None) -> Program:
     whose cap lies below that peak still raises CapacityError. saturation
     and the tests read it; every route reads route_program instead, and a
     one-shot argumentation call about a unit atom saturation_keeping. Its
-    rules are decoded from the fact pairs (fact_masks) once, on first read
+    rules are decoded from its mask triples once, on first read
     (saturation).
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._saturated is None:
         p._saturated = _memo(p, limit, -1)
-    return _checked(p._saturated, limit)[0]
+    return _checked(p._saturated, limit)
 
 
-def route_program(p: Program, cap: int | None = None) -> tuple[Program, int]:
-    """The saturation every route reads, and the mask of its unit atoms
-    (the atoms a with the fact "a." in it): saturated_program(p)'s facts
-    less those whose negative body meets the unit atoms, computed by
-    _saturate with negative reduction by unit facts while saturating, so
-    that the dropped facts never join. The second memo on p, kept with its
-    own peak (CapacityError as for saturated_program), and the one program
-    given a live table (live_in); a route never computes the specification
-    memo beside it.
+def route_program(p: Program, cap: int | None = None) -> Saturation:
+    """The saturation every route reads: saturated_program(p)'s facts less
+    those whose negative body meets the unit atoms (units, the atoms a with
+    the fact "a." in it), computed by _saturate with negative reduction by
+    unit facts while saturating, so that the dropped facts never join. The
+    second memo on p, kept with its own peak (CapacityError as for
+    saturated_program), and the one saturation given a live table
+    (live_in); a route never computes the specification memo beside it.
 
     Under false atoms L that miss the unit atoms, both memos have the same
     live table (live_in): a dropped fact keeps a unit atom a in its
@@ -203,12 +226,12 @@ def route_program(p: Program, cap: int | None = None) -> tuple[Program, int]:
     """
     limit = DEFAULT_LFT_CAP if cap is None else cap
     if p._reduced is None:
-        p._reduced = _memo(p, limit, 0)
-        p._reduced[0]._live = {}
+        q = p._reduced = _memo(p, limit, 0)
+        q.live = {}
     return _checked(p._reduced, limit)
 
 
-def saturation_keeping(p: Program, keep: int) -> Program:
+def saturation_keeping(p: Program, keep: int) -> Saturation:
     """The saturation of p less the facts whose negative body meets a unit
     atom outside the atom mask keep, under the default cap and kept
     nowhere: _saturate with negative reduction by those unit atoms only.
@@ -222,7 +245,7 @@ def saturation_keeping(p: Program, keep: int) -> Program:
     a unit atom false, which the route memo does not cover, without
     computing the unreduced specification memo.
     """
-    return _memo(p, DEFAULT_LFT_CAP, keep)[0]
+    return _memo(p, DEFAULT_LFT_CAP, keep)
 
 
 def saturation(p: Program, cap: int | None = None) -> frozenset:
@@ -232,15 +255,14 @@ def saturation(p: Program, cap: int | None = None) -> frozenset:
 
 
 def fact_masks(q: Program) -> frozenset:
-    """q's facts as (head mask, negative body mask) pairs: a saturation's fact
-    store, else q's conditional facts (ValueError otherwise), read off its
-    mask triples once."""
-    if q._facts is None:
-        masks = q.masks
-        if any(pos for _, pos, _ in masks):
-            raise ValueError(_NOT_FACTS)
-        q._facts = frozenset((h, n) for h, _, n in masks)
-    return q._facts
+    """q's facts as (head mask, negative body mask) pairs: a Saturation's
+    facts, else q's conditional facts (ValueError otherwise), derived from
+    its mask triples on each call and kept nowhere."""
+    if isinstance(q, Saturation):
+        return q.facts
+    if any(pos for _, pos, _ in q.masks):
+        raise ValueError(_NOT_FACTS)
+    return frozenset((h, n) for h, _, n in q.masks)
 
 
 def _weaker_forms(forms: Collection[tuple[int, int]], blocking: bool) -> set:
@@ -291,11 +313,11 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
 def live_in(q: Program, false: int = 0) -> frozenset:
     """q's fact pairs (fact_masks) that no strictly stronger one s-implies
     once the atoms of the mask false are discounted, the only ones a route
-    reads. Kept per mask in q's table when q has one, and only the route
-    memo has (route_program): there wfds sweeps it in every admissibility
-    round, uwfs reads it in every W step and dwfs_star in its first
-    reduction pass. On any other program it is built afresh."""
-    table = q._live
+    reads. Kept per mask in q's table when q is a Saturation that has one,
+    and only the route memo has (route_program): there wfds sweeps it in
+    every admissibility round, uwfs reads it in every W step and dwfs_star
+    in its first reduction pass. On any other program it is built afresh."""
+    table = q.live if isinstance(q, Saturation) else None
     if table is None:
         return _live_facts(q, false)
     got = table.get(false)
@@ -326,8 +348,8 @@ def _residual(p: Program, cap: int | None, blocking: bool) -> frozenset:
     """The fixpoint of _reduce over the route memo (route_program) as fact
     pairs: the strong residual program of p, or with blocking the classic
     one. The strong first pass keeps the memo's live facts (live_in)."""
-    q = route_program(p, cap)[0]
-    n = fact_masks(q)
+    q = route_program(p, cap)
+    n = q.facts
     nxt = _reduce(n, blocking, None if blocking else live_in(q))
     while nxt != n:
         n, nxt = nxt, _reduce(nxt, blocking)

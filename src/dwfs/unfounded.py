@@ -163,7 +163,7 @@ def uwfs(p: Program) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts (the saturated program
     kept on p, see residual.route_program)."""
-    saturated = residual.route_program(p)[0]
+    saturated = residual.route_program(p)
     state = ModelState()
     while True:
         nxt = w_operator(saturated, state)

@@ -18,6 +18,7 @@ from dwfs import (
     parse_program,
     random_program,
     reduct,
+    render_program,
     self_consistent,
     state_consistent,
     wfdh,
@@ -414,9 +415,9 @@ def test_hypothesis_rejects_unit_disjunctive_assumption():
 def _table_counts(p):
     """The live tables kept on p's saturation memos: the route memo's, and
     the specification memo's once computed."""
-    counts = [len(residual.route_program(p)[0]._live)]
+    counts = [len(residual.route_program(p).live)]
     if p._saturated is not None:
-        counts.append(len(residual.saturated_program(p)._live))
+        counts.append(len(residual.saturated_program(p).live))
     return counts
 
 
@@ -441,7 +442,7 @@ def test_one_shot_calls_keep_no_live_table(monkeypatch):
     ):
         p = random_program(cfg)
         wfds(p)
-        assert bin(residual.route_program(p)[1]).count("1") == unit_atoms
+        assert bin(residual.route_program(p).units).count("1") == unit_atoms
         kept = _table_counts(p)
         n = len(p.atom_names)
         for _ in range(3000):
@@ -454,11 +455,47 @@ def test_one_shot_calls_keep_no_live_table(monkeypatch):
             admissible(p, delta, rnd.randrange(n))
         # Some hypothesis met the unit atoms, if any, and read a saturation
         # reduced outside them; no table and no specification memo was kept.
-        units = residual.route_program(p)[1]
+        units = residual.route_program(p).units
         assert bool(keeping) == bool(unit_atoms)
         assert all(keep and not keep & ~units for keep in keeping)
         assert _table_counts(p) == kept and p._saturated is None
         keeping.clear()
+
+
+class _Saturated(Exception):
+    pass
+
+
+def test_raw_one_shot_calls_never_saturate(monkeypatch):
+    # Under Engine.RAW, cons, derives and attacks read the reduct's closure
+    # alone, so a one-shot call saturates nothing; admissible, which sweeps
+    # the live facts, and canonical cons read the route memo.
+    def refuse(*args):
+        raise _Saturated
+
+    rnd = random.Random(24)
+    calls = []
+    for s in range(200):
+        text = render_program(random_program(GeneratorConfig(s, 10, 16, 2, 2, 2)))
+        n = len(parse_program(text).atom_names)
+        delta = Hypothesis(mask_atoms(rnd.getrandbits(n) & rnd.getrandbits(n)))
+        target = Hypothesis(mask_atoms(rnd.getrandbits(n)))
+        calls.append((text, delta, target, frozenset((rnd.randrange(n),))))
+    want = [
+        (cons(parse_program(t), d, Engine.RAW), derives(parse_program(t), d, a, Engine.RAW),
+         attacks(parse_program(t), d, g, Engine.RAW))
+        for t, d, g, a in calls
+    ]
+    monkeypatch.setattr(residual, "_saturate", refuse)
+    for (text, delta, target, a), expected in zip(calls, want):
+        p = parse_program(text)
+        got = (cons(p, delta, Engine.RAW), derives(p, delta, a, Engine.RAW),
+               attacks(p, delta, target, Engine.RAW))
+        assert got == expected, text
+        with pytest.raises(_Saturated):
+            admissible(p, delta, 0, Engine.RAW)
+        with pytest.raises(_Saturated):
+            cons(p, delta)
 
 
 def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family():
@@ -478,7 +515,7 @@ def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family():
             cfg = GeneratorConfig(9600 + s, 300, 600, max_head=1, max_pos_body=2,
                                   max_neg_body=2, neg_probability=0.9)
             p = random_program(cfg)
-            units = residual.route_program(p)[1]
+            units = residual.route_program(p).units
             for a in sorted(mask_atoms(units))[:3]:
                 delta = Hypothesis({a})
                 # A hypothesis that assumes a unit atom false attacks itself.
@@ -503,7 +540,7 @@ def test_later_routes_hit_the_tables_wfds_keeps(monkeypatch):
     def spy(q, false=0):
         got = lookups.setdefault(route[-1], [0, 0])
         got[0] += 1
-        got[1] += false in q._live
+        got[1] += false in q.live
         return real(q, false)
 
     inner = harness.compute_semantics

@@ -283,8 +283,8 @@ def test_residual_lft_cap_boundary_is_the_route_memo_peak(tmp_path, capsys):
     p = parse_program(path.read_text())
     residual.route_program(p)
     residual.saturated_program(p)
-    peak = p._reduced[1]
-    assert (peak, p._saturated[1]) == (17, 24)
+    peak = p._reduced.peak
+    assert (peak, p._saturated.peak) == (17, 24)
     for extra in ([], ["--classic"]):
         assert _run(["residual", str(path), "--lft-cap", str(peak - 1), *extra]) == (3, "")
         assert "capacity error" in capsys.readouterr().err

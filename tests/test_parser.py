@@ -83,7 +83,7 @@ def test_repr_decodes_nothing():
     assert p._rules is None
     q = saturated_program(p)
     assert repr(q) == "Program(2 rules over 4 atoms)"
-    assert q._rules is None and q._masks is None
+    assert q._rules is None
 
 
 def test_duplicate_atoms_and_rules_merge_in_the_mask_store():

@@ -497,7 +497,7 @@ def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
         calls.clear()
         report = check_equivalence(p)
         assert report.equal and not report.errors
-        facts = residual.fact_masks(residual.route_program(p)[0])
+        facts = residual.fact_masks(residual.route_program(p))
         false_sets = [false for got, false in calls if got == facts]
         assert len(false_sets) == len(set(false_sets)), p
         assert 0 in false_sets
@@ -565,7 +565,8 @@ def test_route_memo_is_the_saturation_less_what_unit_facts_supersede(monkeypatch
         reached.clear()
         report = check_equivalence(p)
         assert report.equal and not report.errors
-        q, units = residual.route_program(p)
+        q = residual.route_program(p)
+        units = q.units
         spec = saturated_program(p)
         facts = residual.fact_masks(spec)
         assert units == heads_mask(h for h, n in facts if not n and not h & (h - 1))
@@ -589,7 +590,7 @@ def test_saturation_keeping_has_the_specifications_live_table():
     rnd = random.Random(22)
     compared = 0
     for p in _residual_programs():
-        units = residual.route_program(p)[1]
+        units = residual.route_program(p).units
         if not units:
             continue
         spec = saturated_program(p)
@@ -642,7 +643,7 @@ def test_routes_never_compute_the_specification_memo(monkeypatch):
         classic_residual(p)
         assert memos == [0], cfg
         n = len(p.atom_names)
-        units = residual.route_program(p)[1]
+        units = residual.route_program(p).units
         for _ in range(4):
             lits = rnd.getrandbits(n) & rnd.getrandbits(n)
             if units and rnd.random() < 0.5:
@@ -672,6 +673,23 @@ def _decode_test_programs():
                                                 max_pos_body=2, max_neg_body=2))
                  for seed in range(1, 21)]
     return programs
+
+
+def test_recorded_peak_is_the_exact_cap_boundary():
+    # Each memo records the most rules its saturation held at once, and
+    # that peak is the least cap that passes: one below it raises
+    # CapacityError, on the Program that holds the memo and on a fresh one.
+    for text in [render_program(p) for p in _decode_test_programs()]:
+        for memo in (saturated_program, residual.route_program):
+            p = parse_program(text)
+            q = memo(p)
+            assert memo(p, q.peak) is q
+            with pytest.raises(CapacityError):
+                memo(p, q.peak - 1)
+            fresh = memo(parse_program(text), q.peak)
+            assert (fresh.peak, fresh.facts, fresh.units) == (q.peak, q.facts, q.units)
+            with pytest.raises(CapacityError):
+                memo(parse_program(text), q.peak - 1)
 
 
 def test_routes_never_decode_the_saturation(monkeypatch):
