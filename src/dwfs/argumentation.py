@@ -40,7 +40,6 @@ are unchanged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import residual
@@ -50,6 +49,7 @@ from .core import (
     Program,
     RouteError,
     Rule,
+    _Record,
     atom_mask,
     canonical_sets,
     mask_atoms,
@@ -74,15 +74,15 @@ class Engine(enum.Enum):
     RAW = "raw"
 
 
-@dataclass(frozen=True)
-class AttackWitness:
+class AttackWitness(_Record):
     """Evidence for an attack; re-checking it against the same hypotheses
     succeeds. clause 1 targets a whole assumption, clause 2 a set of literal
     assumptions whose disjunction is derivable."""
 
-    clause: int
-    assumption_or_atoms: frozenset
-    derived: tuple
+    _fields = ("clause", "assumption_or_atoms", "derived")
+
+    def __init__(self, clause: int, assumption_or_atoms: frozenset, derived: tuple):
+        self._set(clause, assumption_or_atoms, derived)
 
 
 def reduct(p: Program, delta: Hypothesis) -> Program:

@@ -11,8 +11,9 @@ is the subsumption kernel of every layer, s-implication included (residual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from operator import attrgetter
+
 
 class CapacityError(RuntimeError):
     """An exhaustive oracle, enumeration, or saturation exceeded its bound."""
@@ -118,8 +119,45 @@ def canonical_sets(masks: Iterable[int]) -> frozenset:
     return frozenset(mask_atoms(m) for m in minimal_masks(masks))
 
 
-@dataclass(frozen=True)
-class Rule:
+class _Record:
+    """The value semantics of dwfs's record classes, read off the names of
+    a class's fields (_fields, in constructor order), with no code generated
+    at import: == holds between records of one class whose fields are equal
+    in order, the hash is that of the fields' tuple, repr names each field,
+    and no attribute can be assigned or deleted. A record's constructor
+    fills its __dict__ directly (_set), as unpickling does; a record
+    therefore keeps a __dict__ (no __slots__).
+    """
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls._fields))
+
+    def _set(self, *values):
+        """Set the fields, given in _fields' order."""
+        self.__dict__.update(zip(self._fields, values))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Rule(_Record):
     """head <- pos_body, not neg_body, each part a duplicate-free atom set.
 
     Each part is also kept as an atom mask (head_mask, pos_mask, neg_mask),
@@ -127,29 +165,19 @@ class Rule:
     no part in equality, hashing or repr.
     """
 
-    head: frozenset
-    pos_body: frozenset = frozenset()
-    neg_body: frozenset = frozenset()
-    head_mask: int = field(init=False, compare=False, repr=False)
-    pos_mask: int = field(init=False, compare=False, repr=False)
-    neg_mask: int = field(init=False, compare=False, repr=False)
+    _fields = ("head", "pos_body", "neg_body")
 
-    def __post_init__(self):
-        head, pos, neg = _fset(self.head), _fset(self.pos_body), _fset(self.neg_body)
+    def __init__(self, head, pos_body=frozenset(), neg_body=frozenset()):
+        head, pos, neg = _fset(head), _fset(pos_body), _fset(neg_body)
         if not head:
             raise ValueError("rule head must be nonempty")
-        put = object.__setattr__
-        put(self, "head", head)
-        put(self, "pos_body", pos)
-        put(self, "neg_body", neg)
-        put(self, "head_mask", atom_mask(head))
-        put(self, "pos_mask", atom_mask(pos))
-        put(self, "neg_mask", atom_mask(neg))
+        self.__dict__.update(head=head, pos_body=pos, neg_body=neg, head_mask=atom_mask(head),
+                             pos_mask=atom_mask(pos), neg_mask=atom_mask(neg))
 
     @classmethod
     def _of(cls, head, pos, neg, head_mask: int, pos_mask: int, neg_mask: int) -> "Rule":
         """The rule of the given atom frozensets (head nonempty) and their
-        masks, without __post_init__'s re-encoding: decode_rules' constructor."""
+        masks, without __init__'s re-encoding: decode_rules' constructor."""
         r = object.__new__(cls)
         r.__dict__.update(head=head, pos_body=pos, neg_body=neg, head_mask=head_mask,
                           pos_mask=pos_mask, neg_mask=neg_mask)
@@ -306,8 +334,7 @@ def subsumes(a: frozenset, b: frozenset) -> bool:
     return _fset(a) <= _fset(b)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class ModelState:
+class ModelState(_Record):
     """Canonical positive core plus false atoms.
 
     Held as masks: core_masks, the frozenset of the core's minimal member
@@ -317,13 +344,11 @@ class ModelState:
     state is answered by satisfies_positive / satisfies_negative.
     """
 
-    core_masks: frozenset
-    false_mask: int
+    _fields = ("core_masks", "false_mask")
     _sets = None  # (pos, false_atoms) once decoded; not a field
 
     def __init__(self, pos=frozenset(), false_atoms=frozenset()):
-        core = frozenset(minimal_masks(atom_mask(d) for d in pos))
-        self.__dict__.update(core_masks=core, false_mask=atom_mask(false_atoms))
+        self._set(frozenset(minimal_masks(atom_mask(d) for d in pos)), atom_mask(false_atoms))
 
     @classmethod
     def _of_masks(cls, core: Iterable[int], false: int) -> "ModelState":
@@ -331,6 +356,16 @@ class ModelState:
         s = object.__new__(cls)
         s.__dict__.update(core_masks=frozenset(minimal_masks(core)), false_mask=false)
         return s
+
+    def __eq__(self, other):
+        # Written out, the int first: uwfs and check_equivalence compare
+        # states on every program, and reading the fields' tuples through
+        # _values costs twice as much.
+        if other.__class__ is self.__class__:
+            return self.false_mask == other.false_mask and self.core_masks == other.core_masks
+        return NotImplemented
+
+    __hash__ = _Record.__hash__
 
     def _decode(self) -> tuple:
         """(pos, false_atoms), decoded from the masks and kept."""
@@ -365,21 +400,19 @@ def satisfies_negative(s: ModelState, d) -> bool:
     return bool(_fset(d) & s.false_atoms)
 
 
-@dataclass(frozen=True)
-class Hypothesis:
+class Hypothesis(_Record):
     """A set of assumptions: per-atom literal assumptions ("not a") plus
     optional disjunctive assumptions of size >= 2 ("not a or not b ...")."""
 
-    literal_assumptions: frozenset = frozenset()
-    disjunctive_assumptions: frozenset = frozenset()
+    _fields = ("literal_assumptions", "disjunctive_assumptions")
 
-    def __post_init__(self):
-        object.__setattr__(self, "literal_assumptions", _fset(self.literal_assumptions))
-        disj = frozenset(_fset(d) for d in self.disjunctive_assumptions)
+    def __init__(self, literal_assumptions=frozenset(), disjunctive_assumptions=frozenset()):
+        lits = _fset(literal_assumptions)
+        disj = frozenset(_fset(d) for d in disjunctive_assumptions)
         for d in disj:
             if len(d) < 2:
                 raise ValueError("disjunctive assumptions must have at least two atoms")
-        object.__setattr__(self, "disjunctive_assumptions", disj)
+        self._set(lits, disj)
 
 
 def state_consistent(s: ModelState) -> bool:

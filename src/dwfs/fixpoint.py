@@ -19,7 +19,7 @@ its Rules.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .core import CapacityError, Program, atom_mask, canonicalize, mask_atoms, mask_bits
 
@@ -42,6 +42,22 @@ def _join(head: int, slots: list) -> set:
     for cands in slots:
         acc = {a | c for a in acc for c in cands}
     return acc
+
+
+def _join_capped(out: set, head: int, slots: list, cap: int, held: int):
+    """out |= _join(head, slots), slots nonempty, with CapacityError as soon
+    as held plus the clauses in out exceed cap. When the partial joins times
+    the last slot could pass the room left, the last slot is joined one
+    partial join at a time and the cap tested after each, so a join stops
+    within one slot's size of the cap."""
+    rows, last = _join(head, slots[:-1]), slots[-1]
+    if held + len(out) + len(rows) * len(last) <= cap:
+        out |= {a | c for a in rows for c in last}
+        return
+    for a in rows:
+        out |= {a | c for c in last}
+        if held + len(out) > cap:
+            raise CapacityError(f"saturation exceeded {cap} stored rules")
 
 
 def _index(clauses: Iterable[int], atoms: int) -> dict[int, list[int]]:
@@ -114,7 +130,10 @@ class _Rounds:
         join its running set right after its own join. A one-slot rule's
         join is the head with each new contribution, and a join with
         another slot's running set empty is skipped. With a cap,
-        CapacityError as soon as held plus the clauses derived exceed it.
+        CapacityError as soon as held plus the clauses derived exceed it,
+        tested within each join of two or more slots (_join_capped); a
+        one-slot join adds at most one clause per clause of fresh, which
+        the cap already bounded.
         """
         by_atom = _index(fresh, self.bodies)
         touched = 0  # the atoms of the new clauses
@@ -141,9 +160,10 @@ class _Rounds:
                 if new:
                     slots = old[:i] + [new] + old[i + 1 :]
                     if all(slots):  # an empty running set joins nothing
-                        derived |= _join(head, slots)
-                        if cap is not None and held + len(derived) > cap:
-                            raise CapacityError(f"saturation exceeded {cap} stored rules")
+                        if cap is None:
+                            derived |= _join(head, slots)
+                        else:
+                            _join_capped(derived, head, slots, cap, held)
                     old[i] |= new
         return derived
 
@@ -159,7 +179,9 @@ def _close(
     what joins a clause new in the previous round (_Rounds). The limit is
     that of iterating cur | tps_step(p, cur). With a cap (and known empty),
     CapacityError exactly when the limit holds more than cap clauses,
-    checked after every join and every round.
+    tested after each join of the given rules over known (known being
+    empty, only their facts join anything) and within each join of a round
+    (_Rounds.derive).
     """
     rules = list(rules)
     derived: set[int] = set()

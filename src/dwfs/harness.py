@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .argumentation import Engine, wfds
 from .core import (
@@ -17,6 +16,7 @@ from .core import (
     Program,
     RouteError,
     Rule,
+    _Record,
     atom_mask,
     mask_atoms,
     satisfies_positive,
@@ -29,31 +29,36 @@ from .unfounded import uwfs
 DEFAULT_ORACLE_BOUND = 20
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    seed: int = 0
-    num_atoms: int = 6
-    num_rules: int = 8
-    max_head: int = 3
-    max_pos_body: int = 3
-    max_neg_body: int = 3
-    neg_probability: float = 0.5
+class GeneratorConfig(_Record):
+    _fields = ("seed", "num_atoms", "num_rules", "max_head", "max_pos_body", "max_neg_body",
+               "neg_probability")
 
-    def __post_init__(self):
-        if self.num_atoms < 1:
+    def __init__(
+        self,
+        seed: int = 0,
+        num_atoms: int = 6,
+        num_rules: int = 8,
+        max_head: int = 3,
+        max_pos_body: int = 3,
+        max_neg_body: int = 3,
+        neg_probability: float = 0.5,
+    ):
+        if num_atoms < 1:
             raise ValueError("num_atoms must be positive")
-        if self.num_rules < 0:
+        if num_rules < 0:
             raise ValueError("num_rules cannot be negative")
-        if self.max_head < 1:
+        if max_head < 1:
             raise ValueError("max_head must be at least 1")
-        if min(self.max_pos_body, self.max_neg_body) < 0:
+        if min(max_pos_body, max_neg_body) < 0:
             raise ValueError("body bounds cannot be negative")
-        for bound in (self.max_head, self.max_pos_body, self.max_neg_body):
-            if bound > self.num_atoms:
+        for bound in (max_head, max_pos_body, max_neg_body):
+            if bound > num_atoms:
                 raise ValueError("size bounds cannot exceed the atom count")
         # Written so that NaN fails too.
-        if not 0 <= self.neg_probability <= 1:
+        if not 0 <= neg_probability <= 1:
             raise ValueError("neg_probability must lie in [0, 1]")
+        self._set(seed, num_atoms, num_rules, max_head, max_pos_body, max_neg_body,
+                  neg_probability)
 
 
 def atom_names(n: int) -> list[str]:
@@ -254,13 +259,26 @@ def find_divergence(a: ModelState, b: ModelState):
     return ("neg", frozenset((min(negative),))) if negative else None
 
 
-@dataclass
-class EquivalenceReport:
-    program: Program
-    states: dict = field(default_factory=dict)
-    errors: dict = field(default_factory=dict)  # name -> CapacityError or RouteError
-    equal: bool = True
-    first_divergence: tuple | None = None
+class EquivalenceReport(_Record):
+    """The states and errors of every semantics on program, and whether
+    they agree. Mutable, so unhashable."""
+
+    _fields = ("program", "states", "errors", "equal", "first_divergence")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        program: Program,
+        states: dict | None = None,
+        errors: dict | None = None,
+        equal: bool = True,
+        first_divergence: tuple | None = None,
+    ):
+        # errors: name -> CapacityError or RouteError
+        self._set(program, {} if states is None else states, {} if errors is None else errors,
+                  equal, first_divergence)
 
     @property
     def route_errors(self) -> dict:
@@ -346,7 +364,7 @@ def fuzz_reports(
     shrinking is enabled."""
     programs = degenerate_programs(min(cfg.num_atoms, 4))
     for i in range(count):
-        programs.append(random_program(replace(cfg, seed=cfg.seed + i)))
+        programs.append(random_program(GeneratorConfig(**{**vars(cfg), "seed": cfg.seed + i})))
     for prog in programs:
         report = check_equivalence(prog)
         if not report.equal and shrink:

@@ -22,15 +22,15 @@ rules are decoded from the triples only when read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import ModelState, Program, Rule
+from .core import ModelState, Program, Rule, _Record
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    column: int
+class SourceSpan(_Record):
+    _fields = ("line", "column")
+
+    def __init__(self, line: int, column: int):
+        self._set(line, column)
 
     def __str__(self):
         return f"line {self.line}, column {self.column}"

@@ -36,7 +36,7 @@ cases in one kernel, _weaker_forms.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from collections.abc import Collection, Iterable
 
 from .core import (
     CapacityError,

@@ -5,12 +5,12 @@ candidate semantics must satisfy."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .core import (
     ModelState,
     Program,
     Rule,
+    _Record,
     heads_mask,
     mask_atoms,
     satisfies_positive,
@@ -26,17 +26,13 @@ class TransformKind(enum.Enum):
     NEGATIVE_REDUCTION = "negative-reduction"
 
 
-@dataclass(frozen=True)
-class TransformStep:
+class TransformStep(_Record):
     """One rewrite: drop `removed` from the program, then add `added`."""
 
-    kind: TransformKind
-    removed: frozenset
-    added: frozenset = frozenset()
+    _fields = ("kind", "removed", "added")
 
-    def __post_init__(self):
-        object.__setattr__(self, "removed", frozenset(self.removed))
-        object.__setattr__(self, "added", frozenset(self.added))
+    def __init__(self, kind: TransformKind, removed, added=frozenset()):
+        self._set(kind, frozenset(removed), frozenset(added))
 
 
 def s_implies(h1: int, p1: int, n1: int, h2: int, p2: int, n2: int) -> bool:

@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -415,3 +419,15 @@ def test_output_is_byte_deterministic(travel_file):
     assert runs[0] == runs[1]
     runs = [_run(["trace", travel_file]) for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def test_import_generates_no_code():
+    # The records are plain classes: importing the package and its CLI loads
+    # neither dataclasses nor the inspect and typing modules it pulls in.
+    src = Path(harness.__file__).resolve().parents[1]
+    probe = ("import sys, dwfs, dwfs.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe],
+                         env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -1,12 +1,20 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dwfs import (
+    AttackWitness,
+    EquivalenceReport,
+    GeneratorConfig,
+    Hypothesis,
     ModelState,
     Program,
     Rule,
+    SourceSpan,
+    TransformKind,
+    TransformStep,
     Truth,
     body_status,
     canonicalize,
@@ -21,8 +29,10 @@ from conftest import atoms, state
 
 
 def test_rule_head_must_be_nonempty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rule head must be nonempty$"):
         Rule(frozenset())
+    with pytest.raises(ValueError, match="^rule head must be nonempty$"):
+        Rule([], [0], [1])
 
 
 def test_rule_parts_are_deduplicated_sets():
@@ -142,6 +152,72 @@ def test_state_from_atom_sets_equals_state_from_masks(pos, false):
     assert s.pos == t.pos == canonicalize(pos)
     assert s.false_atoms == t.false_atoms == false
     assert repr(s) == f"ModelState(pos={s.pos!r}, false_atoms={s.false_atoms!r})"
+
+
+# One record of each class, an equal record built apart, and its repr.
+_RECORDS = [
+    (Rule(frozenset({0}), frozenset({1})), Rule([0], [1, 1]),
+     "Rule(head=frozenset({0}), pos_body=frozenset({1}), neg_body=frozenset())"),
+    (ModelState([{0}, {0, 1}], {2}), ModelState._of_masks([1], 4),
+     "ModelState(pos=frozenset({frozenset({0})}), false_atoms=frozenset({2}))"),
+    (Hypothesis({1}, [{2, 3}]), Hypothesis(frozenset({1}), [frozenset({3, 2})]),
+     "Hypothesis(literal_assumptions=frozenset({1}), "
+     "disjunctive_assumptions=frozenset({frozenset({2, 3})}))"),
+    (SourceSpan(1, 2), SourceSpan(line=1, column=2), "SourceSpan(line=1, column=2)"),
+    (TransformStep(TransformKind.UNFOLDING, [Rule({0})]),
+     TransformStep(TransformKind.UNFOLDING, {Rule({0})}, ()),
+     "TransformStep(kind=<TransformKind.UNFOLDING: 'unfolding'>, removed=frozenset({Rule("
+     "head=frozenset({0}), pos_body=frozenset(), neg_body=frozenset())}), added=frozenset())"),
+    (AttackWitness(1, frozenset({2}), ((0,),)), AttackWitness(1, frozenset({2}), ((0,),)),
+     "AttackWitness(clause=1, assumption_or_atoms=frozenset({2}), derived=((0,),))"),
+    (GeneratorConfig(), GeneratorConfig(0, 6, 8, 3, 3, 3, 0.5),
+     "GeneratorConfig(seed=0, num_atoms=6, num_rules=8, max_head=3, max_pos_body=3, "
+     "max_neg_body=3, neg_probability=0.5)"),
+]
+
+
+@pytest.mark.parametrize("record, twin, text", _RECORDS,
+                         ids=[type(record).__name__ for record, _, _ in _RECORDS])
+def test_records_keep_their_value_semantics(record, twin, text):
+    assert repr(record) == text
+    assert record == twin and hash(record) == hash(twin)
+    assert record is not twin and not record != twin
+    # As a dataclass's: CLI output order follows the hashes of rules and
+    # states (see the hash-seed CI step).
+    assert hash(record) == hash(tuple(getattr(record, name) for name in record._fields))
+    for other, _, _ in _RECORDS:
+        if type(other) is not type(record):
+            assert record != other and other != record
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and hash(copy) == hash(record) and repr(copy) == text
+    for name in record._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == text
+
+
+def test_equivalence_report_is_mutable_and_unhashable():
+    report = EquivalenceReport(None)
+    assert repr(report) == ("EquivalenceReport(program=None, states={}, errors={}, equal=True, "
+                            "first_divergence=None)")
+    assert report == EquivalenceReport(None) and report != EquivalenceReport(None, equal=False)
+    with pytest.raises(TypeError):
+        hash(report)
+    report.equal = False
+    report.states["wfds"] = ModelState()
+    assert report.states is not EquivalenceReport(None).states
+    assert pickle.loads(pickle.dumps(report)) == report
+    del report.first_divergence
+    report.first_divergence = None
+
+
+def test_hypothesis_rejects_a_one_atom_disjunctive_assumption():
+    with pytest.raises(ValueError, match="^disjunctive assumptions must have at least two atoms$"):
+        Hypothesis(disjunctive_assumptions=[{0, 1}, {2}])
+    assert Hypothesis([0], [[1, 2]]).literal_assumptions == frozenset({0})
 
 
 def test_state_repr_and_immutability():

@@ -61,6 +61,16 @@ def test_generator_respects_bounds():
 def test_generator_rejects_bad_bounds():
     with pytest.raises(ValueError):
         GeneratorConfig(seed=1, num_atoms=2, max_head=3)
+    for bad, message in [
+        ({"num_atoms": 0}, "num_atoms must be positive"),
+        ({"max_head": 0}, "max_head must be at least 1"),
+        ({"max_pos_body": -1}, "body bounds cannot be negative"),
+        ({"max_neg_body": -1}, "body bounds cannot be negative"),
+        ({"num_atoms": 2, "max_head": 1, "max_pos_body": 3}, "size bounds cannot exceed"),
+        ({"num_atoms": 2, "max_head": 1, "max_neg_body": 3}, "size bounds cannot exceed"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            GeneratorConfig(**bad)
 
 
 def test_generator_rejects_negative_rule_count():

@@ -33,6 +33,7 @@ from dwfs import (
     uwfs,
     wfds,
 )
+import dwfs.fixpoint as fixpoint
 import dwfs.residual as residual
 from dwfs.argumentation import _Session
 from dwfs.core import (
@@ -194,6 +195,28 @@ def test_lft_cap_counts_facts_exactly():
         assert len(lft(p, cap=n)) == n
         with pytest.raises(CapacityError):
             lft(p, cap=n - 1)
+
+
+def test_capped_lft_raises_before_a_join_passes_the_cap(monkeypatch):
+    # Joined whole, one join of this program holds 437,227 clauses (2.2
+    # times the cap) before the cap is tested. Joined one partial join at a
+    # time, each join stops within one last slot's size of the cap.
+    p = random_program(GeneratorConfig(9605, 300, 600, max_head=1, max_pos_body=2,
+                                       max_neg_body=2, neg_probability=0.9))
+    cap = 200_000
+    real, joins = fixpoint._join_capped, []
+
+    def spy(out, head, slots, limit, held):
+        try:
+            real(out, head, slots, limit, held)
+        finally:
+            joins.append((held + len(out), len(slots[-1])))
+
+    monkeypatch.setattr(fixpoint, "_join_capped", spy)
+    with pytest.raises(CapacityError, match=f"exceeded {cap} stored rules"):
+        lft(p, cap)
+    assert all(size <= cap + last for size, last in joins)
+    assert joins[-1][0] > cap
 
 
 def test_saturation_cap_holds_after_memo():
@@ -698,18 +721,18 @@ def test_routes_never_decode_the_saturation(monkeypatch):
     # saturation(p) then decodes each fact once and returns the same
     # frozenset on a repeat call.
     built = []
-    real_init, real_of = Rule.__post_init__, Rule._of.__func__
+    real_init, real_of = Rule.__init__, Rule._of.__func__
 
-    def spy_init(self):
-        built.append(self)
-        real_init(self)
+    def spy_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
 
     def spy_of(cls, *args):
         built.append(args)
         return real_of(cls, *args)
 
     programs = _decode_test_programs()
-    monkeypatch.setattr(Rule, "__post_init__", spy_init)
+    monkeypatch.setattr(Rule, "__init__", spy_init)
     monkeypatch.setattr(Rule, "_of", classmethod(spy_of))
     for p in programs:
         report = check_equivalence(p)
@@ -730,18 +753,18 @@ def test_routes_never_decode_a_parsed_programs_rules(monkeypatch):
     # dwfs_classic and both residual programs read the triples, so the
     # program's Rules are never decoded.
     built = []
-    real_init, real_of = Rule.__post_init__, Rule._of.__func__
+    real_init, real_of = Rule.__init__, Rule._of.__func__
 
-    def spy_init(self):
-        built.append(self)
-        real_init(self)
+    def spy_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
 
     def spy_of(cls, *args):
         built.append(args)
         return real_of(cls, *args)
 
     texts = [render_program(p) for p in _decode_test_programs()]
-    monkeypatch.setattr(Rule, "__post_init__", spy_init)
+    monkeypatch.setattr(Rule, "__init__", spy_init)
     monkeypatch.setattr(Rule, "_of", classmethod(spy_of))
     for text in texts:
         p = parse_program(text)
