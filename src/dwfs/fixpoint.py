@@ -46,15 +46,11 @@ def _join(head: int, slots: list) -> set:
 
 def _join_capped(out: set, head: int, slots: list, cap: int, held: int):
     """out |= _join(head, slots), slots nonempty, with CapacityError as soon
-    as held plus the clauses in out exceed cap. When the partial joins times
-    the last slot could pass the room left, the last slot is joined one
-    partial join at a time and the cap tested after each, so a join stops
-    within one slot's size of the cap."""
-    rows, last = _join(head, slots[:-1]), slots[-1]
-    if held + len(out) + len(rows) * len(last) <= cap:
-        out |= {a | c for a in rows for c in last}
-        return
-    for a in rows:
+    as held plus the clauses in out exceed cap: the last slot is joined to
+    one partial join at a time and the cap tested after each, so a join
+    stops within one slot's size of the cap."""
+    last = slots[-1]
+    for a in _join(head, slots[:-1]):
         out |= {a | c for c in last}
         if held + len(out) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
