@@ -24,9 +24,9 @@ round sweeps: under literals L, the live facts whose negative body lies
 within L carry exactly the subset-minimal such heads. For literals that
 meet the unit atoms, which only a caller of cons, derives, attacks or
 admissible can ask about, it reads the saturation reduced by the unit
-atoms outside the literals (residual.saturation_keeping) instead, which
-has the specification memo's live facts there; those one-shot calls keep
-no table and no saturation on the Program. The hypotheses of one
+atoms outside the literals (residual.saturated_program with keep) instead,
+which has the unreduced saturation's live facts there; those one-shot
+calls keep no table and no saturation on the Program. The hypotheses of one
 iteration only grow, so each reduct keeps the rules of the one before, and
 the raw engine grows one fixpoint closure along that chain, built from the
 program's mask triples (Program.masks), never its Rules. It leaves
@@ -95,8 +95,8 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
 
 
 class _Session:
-    """Support sets over the program's saturation (kept on the Program, see
-    residual.route_program), one structure read per engine.
+    """Support sets over the program's saturation (the route memo, kept on
+    the Program, see residual.route_program), one structure read per engine.
 
     Literal sets and support sets are atom masks (core.atom_mask), decoded
     to atom sets only at the API edge (cons, attack witnesses, the wfds
@@ -190,11 +190,11 @@ class _Session:
     def live(self, lits: int) -> frozenset:
         """The saturation's live fact pairs under the literals lits, off the
         route memo unless lits meets its unit atoms: the route memo has the
-        specification memo's live facts under every other literal set
+        unreduced saturation's live facts under every other literal set
         (residual.route_program). For literals that meet them, which no
         route asks about, off the saturation reduced by the unit atoms
-        outside lits (residual.saturation_keeping); a one-shot session asks
-        about one literal set, so it saturates once."""
+        outside lits (residual.saturated_program with keep), kept nowhere;
+        a one-shot session asks about one literal set, so it saturates once."""
         q = self.memo
         kept = lits & q.units
         if self._keep and not kept:
@@ -202,7 +202,7 @@ class _Session:
         got = self._own.get(lits)
         if got is None:
             if kept:
-                q = residual.saturation_keeping(self.program, kept)
+                q = residual.saturated_program(self.program, keep=kept)
             got = self._own[lits] = residual._live_facts(q, lits)
         return got
 

@@ -15,6 +15,7 @@ import sys
 
 from .core import CapacityError, Program, RouteError
 from .harness import (
+    ROUTES,
     SEMANTICS_NAMES,
     GeneratorConfig,
     check_equivalence,
@@ -60,7 +61,7 @@ def _build_parser() -> _Parser:
     add_input(p_sem)
     p_sem.add_argument(
         "--method",
-        choices=["wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs", "all"],
+        choices=[*ROUTES, "all"],
         default="all",
     )
     p_sem.add_argument("--format", choices=["text", "json"], default="text")

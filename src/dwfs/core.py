@@ -239,10 +239,12 @@ class Program:
 
     A saturation (residual.Saturation) is a Program with the same one store;
     the record of its fact pairs, peak, unit atoms and live table belongs to
-    residual.
+    residual. A program keeps one saturation, the route memo (_reduced, see
+    residual.route_program); every other one is built on demand and kept
+    nowhere (residual.saturated_program).
     """
 
-    __slots__ = ("_rules", "masks", "atom_names", "_names_key", "_saturated", "_reduced")
+    __slots__ = ("_rules", "masks", "atom_names", "_names_key", "_reduced")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -267,7 +269,6 @@ class Program:
         self.masks = masks  # the rules as (head, positive body, negative body) mask triples
         self.atom_names = names
         self._names_key = None
-        self._saturated = None  # residual.Saturation, see residual.saturated_program
         self._reduced = None  # residual.Saturation, see residual.route_program
 
     @classmethod

@@ -223,23 +223,26 @@ def tpg_step(p: Program, j: Iterable[Rule]) -> frozenset:
     return frozenset(out)
 
 
-SEMANTICS_NAMES = ("wfds", "wfds-raw", "dwfs-star", "uwfs")
+# Every route by name, in the order `dwfs semantics --method` lists them.
+# Each entry looks its route up by this module's global name when called, so
+# a wrapper installed on that name (bench/tracer.py's spans) sees the call.
+ROUTES = {
+    "wfds": lambda p: wfds(p, Engine.CANONICAL),
+    "wfds-raw": lambda p: wfds(p, Engine.RAW),
+    "dwfs-star": lambda p: dwfs_star(p),
+    "dwfs-classic": lambda p: dwfs_classic(p),
+    "uwfs": lambda p: uwfs(p),
+}
+# The routes check_equivalence compares: all but the baseline dwfs-classic.
+SEMANTICS_NAMES = tuple(name for name in ROUTES if name != "dwfs-classic")
 
 
 def compute_semantics(p: Program, name: str) -> ModelState:
-    """The state one route computes: a name in SEMANTICS_NAMES, or the
-    baseline "dwfs-classic", which check_equivalence leaves out."""
-    if name == "wfds":
-        return wfds(p, Engine.CANONICAL)
-    if name == "wfds-raw":
-        return wfds(p, Engine.RAW)
-    if name == "dwfs-star":
-        return dwfs_star(p)
-    if name == "dwfs-classic":
-        return dwfs_classic(p)
-    if name == "uwfs":
-        return uwfs(p)
-    raise ValueError(f"unknown semantics {name!r}")
+    """The state one route computes: a name in ROUTES."""
+    route = ROUTES.get(name)
+    if route is None:
+        raise ValueError(f"unknown semantics {name!r}")
+    return route(p)
 
 
 def states_agree(a: ModelState, b: ModelState) -> bool:

@@ -11,14 +11,15 @@ changes; the classic pass differs only in the blocking flag.
 A saturation is one record, a Saturation: the Program of its conditional
 facts, with the facts as (head mask, negative body mask) pairs, the peak
 number of rules held while saturating, the mask of its unit atoms and its
-live table. A Program keeps two of them as memos. saturated_program is the
-specification, the subset-minimal facts of lft. route_program, the one
-every route reads, drops on the way each fact whose negative body holds a
-unit atom a (one with the fact "a."), which that fact s-implies under any
-false atoms that leave a out: Brass, Dix, Freitag and Zukowski's
-reduction while unfolding. A route computes only the route memo;
-saturation_keeping, kept on no Program, drops only the facts on unit atoms
-outside a given mask. Every saturation reads the program's mask triples
+live table. A Program keeps one of them as a memo: route_program, the one
+every route reads, which drops on the way each fact whose negative body
+holds a unit atom a (one with the fact "a."), which that fact s-implies
+under any false atoms that leave a out: Brass, Dix, Freitag and Zukowski's
+reduction while unfolding. saturated_program builds a saturation on demand
+and keeps it nowhere: unreduced by default (the subset-minimal facts of
+lft, the specification the tests check), or dropping only the facts on
+unit atoms outside a given mask (keep), which one-shot argumentation calls
+about a unit atom read. Every saturation reads the program's mask triples
 (Program.masks), never its Rules.
 
 A negative program is a frozenset of Rule values with empty positive bodies
@@ -173,84 +174,58 @@ class Saturation(Program):
         self.live: dict | None = None
 
 
-def _memo(p: Program, limit: int, keep: int) -> Saturation:
-    """A saturation of p reduced by the unit atoms outside the mask keep
-    (_saturate; by none with keep -1, by all with keep 0), over p's atom
-    table."""
+def saturated_program(p: Program, cap: int | None = None, keep: int = -1) -> Saturation:
+    """The saturation of p, as a program over p's atom table, built on
+    demand and kept nowhere: the subsumption-minimal facts of lft(p), those
+    no other fact of lft(p) subsumes with a head and a negative body that
+    are both subsets, less those whose negative body meets a unit atom
+    outside the atom mask keep: with keep -1 none is dropped, with keep 0
+    every fact on a unit atom.
+
+    Computed by _saturate, on the kernel's rounds pruned by subsumption
+    (Brass and Dix's residual-program computation), with negative reduction
+    by the unit atoms outside keep while saturating. CapacityError once
+    more than cap (else DEFAULT_LFT_CAP) rules are held at once. The
+    unreduced saturation (keep -1) is the specification that saturation
+    and the tests read; no route builds it. Under false atoms L whose unit
+    atoms lie within keep, the result has the unreduced saturation's live
+    table (live_in), by route_program's argument restricted to the atoms
+    outside keep: the one-shot cons, derives, attacks and admissible read it
+    for a hypothesis that assumes a unit atom false.
+    """
+    limit = DEFAULT_LFT_CAP if cap is None else cap
     facts, peak, units = _saturate(_encoded(p), len(p.atom_names), limit, keep)
     return Saturation(p.atom_names, _split(p, facts), peak, units)
 
 
-def _checked(q: Saturation, limit: int) -> Saturation:
-    """The memo q; CapacityError if its peak exceeds limit."""
-    if q.peak > limit:
+def route_program(p: Program, cap: int | None = None) -> Saturation:
+    """The saturation every route reads, the one memo on p:
+    saturated_program(p, keep=0), the unreduced saturation's facts less
+    those whose negative body meets the unit atoms (units, the atoms a with
+    the fact "a." in it), so that the dropped facts never join. Computed
+    once per Program instance and kept with its peak, so a later call whose
+    cap lies below that peak still raises CapacityError; the one saturation
+    given a live table (live_in).
+
+    Under false atoms L that miss the unit atoms, it has the unreduced
+    saturation's live table (live_in): a dropped fact keeps a unit atom a
+    in its discounted negative body, so the fact "a." s-implies it, and it
+    can s-imply only facts whose negative body also holds a, which are
+    dropped too. No route's false atoms meet the unit atoms, which are true.
+    """
+    limit = DEFAULT_LFT_CAP if cap is None else cap
+    q = p._reduced
+    if q is None:
+        q = p._reduced = saturated_program(p, limit, 0)
+        q.live = {}
+    elif q.peak > limit:
         raise CapacityError(f"saturation exceeded {limit} stored rules")
     return q
 
 
-def saturated_program(p: Program, cap: int | None = None) -> Saturation:
-    """The saturation of p, as a program over p's atom table: the
-    subsumption-minimal facts of lft(p), those no other fact of lft(p)
-    subsumes with a head and a negative body that are both subsets.
-
-    Computed by _saturate, on the kernel's rounds pruned by subsumption
-    (Brass and Dix's residual-program computation). This is the
-    specification memo: it is computed once per Program instance and kept
-    on it, with the peak number of rules held on the way, so a later call
-    whose cap lies below that peak still raises CapacityError. saturation
-    and the tests read it; every route reads route_program instead, and a
-    one-shot argumentation call about a unit atom saturation_keeping. Its
-    rules are decoded from its mask triples once, on first read
-    (saturation).
-    """
-    limit = DEFAULT_LFT_CAP if cap is None else cap
-    if p._saturated is None:
-        p._saturated = _memo(p, limit, -1)
-    return _checked(p._saturated, limit)
-
-
-def route_program(p: Program, cap: int | None = None) -> Saturation:
-    """The saturation every route reads: saturated_program(p)'s facts less
-    those whose negative body meets the unit atoms (units, the atoms a with
-    the fact "a." in it), computed by _saturate with negative reduction by
-    unit facts while saturating, so that the dropped facts never join. The
-    second memo on p, kept with its own peak (CapacityError as for
-    saturated_program), and the one saturation given a live table
-    (live_in); a route never computes the specification memo beside it.
-
-    Under false atoms L that miss the unit atoms, both memos have the same
-    live table (live_in): a dropped fact keeps a unit atom a in its
-    discounted negative body, so the fact "a." s-implies it, and it can
-    s-imply only facts whose negative body also holds a, which are dropped
-    too. No route's false atoms meet the unit atoms, which are true.
-    """
-    limit = DEFAULT_LFT_CAP if cap is None else cap
-    if p._reduced is None:
-        q = p._reduced = _memo(p, limit, 0)
-        q.live = {}
-    return _checked(p._reduced, limit)
-
-
-def saturation_keeping(p: Program, keep: int) -> Saturation:
-    """The saturation of p less the facts whose negative body meets a unit
-    atom outside the atom mask keep, under the default cap and kept
-    nowhere: _saturate with negative reduction by those unit atoms only.
-
-    Under false atoms L whose unit atoms lie within keep, it has the live
-    table (live_in) of saturated_program(p), by route_program's argument
-    restricted to the atoms outside keep: a dropped fact keeps a unit atom
-    a outside L in its discounted negative body, so "a." s-implies it, and
-    it can s-imply only facts that are dropped too. The one-shot cons,
-    derives, attacks and admissible read it for a hypothesis that assumes
-    a unit atom false, which the route memo does not cover, without
-    computing the unreduced specification memo.
-    """
-    return _memo(p, DEFAULT_LFT_CAP, keep)
-
-
 def saturation(p: Program, cap: int | None = None) -> frozenset:
-    """The facts of the saturation: saturated_program(p, cap).rules, decoded
-    from its memo once, so every call returns the same frozenset."""
+    """The facts of the unreduced saturation: saturated_program(p, cap).rules,
+    built and decoded afresh on each call."""
     return saturated_program(p, cap).rules
 
 

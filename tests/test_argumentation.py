@@ -234,8 +234,8 @@ def _reference_admissible(session, delta_lits, atom):
     fact with the atom in its head, some remainder (a minimal nonempty
     support member minus delta_lits) lies within the assumptions an
     attacker must make, its negated atoms and its other head atoms not
-    already assumed false. The facts come from the specification memo, not
-    from the route memo the session reads."""
+    already assumed false. The facts come from the unreduced saturation,
+    not from the route memo the session reads."""
     rests = [r for group in session.remainders(delta_lits).values() for r in group]
     for head, neg in residual.live_in(residual.saturated_program(session.program), delta_lits):
         if not head >> atom & 1:
@@ -413,12 +413,8 @@ def test_hypothesis_rejects_unit_disjunctive_assumption():
 
 
 def _table_counts(p):
-    """The live tables kept on p's saturation memos: the route memo's, and
-    the specification memo's once computed."""
-    counts = [len(residual.route_program(p).live)]
-    if p._saturated is not None:
-        counts.append(len(residual.saturated_program(p).live))
-    return counts
+    """The live tables kept on p's one saturation memo, the route memo."""
+    return len(residual.route_program(p).live)
 
 
 def test_one_shot_calls_keep_no_live_table(monkeypatch):
@@ -427,14 +423,14 @@ def test_one_shot_calls_keep_no_live_table(monkeypatch):
     # assumes a unit atom false reads a saturation reduced by the unit atoms
     # outside its literals, kept by its session alone. The dense program
     # has 28 saturated facts and no unit atom, the sparse one three.
-    real = residual.saturation_keeping
+    real = residual.saturated_program
     keeping = []
 
-    def spy(p, keep):
+    def spy(p, cap=None, keep=-1):
         keeping.append(keep)
-        return real(p, keep)
+        return real(p, cap, keep)
 
-    monkeypatch.setattr(residual, "saturation_keeping", spy)
+    monkeypatch.setattr(residual, "saturated_program", spy)
     rnd = random.Random(8)
     for cfg, unit_atoms in (
         (GeneratorConfig(3, 16, 24, 2, 2, 2), 0),
@@ -442,6 +438,8 @@ def test_one_shot_calls_keep_no_live_table(monkeypatch):
     ):
         p = random_program(cfg)
         wfds(p)
+        assert keeping == [0]  # wfds built the route memo
+        keeping.clear()
         assert bin(residual.route_program(p).units).count("1") == unit_atoms
         kept = _table_counts(p)
         n = len(p.atom_names)
@@ -454,11 +452,12 @@ def test_one_shot_calls_keep_no_live_table(monkeypatch):
             attacks(p, delta, target)
             admissible(p, delta, rnd.randrange(n))
         # Some hypothesis met the unit atoms, if any, and read a saturation
-        # reduced outside them; no table and no specification memo was kept.
+        # reduced outside them; no table was kept, and nothing saturated
+        # unreduced.
         units = residual.route_program(p).units
         assert bool(keeping) == bool(unit_atoms)
         assert all(keep and not keep & ~units for keep in keeping)
-        assert _table_counts(p) == kept and p._saturated is None
+        assert _table_counts(p) == kept
         keeping.clear()
 
 
@@ -498,14 +497,24 @@ def test_raw_one_shot_calls_never_saturate(monkeypatch):
             cons(p, delta)
 
 
-def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family():
-    # Assuming a unit atom false used to read the unreduced specification
-    # memo, which runs for minutes on this family; the saturation reduced
-    # by the other unit atoms takes well under 0.1 s per call on a 2-core
-    # machine. An alarm stops a regression instead of letting it hang, and
-    # the time bound is about ten times what the calls take.
+def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family(monkeypatch):
+    # Assuming a unit atom false used to read the unreduced saturation,
+    # which runs for minutes on this family; the saturation reduced by the
+    # other unit atoms takes well under 0.1 s per call on a 2-core machine,
+    # and no call saturates unreduced (keep -1). An alarm stops a
+    # regression instead of letting it hang, and the time bound is about
+    # ten times what the calls take.
     def expired(signum, frame):
         raise TimeoutError("one-shot calls about unit atoms ran past 60 s")
+
+    real = residual.saturated_program
+    keeping = []
+
+    def spy(p, cap=None, keep=-1):
+        keeping.append(keep)
+        return real(p, cap, keep)
+
+    monkeypatch.setattr(residual, "saturated_program", spy)
 
     previous = signal.signal(signal.SIGALRM, expired)
     signal.alarm(60)
@@ -523,7 +532,7 @@ def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family():
                 assert derives(p, delta, {a})
                 assert attacks(p, delta, delta) is not None
                 assert not admissible(p, delta, a)
-            assert p._saturated is None
+        assert keeping and -1 not in keeping
         assert time.perf_counter() - start < 30
     finally:
         signal.alarm(0)

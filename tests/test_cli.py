@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -23,7 +24,7 @@ from dwfs import (
     state_json,
 )
 from dwfs.cli import run
-from dwfs.harness import SEMANTICS_NAMES, compute_semantics, report_json
+from dwfs.harness import ROUTES, SEMANTICS_NAMES, compute_semantics, report_json
 from conftest import (
     ATTACK_DEMO,
     GUARD,
@@ -156,9 +157,12 @@ def test_rejected_fuzz_config_is_usage_error(capsys, flags, message):
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
-def test_usage_error_on_bad_method(travel_file):
+def test_usage_error_on_bad_method(travel_file, capsys):
     code, _ = _run(["semantics", travel_file, "--method", "no-such"])
     assert code == 1
+    # The choices are the route table's names, in its order, then "all".
+    choices = capsys.readouterr().err.split("choose from", 1)[1]
+    assert re.findall(r"[\w-]+", choices) == [*ROUTES, "all"]
 
 
 def test_no_command_is_usage_error():
@@ -280,15 +284,13 @@ def test_residual_lft_cap_boundary_is_the_route_memo_peak(tmp_path, capsys):
     # dwfs residual reads the route memo, so --lft-cap counts the most rules
     # its saturation held at once: one below that peak exits 3, the peak
     # itself passes. On this dense program the route memo, reduced by unit
-    # facts while saturating, peaks at 17 against the specification
-    # memo's 24, so caps 17 to 23 print the residual program.
+    # facts while saturating, peaks at 17 against the unreduced
+    # saturation's 24, so caps 17 to 23 print the residual program.
     path = tmp_path / "dense-07.lp"
     path.write_text(render_program(random_program(GeneratorConfig(7, 10, 16, 2, 2, 2))))
     p = parse_program(path.read_text())
-    residual.route_program(p)
-    residual.saturated_program(p)
-    peak = p._reduced.peak
-    assert (peak, p._saturated.peak) == (17, 24)
+    peak = residual.route_program(p).peak
+    assert (peak, residual.saturated_program(p).peak) == (17, 24)
     for extra in ([], ["--classic"]):
         assert _run(["residual", str(path), "--lft-cap", str(peak - 1), *extra]) == (3, "")
         assert "capacity error" in capsys.readouterr().err
@@ -385,7 +387,7 @@ def test_semantics_prints_compute_semantics(tmp_path):
         path.write_text(text)
         p = parse_program(text)
         names = p.atom_names
-        for method in ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs"):
+        for method in ROUTES:
             state = compute_semantics(p, method)
             argv = ["semantics", str(path), "--method", method]
             assert _run(argv) == (0, render_state(state, names))

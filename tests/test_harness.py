@@ -22,7 +22,10 @@ from dwfs import (
 )
 from dwfs import satisfies_negative, satisfies_positive
 from dwfs.harness import (
+    ROUTES,
+    SEMANTICS_NAMES,
     atom_names,
+    compute_semantics,
     find_divergence,
     fuzz_reports,
     report_json,
@@ -172,6 +175,16 @@ def test_check_equivalence_on_examples():
         assert set(report.states) == {"wfds", "wfds-raw", "dwfs-star", "uwfs"}
         want = state(p, pos=pos, false=false)
         assert all(s == want for s in report.states.values())
+
+
+def test_route_table_names_every_route_once():
+    # One table names the routes: check_equivalence compares all but the
+    # baseline, and compute_semantics refuses a name outside it.
+    assert tuple(ROUTES) == ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs")
+    assert SEMANTICS_NAMES == ("wfds", "wfds-raw", "dwfs-star", "uwfs")
+    p = parse_program(TRAVEL)
+    with pytest.raises(ValueError, match="unknown semantics 'nope'"):
+        compute_semantics(p, "nope")
 
 
 def test_states_agree_matches_pointwise_satisfaction():

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from collections import defaultdict
@@ -222,11 +223,11 @@ def test_capped_lft_raises_before_a_join_passes_the_cap(monkeypatch):
 def test_saturation_cap_holds_after_memo():
     p = parse_program(SATURATE)
     facts = saturation(p)
-    assert saturation(p, cap=100) is facts
+    assert saturation(p, cap=100) == facts
     with pytest.raises(CapacityError):
         saturation(p, cap=1)
-    assert saturation(p) is facts
-    assert saturated_program(p).rules is saturation(p)
+    assert saturation(p) == facts
+    assert saturated_program(p).rules == saturation(p)
     with pytest.raises(CapacityError):
         saturated_program(p, cap=1)
 
@@ -570,10 +571,10 @@ def test_mask_level_residual_loops_match_all_pairs_references():
 
 
 def test_route_memo_is_the_saturation_less_what_unit_facts_supersede(monkeypatch):
-    # The routes read route_program(p): the specification memo's facts less
-    # those whose negative body meets the unit atoms. Under every false set
-    # check_equivalence's routes reach, and under random ones that miss the
-    # unit atoms, both memos have the same live table.
+    # The routes read route_program(p): the unreduced saturation's facts
+    # less those whose negative body meets the unit atoms. Under every false
+    # set check_equivalence's routes reach, and under random ones that miss
+    # the unit atoms, both have the same live table.
     real = residual.live_in
     reached = []
 
@@ -607,8 +608,8 @@ def test_route_memo_is_the_saturation_less_what_unit_facts_supersede(monkeypatch
 def test_saturation_keeping_has_the_specifications_live_table():
     # For literals that meet the unit atoms, the one-shot argumentation
     # calls read the saturation reduced by the unit atoms outside the
-    # literals: the specification memo's facts less those whose negative
-    # body meets a unit atom outside them, with the specification memo's
+    # literals: the unreduced saturation's facts less those whose negative
+    # body meets a unit atom outside them, with the unreduced saturation's
     # live table under those literals.
     rnd = random.Random(22)
     compared = 0
@@ -623,7 +624,7 @@ def test_saturation_keeping_has_the_specifications_live_table():
             unit = rnd.choice([1 << a for a in range(width) if units >> a & 1])
             lits = rnd.getrandbits(width) & rnd.getrandbits(width) | unit
             keep = lits & units
-            q = residual.saturation_keeping(p, keep)
+            q = saturated_program(p, keep=keep)
             dropped = units & ~keep
             assert residual.fact_masks(q) == frozenset((h, n) for h, n in facts
                                                        if not n & dropped), p
@@ -639,15 +640,15 @@ def test_routes_never_compute_the_specification_memo(monkeypatch):
     # residual programs compute one saturation memo, the route memo (keep
     # 0). The one-shot cons, derives, attacks and admissible compute no
     # other memo; on hypotheses that meet the unit atoms they saturate
-    # keeping those atoms, never the specification memo (keep -1).
-    real = residual._memo
+    # keeping those atoms, never unreduced (keep -1).
+    real = residual.saturated_program
     memos = []
 
-    def spy(p, limit, keep):
+    def spy(p, cap=None, keep=-1):
         memos.append(keep)
-        return real(p, limit, keep)
+        return real(p, cap, keep)
 
-    monkeypatch.setattr(residual, "_memo", spy)
+    monkeypatch.setattr(residual, "saturated_program", spy)
     configs = [GeneratorConfig(seed, 6, 8, 3, 3, 3, 0.5) for seed in range(40)]
     configs += [GeneratorConfig(seed, 5, 7, 1, 2, 2, 0.7) for seed in range(40)]
     configs += [GeneratorConfig(seed, 5, 6, 3, 3, 3, 0.0) for seed in range(40)]
@@ -679,8 +680,49 @@ def test_routes_never_compute_the_specification_memo(monkeypatch):
                 attacks(p, delta, Hypothesis(mask_atoms(rnd.getrandbits(n))), engine)
                 admissible(p, delta, rnd.randrange(n), engine)
         assert all(keep and not keep & ~units for keep in memos[1:]), cfg
-        assert p._saturated is None, cfg
     assert met > 100
+
+
+def _saturations_reachable(p):
+    """The Saturation records reachable from p through object references."""
+    found, seen, stack = [], set(), [p]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        if isinstance(x, residual.Saturation):
+            found.append(x)
+        stack.extend(gc.get_referents(x))
+    return found
+
+
+def test_unreduced_saturation_is_kept_nowhere(monkeypatch):
+    # saturation(p) builds the unreduced saturation afresh on each call and
+    # leaves no memo on p; check_equivalence and one-shot calls about a unit
+    # atom leave the route memo as the one saturation reachable from p.
+    real = residual._saturate
+    runs = []
+
+    def spy(rules, width, limit, keep):
+        runs.append(keep)
+        return real(rules, width, limit, keep)
+
+    monkeypatch.setattr(residual, "_saturate", spy)
+    p = parse_program("a.\nb | c :- a, not d.\nd :- not b.\ne :- c, not a.\n")
+    first = saturation(p)
+    assert saturation(p) == first
+    assert runs == [-1, -1] and p._reduced is None
+    assert _saturations_reachable(p) == []
+    report = check_equivalence(p)
+    assert report.equal and not report.errors
+    a = p.atom_id("a")
+    assert residual.route_program(p).units == 1 << a
+    delta = Hypothesis({a})
+    assert frozenset({a}) in cons(p, delta)
+    assert not admissible(p, delta, a)
+    assert runs == [-1, -1, 0, 1 << a, 1 << a]
+    assert _saturations_reachable(p) == [p._reduced]
 
 
 def _decode_test_programs():
@@ -699,14 +741,18 @@ def _decode_test_programs():
 
 
 def test_recorded_peak_is_the_exact_cap_boundary():
-    # Each memo records the most rules its saturation held at once, and
-    # that peak is the least cap that passes: one below it raises
-    # CapacityError, on the Program that holds the memo and on a fresh one.
+    # Each saturation records the most rules it held at once, and that peak
+    # is the least cap that passes: one below it raises CapacityError, on
+    # the Program that holds the route memo and on a fresh one. The
+    # unreduced saturation is built afresh on each call, to the same record.
     for text in [render_program(p) for p in _decode_test_programs()]:
         for memo in (saturated_program, residual.route_program):
             p = parse_program(text)
             q = memo(p)
-            assert memo(p, q.peak) is q
+            again = memo(p, q.peak)
+            if memo is residual.route_program:
+                assert again is q
+            assert (again.peak, again.facts, again.units) == (q.peak, q.facts, q.units)
             with pytest.raises(CapacityError):
                 memo(p, q.peak - 1)
             fresh = memo(parse_program(text), q.peak)
@@ -718,8 +764,8 @@ def test_recorded_peak_is_the_exact_cap_boundary():
 def test_routes_never_decode_the_saturation(monkeypatch):
     # The routes read the saturation's mask pairs: no Rule is built while
     # check_equivalence and dwfs_classic run, by either constructor.
-    # saturation(p) then decodes each fact once and returns the same
-    # frozenset on a repeat call.
+    # Each saturation(p) call then builds the saturation afresh and decodes
+    # each of its facts once, to an equal frozenset.
     built = []
     real_init, real_of = Rule.__init__, Rule._of.__func__
 
@@ -742,9 +788,10 @@ def test_routes_never_decode_the_saturation(monkeypatch):
     for p in programs:
         facts = saturation(p)
         assert len(built) == len(facts)
-        assert saturation(p) is facts
-        assert saturated_program(p).rules is facts
-        assert len(built) == len(facts)
+        assert saturation(p) == facts
+        assert len(built) == 2 * len(facts)
+        assert saturated_program(p).rules == facts
+        assert len(built) == 3 * len(facts)
         built.clear()
 
 
