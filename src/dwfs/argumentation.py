@@ -3,21 +3,21 @@ hypotheses under two derivation engines, the attack relation, admissibility,
 and the well-founded hypothesis fixpoint.
 
 Admissibility is decided fact-wise over the program's saturation into
-conditional facts (the route memo, residual.route_program, which leaves
-out the facts a unit fact supersedes under every hypothesis of the
-iteration): every derivation of an atom flows through such a fact,
-so "not a" is admissible when every fact with a in its head is disarmed.
-A fact is disarmed when a strictly stronger fact (smaller head, conditions
-within the fact's own conditions plus already-false atoms) supersedes it,
-or when the current hypothesis derives a disjunction inside the assumptions
-an attacker would need: the fact's negated atoms plus its other head atoms,
-minus what is already assumed false. Disjunctive assumptions never help an
-attacker (derivation consumes only literal assumptions), and attacking a
-smaller assumption set attacks every superset, so this per-fact check
-covers all hypotheses. Each round of the admissibility iteration decides
-every atom at once, in one sweep over the facts that no stronger fact
-supersedes under the round's false atoms (_Session.armed over
-residual.live_in).
+conditional facts (the route memo, residual.route_program, a record of fact
+pairs that is not a Program, which leaves out the facts a unit fact
+supersedes under every hypothesis of the iteration): every derivation of an
+atom flows through such a fact, so "not a" is admissible when every fact
+with a in its head is disarmed. A fact is disarmed when a strictly stronger
+fact (smaller head, conditions within the fact's own conditions plus
+already-false atoms) supersedes it, or when the current hypothesis derives
+a disjunction inside the assumptions an attacker would need: the fact's
+negated atoms plus its other head atoms, minus what is already assumed
+false. Disjunctive assumptions never help an attacker (derivation consumes
+only literal assumptions), and attacking a smaller assumption set attacks
+every superset, so this per-fact check covers all hypotheses. Each round of
+the admissibility iteration decides every atom at once, in one sweep over
+the facts that no stronger fact supersedes under the round's false atoms
+(_Session.armed over residual.live_in).
 
 The canonical engine reads a hypothesis's support off the live facts its
 round sweeps: under literals L, the live facts whose negative body lies

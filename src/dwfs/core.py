@@ -197,6 +197,7 @@ class Rule(_Record):
         return bool(self.head_mask & self.pos_mask)
 
     def atoms(self) -> frozenset:
+        """Every atom the rule mentions; the benchmark's self-test reads it."""
         return self.head | self.pos_body | self.neg_body
 
 
@@ -237,10 +238,9 @@ class Program:
     when their rule sets and bases coincide up to atom names, so interning
     order is irrelevant to equality.
 
-    A saturation (residual.Saturation) is a Program with the same one store;
-    the record of its fact pairs, peak, unit atoms and live table belongs to
-    residual. A program keeps one saturation, the route memo (_reduced, see
-    residual.route_program); every other one is built on demand and kept
+    A program keeps one saturation, the route memo (_reduced, see
+    residual.route_program), a record of fact pairs that is not a Program
+    (residual.Saturation); every other one is built on demand and kept
     nowhere (residual.saturated_program).
     """
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import random
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 from .argumentation import Engine, wfds
 from .core import (
@@ -245,12 +246,6 @@ def compute_semantics(p: Program, name: str) -> ModelState:
     return route(p)
 
 
-def states_agree(a: ModelState, b: ModelState) -> bool:
-    """Agreement on every pure disjunction; canonical cores make this a
-    structural comparison, of the states' masks."""
-    return a == b
-
-
 def find_divergence(a: ModelState, b: ModelState):
     """A pure disjunction satisfied by exactly one state: ('pos'|'neg', atoms)."""
     for d in sorted(a.pos | b.pos, key=sorted):
@@ -307,7 +302,9 @@ def check_equivalence(p: Program) -> EquivalenceReport:
     names = [n for n in SEMANTICS_NAMES if n in report.states]
     for i, n1 in enumerate(names):
         for n2 in names[i + 1 :]:
-            if not states_agree(report.states[n1], report.states[n2]):
+            # Canonical cores make agreement on every pure disjunction a
+            # comparison of the states' masks.
+            if report.states[n1] != report.states[n2]:
                 witness = find_divergence(report.states[n1], report.states[n2])
                 report.equal = False
                 report.first_divergence = ((n1, n2), witness)
@@ -362,13 +359,11 @@ def fuzz_reports(
     cfg: GeneratorConfig,
     shrink: bool = True,
 ) -> Iterator[EquivalenceReport]:
-    """Degenerate programs first, then seeded random ones; divergent reports,
-    and reports with a route failure, are re-run on a shrunk program when
-    shrinking is enabled."""
-    programs = degenerate_programs(min(cfg.num_atoms, 4))
-    for i in range(count):
-        programs.append(random_program(GeneratorConfig(**{**vars(cfg), "seed": cfg.seed + i})))
-    for prog in programs:
+    """Degenerate programs first, then seeded random ones, each built only
+    when its turn comes; divergent reports, and reports with a route
+    failure, are re-run on a shrunk program when shrinking is enabled."""
+    seeds = (GeneratorConfig(**{**vars(cfg), "seed": cfg.seed + i}) for i in range(count))
+    for prog in chain(degenerate_programs(min(cfg.num_atoms, 4)), map(random_program, seeds)):
         report = check_equivalence(prog)
         if not report.equal and shrink:
             small = shrink_divergence(prog, lambda q: not check_equivalence(q).equal)

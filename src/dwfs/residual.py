@@ -8,19 +8,21 @@ from one loop (_residual): a reduction pass (_reduce) drops the facts
 _weaker_forms finds and deletes dead negative literals, until nothing
 changes; the classic pass differs only in the blocking flag.
 
-A saturation is one record, a Saturation: the Program of its conditional
-facts, with the facts as (head mask, negative body mask) pairs, the peak
-number of rules held while saturating, the mask of its unit atoms and its
-live table. A Program keeps one of them as a memo: route_program, the one
-every route reads, which drops on the way each fact whose negative body
-holds a unit atom a (one with the fact "a."), which that fact s-implies
-under any false atoms that leave a out: Brass, Dix, Freitag and Zukowski's
-reduction while unfolding. saturated_program builds a saturation on demand
-and keeps it nowhere: unreduced by default (the subset-minimal facts of
-lft, the specification the tests check), or dropping only the facts on
+A saturation is one record, a Saturation, which is not a Program: the
+program's atom table, its conditional facts held once, as (head mask,
+negative body mask) pairs, the peak number of rules held while saturating,
+the mask of its unit atoms and its live table. A Program keeps one of them
+as a memo: route_program, the one every route reads, which drops on the way
+each fact whose negative body holds a unit atom a (one with the fact
+"a."), which that fact s-implies under any false atoms that leave a out:
+Brass, Dix, Freitag and Zukowski's reduction while unfolding.
+saturated_program builds a saturation on demand and keeps it nowhere:
+unreduced by default (the subset-minimal facts of lft, the specification
+the tests check, which saturation decodes), or dropping only the facts on
 unit atoms outside a given mask (keep), which one-shot argumentation calls
 about a unit atom read. Every saturation reads the program's mask triples
-(Program.masks), never its Rules.
+(Program.masks), never its Rules; fact_masks reads the facts of a
+Saturation or of a Program of conditional facts alike.
 
 A negative program is a frozenset of Rule values with empty positive bodies
 (conditional facts). The saturation, its live tables and the reduction loops
@@ -151,12 +153,12 @@ def lft(p: Program, cap: int | None = None) -> frozenset:
     return decode_facts(_split(p, closure))
 
 
-class Saturation(Program):
-    """A saturation of a program, as one record: the program of its
-    conditional facts over the program's atom table, with
+class Saturation:
+    """A saturation of a program, as one record, not a Program:
 
-    - facts, the same facts as (head mask, negative body mask) pairs, which
-      the routes read (fact_masks);
+    - atom_names, the program's atom table;
+    - facts, its conditional facts as (head mask, negative body mask) pairs,
+      which the routes read (fact_masks);
     - peak, the most rules held at once while saturating (_saturate), which
       a later cap is checked against;
     - units, the mask of its unit atoms (a with the fact "a.");
@@ -164,10 +166,10 @@ class Saturation(Program):
       on the route memo (route_program), None on every other saturation.
     """
 
-    __slots__ = ("facts", "peak", "units", "live")
+    __slots__ = ("atom_names", "facts", "peak", "units", "live")
 
-    def __init__(self, names: tuple, facts: frozenset, peak: int, units: int):
-        self._init(names, frozenset((h, 0, n) for h, n in facts))
+    def __init__(self, atom_names: tuple, facts: frozenset, peak: int, units: int):
+        self.atom_names = atom_names
         self.facts = facts
         self.peak = peak
         self.units = units
@@ -224,15 +226,16 @@ def route_program(p: Program, cap: int | None = None) -> Saturation:
 
 
 def saturation(p: Program, cap: int | None = None) -> frozenset:
-    """The facts of the unreduced saturation: saturated_program(p, cap).rules,
+    """The facts of the unreduced saturation (saturated_program(p, cap)),
     built and decoded afresh on each call."""
-    return saturated_program(p, cap).rules
+    return decode_facts(saturated_program(p, cap).facts)
 
 
-def fact_masks(q: Program) -> frozenset:
+def fact_masks(q: Saturation | Program) -> frozenset:
     """q's facts as (head mask, negative body mask) pairs: a Saturation's
-    facts, else q's conditional facts (ValueError otherwise), derived from
-    its mask triples on each call and kept nowhere."""
+    facts, else the conditional facts of the Program q (ValueError on a rule
+    with a positive body), derived from its mask triples on each call and
+    kept nowhere. The one reader that accepts either kind."""
     if isinstance(q, Saturation):
         return q.facts
     if any(pos for _, pos, _ in q.masks):
@@ -285,7 +288,7 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
     return frozenset(r for r in facts if (r.head_mask, r.neg_mask) in gone)
 
 
-def live_in(q: Program, false: int = 0) -> frozenset:
+def live_in(q: Saturation | Program, false: int = 0) -> frozenset:
     """q's fact pairs (fact_masks) that no strictly stronger one s-implies
     once the atoms of the mask false are discounted, the only ones a route
     reads. Kept per mask in q's table when q is a Saturation that has one,
@@ -301,7 +304,7 @@ def live_in(q: Program, false: int = 0) -> frozenset:
     return got
 
 
-def _live_facts(q: Program, false: int) -> frozenset:
+def _live_facts(q: Saturation | Program, false: int) -> frozenset:
     """live_in(q, false) built afresh and not kept on q."""
     facts = fact_masks(q)
     return facts - _superseded_masks(facts, false)

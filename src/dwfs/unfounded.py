@@ -1,17 +1,19 @@
 """Unfounded sets over model states, the greatest unfounded set, and the
 well-founded operator they induce, on programs of conditional facts.
 
-The domain is a program of conditional facts (rules with no positive body),
-the residual-program form of Brass and Dix: uwfs reads the program's
-saturation into that form (the route memo, residual.route_program), since
-positive body atoms carry support information that only the saturated form
-exposes rule-locally. The route memo leaves out the facts whose negative
-body holds a unit atom; a unit atom is never unfounded, so such a fact
-never fires and is superseded in every W step. Every function here raises
-ValueError on a rule with a positive body. They read the facts as (head
-mask, negative body mask) pairs (residual.fact_masks, residual.live_in)
-and a state as the masks it holds, and never decode a state, in uwfs's W
-steps included.
+The domain is a set of conditional facts (rules with no positive body), the
+residual-program form of Brass and Dix: a saturation (residual.Saturation,
+a record that is not a Program) or a Program of conditional facts. uwfs
+reads the program's saturation into that form (the route memo,
+residual.route_program), since positive body atoms carry support
+information that only the saturated form exposes rule-locally. The route
+memo leaves out the facts whose negative body holds a unit atom; a unit
+atom is never unfounded, so such a fact never fires and is superseded in
+every W step. Every function here takes either kind, and raises ValueError
+on a Program rule with a positive body. They read the facts as (head mask,
+negative body mask) pairs (residual.fact_masks, residual.live_in) and a
+state as the masks it holds, and never decode a state, in uwfs's W steps
+included.
 
 An atom set X is unfounded with respect to a state when every rule with a
 head atom in X is blocked. A rule is blocked when its body is false, when a
@@ -76,7 +78,7 @@ class NoGreatestUnfoundedSetError(RouteError):
     exists."""
 
 
-def _rule_rows(p: Program, s: ModelState) -> list:
+def _rule_rows(p: residual.Saturation | Program, s: ModelState) -> list:
     """Per live conditional fact whose body is not false: its head mask and
     its witness masks; a witness blocks the fact for X iff its mask is
     disjoint from X.
@@ -106,7 +108,7 @@ def _unfounded(rows: list, x: int) -> bool:
     return all(not all(w & x for w in witnesses) for hm, witnesses in rows if hm & x)
 
 
-def is_unfounded(p: Program, s: ModelState, x) -> bool:
+def is_unfounded(p: residual.Saturation | Program, s: ModelState, x) -> bool:
     """True iff every rule whose head meets x is blocked with respect to s."""
     return _unfounded(_rule_rows(p, s), atom_mask(x))
 
@@ -120,7 +122,7 @@ def _singleton_union(rows: list, n: int) -> int:
     return ((1 << n) - 1) & ~founded
 
 
-def greatest_unfounded(p: Program, s: ModelState):
+def greatest_unfounded(p: residual.Saturation | Program, s: ModelState):
     """The unfounded set containing every unfounded set, or NO_GREATEST.
 
     Every subset of an unfounded set is unfounded (the module docstring
@@ -135,18 +137,18 @@ def greatest_unfounded(p: Program, s: ModelState):
     return NO_GREATEST
 
 
-def _consequences(p: Program, false: int) -> list:
+def _consequences(p: residual.Saturation | Program, false: int) -> list:
     """t_operator's members under the false-atom mask false, as atom masks."""
     return [h & ~false for h, n in residual.fact_masks(p) if not n & ~false and h & ~false]
 
 
-def t_operator(p: Program, s: ModelState) -> frozenset:
+def t_operator(p: residual.Saturation | Program, s: ModelState) -> frozenset:
     """Immediate consequences: for every conditional fact whose negated
     atoms are all false, the head minus already-false atoms, canonically."""
     return canonical_sets(_consequences(p, s.false_mask))
 
 
-def w_operator(p: Program, s: ModelState) -> ModelState:
+def w_operator(p: residual.Saturation | Program, s: ModelState) -> ModelState:
     """One well-founded step: add immediate consequences and negate the
     greatest unfounded set, accumulating the given state."""
     u = greatest_unfounded(p, s)

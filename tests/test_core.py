@@ -50,6 +50,11 @@ def test_program_rejects_out_of_range_atoms():
     Program([Rule([1], [0], [0, 1])], ["a", "b"])
 
 
+def test_program_rejects_duplicate_atom_names():
+    with pytest.raises(ValueError, match="^duplicate atom names in table$"):
+        Program([Rule([0])], ["a", "a"])
+
+
 def test_program_equality_ignores_interning_order():
     p1 = parse_program("a :- b. c.")
     p2 = parse_program("c. a :- b.")
@@ -61,6 +66,12 @@ def test_program_equality_sees_base_difference():
     p1 = parse_program("a.")
     p2 = parse_program("a :- b. a.")
     assert p1 != p2
+
+
+def test_program_never_equals_another_type():
+    p = parse_program("a.")
+    assert p.__eq__(1) is NotImplemented
+    assert p != 1 and not p == frozenset(p.rules)
 
 
 def test_canonicalize_drops_subsumed_disjunction():

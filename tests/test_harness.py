@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import dwfs.harness as harness
 import dwfs.unfounded as unfounded
 from dwfs import (
     AdmissibilityError,
@@ -30,7 +31,6 @@ from dwfs.harness import (
     fuzz_reports,
     report_json,
     shrink_divergence,
-    states_agree,
 )
 from conftest import (
     ATTACK_DEMO,
@@ -204,7 +204,7 @@ def test_states_agree_matches_pointwise_satisfaction():
                 for k in range(1, len(base) + 1)
                 for c in itertools.combinations(base, k)
             )
-            assert states_agree(s1, s2) == pointwise
+            assert (s1 == s2) == pointwise
 
 
 def test_find_divergence_names_the_first_witness():
@@ -240,6 +240,29 @@ def test_fuzz_reports_inject_degenerates_and_agree():
     assert not reports[0].program.rules
     assert all(r.is_fact for r in reports[1].program.rules)
     assert all(rep.equal for rep in reports)
+
+
+def test_fuzz_reports_build_each_program_as_it_is_checked(monkeypatch):
+    # A large count costs no memory or time up front: the degenerate
+    # programs are checked before any random one is built, and each seed's
+    # program is built only when its report is due.
+    real = harness.random_program
+    built = []
+
+    def spy(cfg):
+        built.append(cfg.seed)
+        return real(cfg)
+
+    monkeypatch.setattr(harness, "random_program", spy)
+    cfg = GeneratorConfig(seed=3, num_atoms=4, num_rules=4)
+    reports = fuzz_reports(50, cfg)
+    for want in harness.degenerate_programs(4):
+        assert next(reports).program == want
+    assert built == []
+    for seed in (3, 4):
+        assert next(reports).program == real(GeneratorConfig(seed, 4, 4))
+        assert built[-1] == seed
+    assert built == [3, 4]
 
 
 def test_report_json_shape():

@@ -34,7 +34,7 @@ from dwfs import (
     render_program,
 )
 import dwfs.residual as residual
-from dwfs.core import mask_atoms
+from dwfs.core import decode_facts, mask_atoms
 from dwfs.harness import compute_semantics
 
 ROUTES = ("wfds", "wfds-raw", "dwfs-star", "dwfs-classic", "uwfs")
@@ -207,10 +207,10 @@ def test_every_route_equals_normal_wfs_on_the_300_atom_normal_family():
 
 
 def _untabled(q, false=0):
-    """residual.live_in without its table or fact store: the live facts'
-    (head mask, negative body mask) pairs, from the decoded rules through
-    the Rule-level superseded."""
-    facts = frozenset(r for r in q.rules if r.is_conditional_fact)
+    """residual.live_in without its table: the live facts' (head mask,
+    negative body mask) pairs, from the decoded facts through the Rule-level
+    superseded."""
+    facts = decode_facts(residual.fact_masks(q))
     live = facts - residual.superseded(facts, mask_atoms(false))
     return frozenset((r.head_mask, r.neg_mask) for r in live)
 

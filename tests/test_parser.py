@@ -16,7 +16,6 @@ from dwfs import (
     state_json,
 )
 from dwfs.core import atom_mask
-from dwfs.residual import saturated_program
 from conftest import SUPPORT_DEMO, TRAVEL, atoms, state
 
 
@@ -81,9 +80,6 @@ def test_repr_decodes_nothing():
     p = parse_program("a | b :- c, not d. a | b :- c, not d. c.")
     assert repr(p) == "Program(2 rules over 4 atoms)"
     assert p._rules is None
-    q = saturated_program(p)
-    assert repr(q) == "Program(2 rules over 4 atoms)"
-    assert q._rules is None
 
 
 def test_duplicate_atoms_and_rules_merge_in_the_mask_store():

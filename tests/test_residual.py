@@ -227,7 +227,7 @@ def test_saturation_cap_holds_after_memo():
     with pytest.raises(CapacityError):
         saturation(p, cap=1)
     assert saturation(p) == facts
-    assert saturated_program(p).rules == saturation(p)
+    assert decode_facts(saturated_program(p).facts) == saturation(p)
     with pytest.raises(CapacityError):
         saturated_program(p, cap=1)
 
@@ -790,7 +790,7 @@ def test_routes_never_decode_the_saturation(monkeypatch):
         assert len(built) == len(facts)
         assert saturation(p) == facts
         assert len(built) == 2 * len(facts)
-        assert saturated_program(p).rules == facts
+        assert decode_facts(saturated_program(p).facts) == facts
         assert len(built) == 3 * len(facts)
         built.clear()
 

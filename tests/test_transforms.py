@@ -77,6 +77,12 @@ def test_positive_reduction_drops_dead_literal():
     assert step.added == {_rule(p, "a", neg="c")}
 
 
+def test_applicable_rejects_an_unknown_kind():
+    p = parse_program("a.")
+    with pytest.raises(ValueError, match="^unknown transformation kind 'bogus'$"):
+        applicable(p, "bogus")
+
+
 def test_negative_reduction_removes_blocked_rule():
     p = parse_program("x :- not a, not b. a | b.")
     (step,) = applicable(p, TransformKind.NEGATIVE_REDUCTION)

@@ -29,7 +29,7 @@ from dwfs.residual import (
     saturated_program,
     saturation,
 )
-from dwfs.core import atom_mask, mask_atoms
+from dwfs.core import atom_mask, decode_facts, mask_atoms
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
 
@@ -54,7 +54,7 @@ def test_positive_loop_is_unfounded():
     # The loop saturates to no conditional fact at all.
     p = parse_program("c :- d. d :- c.")
     n = saturated_program(p)
-    assert not n.rules
+    assert not n.facts
     assert is_unfounded(n, ModelState(), atoms(p, "c d"))
     assert greatest_unfounded(n, ModelState()) == atoms(p, "c d")
 
@@ -119,6 +119,7 @@ def test_greatest_unfounded_examples():
     assert greatest_unfounded(g, state(g, pos=["a b"])) == atoms(g, "c")
     p = parse_program("a | b.")
     assert greatest_unfounded(p, state(p, pos=["a", "b"])) is NO_GREATEST
+    assert repr(NO_GREATEST) == "NO_GREATEST"
     loop = parse_program(EVEN_LOOP)
     assert greatest_unfounded(loop, ModelState()) == frozenset()
 
@@ -126,7 +127,7 @@ def test_greatest_unfounded_examples():
 def _subset_union(p, s):
     """The greatest unfounded set by definition: the union of every subset of
     the base that is_unfounded accepts, if that union is accepted too."""
-    base = sorted(p.base)
+    base = range(len(p.atom_names))
     union = frozenset()
     for k in range(1, len(base) + 1):
         for combo in itertools.combinations(base, k):
@@ -248,14 +249,14 @@ def test_mask_body_tests_match_body_status():
                 continue
             live = live_in(n, atom_mask(s.false_atoms))
             heads = []
-            for r in n.rules:
+            for r in decode_facts(n.facts):
                 status = body_status(s, r)
                 seen[status] += 1
                 if (r.head_mask, r.neg_mask) in live and status is not Truth.FALSE:
                     heads.append(r.head_mask)
                 rest = r.head - s.false_atoms
                 fired = {rest} if status is Truth.TRUE and rest else set()
-                assert t_operator(n.with_rules([r]), s) == fired
+                assert t_operator(Program([r], n.atom_names), s) == fired
             assert sorted(h for h, _ in _rule_rows(n, s)) == sorted(heads)
     assert min(seen.values()) >= 50
 
