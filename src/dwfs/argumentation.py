@@ -26,15 +26,21 @@ meet the unit atoms, which only a caller of cons, derives, attacks or
 admissible can ask about, it reads the saturation reduced by the unit
 atoms outside the literals (residual.saturated_program with keep) instead,
 which has the unreduced saturation's live facts there; those one-shot
-calls keep no table and no saturation on the Program. The hypotheses of one
-iteration only grow, so each reduct keeps the rules of the one before, and
-the raw engine grows one fixpoint closure along that chain, built from the
-program's mask triples (Program.masks), never its Rules. It leaves
-tautologies (rules whose head meets their positive body) out of every
-reduct, an elimination from Brass and Dix's transformation system: a
-resolvent of a tautology contains the premise it resolved on the shared
-atom, so the subset-minimal support members, and with them every state,
-are unchanged.
+calls keep no table and no saturation on the Program.
+
+The raw engine's support set is the reduct's whole fixpoint closure, which
+derives and attacks read. Admissibility and cons need only its
+subset-minimal members, so they read a held closure instead: the
+hypotheses of one iteration only grow, so each reduct keeps the rules of
+the one before, and the raw engine grows one closure along that chain,
+pruned by forward subsumption (Brass and Dix's residual-program
+computation, which residual._saturate runs on the whole program) and
+capped like a saturation. Both closures are built from the program's mask
+triples (Program.masks), never its Rules, and leave tautologies (rules
+whose head meets their positive body) out of every reduct, an elimination
+from Brass and Dix's transformation system: a resolvent of a tautology
+contains the premise it resolved on the shared atom, so the subset-minimal
+support members, and with them every state, are unchanged.
 """
 
 from __future__ import annotations
@@ -55,7 +61,7 @@ from .core import (
     mask_atoms,
     mask_bits,
 )
-from .fixpoint import _close, _Rounds
+from .fixpoint import _close, _lfp_masks, _Rounds
 
 
 class AdmissibilityError(RouteError):
@@ -68,7 +74,9 @@ class Engine(enum.Enum):
     the reduct, or the raw accumulated fixpoint of the reduct without its
     tautologies. The raw set keeps every other non-minimal member ("a. a |
     b." derives "a b"), but not those only a tautology derives ("a. a | b
-    :- a." does not)."""
+    :- a." does not). derives and attacks read the whole raw set;
+    admissibility and cons read only its subset-minimal members, so both
+    engines give the same states (_Session.minimal_support)."""
 
     CANONICAL = "canonical"
     RAW = "raw"
@@ -104,11 +112,13 @@ class _Session:
     live facts for the literals (live), the table its admissibility round
     sweeps. A route session keeps its tables on the memo (residual.live_in),
     where every route reads them; a session of a one-shot API call (keep
-    false) keeps them to itself. The raw engine grows one closure of the
+    false) keeps them to itself. The raw engine reads two closures of the
     fixpoint kernel (fixpoint._close) over the reduct's rule masks,
-    tautologies left out (reduct_rules); a reduct is named by the indices
-    of the distinct positive rules it keeps, a new one adds the rules it
-    newly keeps, and one that drops a kept rule starts the closure again.
+    tautologies left out (reduct_rules), each capped at
+    residual.DEFAULT_LFT_CAP clauses: support, the whole closure of one
+    reduct, kept per reduct, for derives and attack witnesses; and
+    minimal_support, one held closure pruned by subsumption and grown along
+    the chain of reducts, for armed and cons.
     """
 
     def __init__(self, program: Program, engine: Engine, keep: bool = True):
@@ -116,25 +126,59 @@ class _Session:
         self.engine = engine
         self._keep = keep
         self._own: dict = {}  # lits -> live facts not kept on the memo
+        self._raw: dict = {}  # reduct -> its raw closure
         self._rounds = _Rounds()
-        self._closure: set = set()
-        self._kept: frozenset = frozenset()  # the closure's positive rules
-        self._members: tuple = ()  # the closure, as of its last growth
+        self._held: set = set()
+        self._index: dict = {}  # the held clauses by lowest atom
+        self._kept: frozenset = frozenset()  # the held closure's positive rules
+        self._members: tuple = ()  # the held closure, as of its last growth
+
+    def _reduct(self, lits: int) -> frozenset:
+        """The reduct under lits, named by the indices of the distinct
+        positive parts it keeps (reduct_rules)."""
+        return frozenset(i for i, n in self.reduct_rules[1] if not n & ~lits)
 
     def support(self, lits: int):
+        """The engine's support set for the literals lits: under the
+        canonical engine the reduct's least model state, under the raw one
+        the reduct's whole closure, kept per reduct."""
         if self.engine is Engine.CANONICAL:
             # The reduct's least model state: a live fact whose negative
             # body lies within lits has a subset-minimal head among those
             # facts' heads, and each such head has a live fact.
             return {h for h, n in self.live(lits) if not n & ~lits}
-        positive, rules = self.reduct_rules
-        kept = frozenset(i for i, n in rules if not n & ~lits)
+        kept = self._reduct(lits)
+        got = self._raw.get(kept)
+        if got is None:
+            positive = self.reduct_rules[0]
+            rules = [positive[i] for i in sorted(kept)]
+            got = self._raw[kept] = tuple(_lfp_masks(rules, residual.DEFAULT_LFT_CAP))
+        return got
+
+    def minimal_support(self, lits: int):
+        """A subset of support(lits) with its subset-minimal members. Under
+        the canonical engine, support(lits) itself. Under the raw one, the
+        held closure: grown along the chain of reducts (a new reduct adds
+        the positive parts it newly keeps, one that drops a kept part starts
+        again), pruned by subsumption (fixpoint._close with an index) and
+        capped at residual.DEFAULT_LFT_CAP held clauses; or support(lits)
+        when a held member lies within lits, so that remainders and cons
+        are exact (see remainders)."""
+        if self.engine is Engine.CANONICAL:
+            return self.support(lits)
+        kept = self._reduct(lits)
         if kept != self._kept:
             if not kept >= self._kept:
-                self._rounds, self._closure, self._kept = _Rounds(), set(), frozenset()
+                self._rounds, self._held, self._index = _Rounds(), set(), {}
+                self._kept = frozenset()
+            positive = self.reduct_rules[0]
             new = [positive[i] for i in sorted(kept - self._kept)]
-            self._members = tuple(_close(self._rounds, self._closure, new))
+            _close(self._rounds, self._held, new, residual.DEFAULT_LFT_CAP, self._index)
+            self._members = tuple(self._held)
             self._kept = kept
+        for b in self._members:
+            if not b & ~lits:
+                return self.support(lits)
         return self._members
 
     @cached_property
@@ -207,13 +251,15 @@ class _Session:
         return got
 
     def remainders(self, lits: int) -> dict[int, list]:
-        """The distinct nonempty support members minus lits, under the
-        one-atom mask of their lowest atom. Non-minimal ones are kept:
-        armed reads them only through intersections, which they leave as
-        they are. Not cached: each round of the iteration asks for a new
-        hypothesis."""
+        """The distinct nonempty members of minimal_support(lits) minus lits,
+        under the one-atom mask of their lowest atom. They have the
+        subset-minimal remainders of support(lits), which is all armed
+        reads: a non-minimal member contains a minimal one, and its
+        remainder contains that one's, which is empty only when the minimal
+        member lies within lits; then minimal_support is support(lits).
+        Not cached: each round of the iteration asks for a new hypothesis."""
         got: dict[int, list] = {}
-        for rest in {b & ~lits for b in self.support(lits)}:
+        for rest in {b & ~lits for b in self.minimal_support(lits)}:
             if rest:
                 got.setdefault(rest & -rest, []).append(rest)
         return got
@@ -233,7 +279,8 @@ class _Session:
         outside neg that every such remainder contains. Both tests depend
         only on the subset-minimal remainders: a non-minimal one within t
         contains a minimal one within t, so it changes neither the test for
-        none nor the intersection.
+        none nor the intersection. So the remainders of minimal_support
+        serve, and armed is what the whole support set gives.
         """
         remainders = self.remainders(delta_lits)
         armed = 0
@@ -262,9 +309,11 @@ class _Session:
 
     def cons(self, lits: int) -> list:
         """Atom masks whose minimal ones are the canonical core of all lits
-        supports: each support member minus lits, or else each of its atoms."""
+        supports: each support member minus lits, or else each of its atoms.
+        Reads minimal_support, exact by the argument of remainders: an atom
+        of a member within lits lies outside every remainder."""
         core = []
-        for b in self.support(lits):
+        for b in self.minimal_support(lits):
             rest = b & ~lits
             if rest:
                 core.append(rest)

@@ -9,19 +9,28 @@ there merge before any join, and the slots are joined one at a time into a
 set. The semi-naive rounds (_Rounds) keep each rule slot's contributions
 from earlier rounds as a running set, so a round touches only its new
 clauses. _close grows a closure by more rules, keeping every clause the
-rounds derive: the raw engine of the argumentation route grows one closure
-along its chain of growing reducts, and _lfp_masks closes a rule set from
-nothing. residual.lft runs it with a rule's negative body in the bits above
-the atom table; residual._saturate runs the rounds pruned by subsumption.
-Every function here reads a program's mask triples (Program.masks), never
-its Rules.
+rounds derive, or with a held-clause index only those no held clause
+subsumes: the raw engine of the argumentation route grows one pruned
+closure along its chain of growing reducts, and _lfp_masks closes a rule
+set from nothing. residual.lft runs it with a rule's negative body in the
+bits above the atom table; residual._saturate runs the rounds pruned by
+subsumption. Every function here reads a program's mask triples
+(Program.masks), never its Rules.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Collection, Iterable
 
-from .core import CapacityError, Program, atom_mask, canonicalize, mask_atoms, mask_bits
+from .core import (
+    CapacityError,
+    Program,
+    atom_mask,
+    canonicalize,
+    mask_atoms,
+    mask_bits,
+    minimal_masks,
+)
 
 
 def _require_positive(p: Program):
@@ -114,7 +123,7 @@ class _Rounds:
         self.older += added
         return added
 
-    def derive(self, fresh: list, cap: int | None = None, held: int = 0) -> set:
+    def derive(self, fresh: Collection[int], cap: int | None = None, held: int = 0) -> set:
         """What one round derives from the new clauses fresh: every join
         that draws at least one contribution of fresh that no earlier clause
         makes, each made once. Indexes fresh alone, under body atoms only.
@@ -165,7 +174,11 @@ class _Rounds:
 
 
 def _close(
-    rounds: _Rounds, known: set, rules: Iterable[tuple[int, int]], cap: int | None = None
+    rounds: _Rounds,
+    known: set,
+    rules: Iterable[tuple[int, int]],
+    cap: int | None = None,
+    index: dict | None = None,
 ) -> set:
     """Grow known, the accumulated limit of the hyperresolution operator
     for the rules of rounds, into the limit for those rules plus the given
@@ -178,21 +191,36 @@ def _close(
     tested after each join of the given rules over known (known being
     empty, only their facts join anything) and within each join of a round
     (_Rounds.derive).
+
+    With index, the held clauses of known by lowest atom (minimal_masks's
+    index), the growth is pruned by forward subsumption, as
+    residual._saturate prunes its rounds: a derived clause is held only
+    when no held clause lies within it, and held clauses are never
+    evicted. known then grows into a subset of the limit with the same
+    subset-minimal members, since a clause derived from a subsumed premise
+    is subsumed by the subsumer or by what the subsumer derives in its
+    place. With a cap, CapacityError once more than cap clauses are held,
+    or one join (capped within, _join_capped) or round derives more.
     """
     rules = list(rules)
     derived: set[int] = set()
-    for (head, _), old in zip(rules, rounds.add(rules, known)):
-        derived |= _join(head, old)
+    for (head, _), slots in zip(rules, rounds.add(rules, known)):
+        if cap is not None and slots:
+            _join_capped(derived, head, slots, cap, 0)
+            continue
+        derived |= _join(head, slots)
         if cap is not None and len(derived) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
-    fresh = [d for d in derived if d not in known]
-    known.update(fresh)
+    fresh = derived - known
     while fresh:
+        if index is not None:
+            fresh = minimal_masks(fresh, index)
+            if not fresh:
+                break
+        known.update(fresh)
         if cap is not None and len(known) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
-        derived = rounds.derive(fresh, cap)
-        fresh = [d for d in derived if d not in known]
-        known.update(fresh)
+        fresh = rounds.derive(fresh, cap) - known
     return known
 
 

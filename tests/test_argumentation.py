@@ -26,7 +26,7 @@ from dwfs import (
 )
 from dwfs import harness, residual
 from dwfs.argumentation import _Session
-from dwfs.core import atom_mask, mask_atoms, minimal_masks
+from dwfs.core import CapacityError, atom_mask, heads_mask, mask_atoms, minimal_masks
 from conftest import (
     ATTACK_DEMO,
     EVEN_LOOP,
@@ -321,12 +321,105 @@ def test_wfds_engines_agree():
         assert wfds(p, Engine.CANONICAL) == wfds(p, Engine.RAW)
 
 
+class _Whole(_Session):
+    """A session whose armed and cons read the engine's whole support set."""
+
+    minimal_support = _Session.support
+
+
+def test_minimal_support_reads_like_the_whole_support_set():
+    # Under the raw engine, armed and cons read the held closure, pruned by
+    # subsumption, unless a held member lies within the literals (the
+    # hypothesis attacks itself); either way they answer as from the whole
+    # raw closure. Half the literal sets are grown to hold a member, and one
+    # session answers them all in random order, so the held closure grows
+    # along chains and starts again.
+    rnd = random.Random(28)
+    programs = [
+        random_program(GeneratorConfig(seed, 10, 16, 2, 2, 2)) for seed in range(1, 61)
+    ]
+    programs += [  # criterion 2 of the acceptance suite
+        random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8, max_head=3,
+                                       max_pos_body=3, max_neg_body=3,
+                                       neg_probability=0.5))
+        for seed in range(150)
+    ]
+    within = 0
+    for p in programs:
+        n = len(p.atom_names)
+        masks = []
+        for _ in range(6):
+            lits = rnd.getrandbits(n) & rnd.getrandbits(n)
+            members = _Session(p, Engine.RAW).support(lits)
+            masks.append(lits)
+            if members:
+                masks.append(lits | rnd.choice(members))
+        rnd.shuffle(masks)
+        session, whole = _Session(p, Engine.RAW), _Whole(p, Engine.RAW)
+        for lits in masks:
+            within += any(not b & ~lits for b in whole.support(lits))
+            assert session.armed(lits) == whole.armed(lits), (p, lits)
+            got, want = minimal_masks(session.cons(lits)), minimal_masks(whole.cons(lits))
+            assert sorted(got) == sorted(want), (p, lits)
+    assert within > 300
+
+
+def test_raw_closures_raise_above_the_cap(monkeypatch):
+    # Both raw-engine closures count against residual.DEFAULT_LFT_CAP: the
+    # held closure behind armed and cons by the clauses it holds, the whole
+    # closure behind derives and attacks exactly at its size. The literals
+    # hold no head atom, so no member lies within them.
+    checked = 0
+    for seed in range(1, 41):
+        p = random_program(GeneratorConfig(seed, 10, 16, 2, 2, 2))
+        lits = ((1 << len(p.atom_names)) - 1) & ~heads_mask(h for h, _, _ in p.masks)
+        held = _Session(p, Engine.RAW).minimal_support(lits)
+        whole = _Session(p, Engine.RAW).support(lits)
+        if len(held) < 2:
+            continue
+        checked += 1
+        delta = Hypothesis(mask_atoms(lits))
+        a = mask_atoms(min(whole, key=int.bit_count))
+        want = derives(p, delta, a, Engine.RAW), attacks(p, delta, delta, Engine.RAW)
+        monkeypatch.setattr(residual, "DEFAULT_LFT_CAP", len(held) - 1)
+        with pytest.raises(CapacityError):
+            _Session(p, Engine.RAW).minimal_support(lits)
+        monkeypatch.setattr(residual, "DEFAULT_LFT_CAP", len(whole))
+        assert (derives(p, delta, a, Engine.RAW), attacks(p, delta, delta, Engine.RAW)) == want
+        monkeypatch.setattr(residual, "DEFAULT_LFT_CAP", len(whole) - 1)
+        with pytest.raises(CapacityError):
+            derives(p, delta, a, Engine.RAW)
+        with pytest.raises(CapacityError):
+            attacks(p, delta, delta, Engine.RAW)
+        monkeypatch.undo()
+    assert checked > 30
+
+
+def test_raw_engine_ends_on_the_disjunctive_tail():
+    # GeneratorConfig(s, 60, 90, 3, 2, 2): grown unpruned, the raw engine's
+    # closure ran for minutes on seed 6 and for 8 s on seed 7; pruned by
+    # subsumption, each takes about 0.1 s on a 2-core machine. An alarm
+    # stops a regression instead of letting it hang.
+    def expired(signum, frame):
+        raise TimeoutError("raw wfds ran past 10 s on the disjunctive tail")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(10)
+    try:
+        for s in (6, 7):
+            p = random_program(GeneratorConfig(s, 60, 90, 3, 2, 2))
+            assert wfds(p, Engine.RAW) == wfds(p, Engine.CANONICAL), s
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_raw_engine_states_unchanged_without_tautologies(monkeypatch):
     # Dense programs, as in the raw-engine fixpoint tests. Dropping the
     # tautologies changes no state, and each raw support set reached has
     # the reduct's least model state as its subset-minimal members.
     reached = []
-    real = _Session.support
+    real = _Session.minimal_support
 
     def spy(self, lits_mask):
         got = real(self, lits_mask)
@@ -345,7 +438,7 @@ def test_raw_engine_states_unchanged_without_tautologies(monkeypatch):
         pruned = p.with_rules(r for r in p.rules if not r.is_tautology)
         assert wfds(p, Engine.RAW) == wfds(p, Engine.CANONICAL) == wfds(pruned, Engine.RAW), seed
         reached.clear()
-        monkeypatch.setattr(_Session, "support", spy)
+        monkeypatch.setattr(_Session, "minimal_support", spy)
         _Session(p, Engine.RAW).wfdh_literals()  # the support set of every round
         monkeypatch.undo()
         assert reached, seed
