@@ -46,7 +46,6 @@ support members, and with them every state, are unchanged.
 from __future__ import annotations
 
 import enum
-from functools import cached_property
 
 from . import residual
 from .core import (
@@ -100,6 +99,24 @@ def reduct(p: Program, delta: Hypothesis) -> Program:
     return p.with_rules(
         Rule(r.head, r.pos_body) for r in p.rules if r.neg_body <= lits
     )
+
+
+class _filled_on_first_read:
+    """A method read as a plain attribute: the first read of an instance
+    calls it and stores its value in the instance's __dict__, where every
+    later read finds it without calling anything. functools.cached_property
+    without its lock, which Python 3.10 and 3.11 take, class-wide, on every
+    first read."""
+
+    def __init__(self, fill):
+        self.fill = fill
+        self.__doc__ = fill.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fill.__name__] = self.fill(obj)
+        return value
 
 
 class _Session:
@@ -181,7 +198,7 @@ class _Session:
                 return self.support(lits)
         return self._members
 
-    @cached_property
+    @_filled_on_first_read
     def reduct_rules(self) -> tuple[list, list]:
         """The program's distinct positive parts as (head, body) mask pairs,
         and per rule the index of its positive part with its negative body
@@ -226,7 +243,7 @@ class _Session:
                 return AttackWitness(2, mask_atoms(used), (mask_atoms(used),))
         return None
 
-    @cached_property
+    @_filled_on_first_read
     def memo(self) -> residual.Saturation:
         """The route memo (residual.route_program)."""
         return residual.route_program(self.program)
@@ -282,9 +299,12 @@ class _Session:
         none nor the intersection. So the remainders of minimal_support
         serve, and armed is what the whole support set gives.
         """
+        # The live facts first: a route memo that raises CapacityError
+        # (residual.route_program) does so before a raw closure grows.
+        live = self.live(delta_lits)
         remainders = self.remainders(delta_lits)
         armed = 0
-        for head, neg in self.live(delta_lits):
+        for head, neg in live:
             t = (neg | head) & ~delta_lits
             common = -1  # the atoms of every remainder within t; -1 while none is
             for a in mask_bits(t):

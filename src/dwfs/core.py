@@ -69,11 +69,19 @@ def minimal_masks(masks: Iterable[int], by_lowest: dict | None = None) -> list:
     is that index of nonzero masks kept earlier: a member that one of them
     subsumes (equal ones included) is dropped too, and the kept members are
     added to it. A repeated member is dropped the same way, by its first
-    copy.
+    copy. With fewer than two members, the one member is tested against
+    by_lowest alone, with no index of the atoms it holds built first.
     """
     ordered = sorted(masks, key=int.bit_count)
     if ordered and not ordered[0]:
         return [0]
+    if len(ordered) < 2:
+        if ordered and by_lowest is not None:
+            m = ordered[0]
+            if _covers(m, by_lowest.get):
+                return []
+            by_lowest.setdefault(m & -m, []).append(m)
+        return ordered
     kept: list[int] = []
     if by_lowest is None:
         by_lowest = {}
@@ -240,11 +248,12 @@ class Program:
 
     A program keeps one saturation, the route memo (_reduced, see
     residual.route_program), a record of fact pairs that is not a Program
-    (residual.Saturation); every other one is built on demand and kept
-    nowhere (residual.saturated_program).
+    (residual.Saturation), or, while it has none, the largest cap its
+    saturation is known to exceed (_exceeded); every other one is built on
+    demand and kept nowhere (residual.saturated_program).
     """
 
-    __slots__ = ("_rules", "masks", "atom_names", "_names_key", "_reduced")
+    __slots__ = ("_rules", "masks", "atom_names", "_names_key", "_reduced", "_exceeded")
 
     def __init__(self, rules: Iterable[Rule], atom_names: Iterable[str]):
         names = tuple(atom_names)
@@ -270,6 +279,7 @@ class Program:
         self.atom_names = names
         self._names_key = None
         self._reduced = None  # residual.Saturation, see residual.route_program
+        self._exceeded = -1  # every saturation holds more than -1 rules
 
     @classmethod
     def _of(cls, names: tuple, masks: frozenset) -> "Program":

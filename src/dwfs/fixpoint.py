@@ -8,7 +8,12 @@ contributes d minus b minus the rule's head, so premises that differ only
 there merge before any join, and the slots are joined one at a time into a
 set. The semi-naive rounds (_Rounds) keep each rule slot's contributions
 from earlier rounds as a running set, so a round touches only its new
-clauses. _close grows a closure by more rules, keeping every clause the
+clauses. On small programs these kernels cost mostly per-call overhead, so
+they make no call per slot: add and derive build each slot's
+contributions inline, a round joins a rule's own list of slots in place,
+the capped join (_join_capped, the one join that tests a cap) walks the
+first slot of a two-slot rule directly, and a rule with an empty slot is
+not joined. _close grows a closure by more rules, keeping every clause the
 rounds derive, or with a held-clause index only those no held clause
 subsumes: the raw engine of the argumentation route grows one pruned
 closure along its chain of growing reducts, and _lfp_masks closes a rule
@@ -28,7 +33,6 @@ from .core import (
     atom_mask,
     canonicalize,
     mask_atoms,
-    mask_bits,
     minimal_masks,
 )
 
@@ -36,13 +40,6 @@ from .core import (
 def _require_positive(p: Program):
     if any(neg for _, _, neg in p.masks):
         raise ValueError("operation requires a positive program (no default negation)")
-
-
-def _slot(premises: Iterable[int], b: int, head: int) -> set:
-    """What the premises contribute to a body slot resolving the atom whose
-    one-atom mask is b."""
-    drop = ~(b | head)
-    return {d & drop for d in premises}
 
 
 def _join(head: int, slots: list) -> set:
@@ -56,10 +53,14 @@ def _join(head: int, slots: list) -> set:
 def _join_capped(out: set, head: int, slots: list, cap: int, held: int):
     """out |= _join(head, slots), slots nonempty, with CapacityError as soon
     as held plus the clauses in out exceed cap: the last slot is joined to
-    one partial join at a time and the cap tested after each, so a join
-    stops within one slot's size of the cap."""
+    one partial join of the slots before it at a time, and the cap tested
+    after each, so a join stops within one slot's size of the cap. The
+    partial joins of a two-slot rule are the head with each member of the
+    first slot, which is walked directly; those of a longer rule are joined
+    first (_join)."""
     last = slots[-1]
-    for a in _join(head, slots[:-1]):
+    for a in slots[0] if len(slots) == 2 else _join(head, slots[:-1]):
+        a |= head
         out |= {a | c for c in last}
         if held + len(out) > cap:
             raise CapacityError(f"saturation exceeded {cap} stored rules")
@@ -113,12 +114,21 @@ class _Rounds:
         for _, body in rules:
             bodies |= body
         self.bodies |= bodies
-        by_atom = _index(known, bodies)
+        by_atom = _index(known, bodies) if known else {}
         added = []
         for head, body in rules:
-            body_atoms = list(mask_bits(body))
+            # Per body atom b, lowest first, what the known clauses d
+            # holding b contribute to its slot: d minus b and the head.
+            body_atoms, slots = [], []
+            rest = body
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                body_atoms.append(b)
+                drop = ~(b | head)
+                slots.append({d & drop for d in by_atom.get(b, ())})
             self.slots.append(body_atoms)
-            added.append([_slot(by_atom.get(b, ()), b, head) for b in body_atoms])
+            added.append(slots)
         self.rules += rules
         self.older += added
         return added
@@ -132,13 +142,16 @@ class _Rounds:
         first slot that draws a new clause; a new contribution that an
         earlier clause already makes joins nothing earlier rounds missed.
         The slots are joined last first, and each one's new contributions
-        join its running set right after its own join. A one-slot rule's
-        join is the head with each new contribution, and a join with
-        another slot's running set empty is skipped. With a cap,
+        join its running set right after its own join: while slot i draws
+        its new contributions, they stand in the rule's list of running
+        sets in its place, so the join reads that list without a copy. A
+        one-slot rule's join is the head with each new contribution, and a
+        join with another slot's running set empty is skipped. With a cap,
         CapacityError as soon as held plus the clauses derived exceed it,
         tested within each join of two or more slots (_join_capped); a
         one-slot join adds at most one clause per clause of fresh, which
-        the cap already bounded.
+        the cap already bounded. Rounds that raised are left mid-round, and
+        no caller reads them again.
         """
         by_atom = _index(fresh, self.bodies)
         touched = 0  # the atoms of the new clauses
@@ -149,7 +162,9 @@ class _Rounds:
             if not body & touched:
                 continue
             if len(body_atoms) == 1:  # fresh holds the body atom: body & touched
-                new = _slot(by_atom[body], body, head) - old[0]
+                drop = ~(body | head)
+                new = {d & drop for d in by_atom[body]}
+                new -= old[0]
                 if new:
                     derived |= {head | c for c in new}
                     if cap is not None and held + len(derived) > cap:
@@ -161,15 +176,19 @@ class _Rounds:
                 premises = by_atom.get(b)
                 if not premises:
                     continue
-                new = _slot(premises, b, head) - old[i]
+                drop = ~(b | head)
+                new = {d & drop for d in premises}
+                running = old[i]
+                new -= running
                 if new:
-                    slots = old[:i] + [new] + old[i + 1 :]
-                    if all(slots):  # an empty running set joins nothing
+                    old[i] = new  # slot i draws its new contributions alone
+                    if all(old):  # an empty running set joins nothing
                         if cap is None:
-                            derived |= _join(head, slots)
+                            derived |= _join(head, old)
                         else:
-                            _join_capped(derived, head, slots, cap, held)
-                    old[i] |= new
+                            _join_capped(derived, head, old, cap, held)
+                    running |= new
+                    old[i] = running
         return derived
 
 
@@ -186,10 +205,12 @@ def _close(
     non-minimal members included. Only the given rules are joined over
     known; their new clauses open the first round, and a round derives only
     what joins a clause new in the previous round (_Rounds). The limit is
-    that of iterating cur | tps_step(p, cur). With a cap (and known empty),
-    CapacityError exactly when the limit holds more than cap clauses,
-    tested after each join of the given rules over known (known being
-    empty, only their facts join anything) and within each join of a round
+    that of iterating cur | tps_step(p, cur). A given rule with an empty
+    slot joins nothing and is skipped (known being empty, only the facts
+    join anything). With a cap (and known empty), CapacityError exactly
+    when the limit holds more than cap clauses, an empty limit at cap -1
+    included: tested within each join of the given rules over known
+    (_join_capped), once after them, and within each join of a round
     (_Rounds.derive).
 
     With index, the held clauses of known by lowest atom (minimal_masks's
@@ -205,12 +226,15 @@ def _close(
     rules = list(rules)
     derived: set[int] = set()
     for (head, _), slots in zip(rules, rounds.add(rules, known)):
-        if cap is not None and slots:
-            _join_capped(derived, head, slots, cap, 0)
-            continue
-        derived |= _join(head, slots)
-        if cap is not None and len(derived) > cap:
-            raise CapacityError(f"saturation exceeded {cap} stored rules")
+        if not slots:  # a fact
+            derived.add(head)
+        elif all(slots):  # an empty slot joins nothing
+            if cap is None:
+                derived |= _join(head, slots)
+            else:
+                _join_capped(derived, head, slots, cap, 0)
+    if cap is not None and len(derived) > cap:
+        raise CapacityError(f"saturation exceeded {cap} stored rules")
     fresh = derived - known
     while fresh:
         if index is not None:

@@ -29,7 +29,8 @@ A negative program is a frozenset of Rule values with empty positive bodies
 keep such facts as (head mask, negative body mask) pairs and decode them to
 Rules only at the API edge; the Rule-level entry points encode their input
 through one checked encoder (_encode). Only the route memo's Saturation
-keeps a live table (live_in).
+keeps a live table (live_in), one per set of false atoms within its
+negative bodies.
 
 On such facts a different fact (h2, n2) s-implies (h1, n1) exactly when h2
 and n2 lie within h1 and n1, or n2 is empty and h2 lies within h1 | n1
@@ -162,17 +163,21 @@ class Saturation:
     - peak, the most rules held at once while saturating (_saturate), which
       a later cap is checked against;
     - units, the mask of its unit atoms (a with the fact "a.");
-    - live, its table of live facts per false-atom mask (live_in): a dict
-      on the route memo (route_program), None on every other saturation.
+    - negs, the union of its facts' negative bodies, the only atoms whose
+      falsity changes its live facts (live_in);
+    - live, its table of live facts per false-atom mask within negs
+      (live_in): a dict on the route memo (route_program), None on every
+      other saturation.
     """
 
-    __slots__ = ("atom_names", "facts", "peak", "units", "live")
+    __slots__ = ("atom_names", "facts", "peak", "units", "negs", "live")
 
     def __init__(self, atom_names: tuple, facts: frozenset, peak: int, units: int):
         self.atom_names = atom_names
         self.facts = facts
         self.peak = peak
         self.units = units
+        self.negs = heads_mask(n for _, n in facts)
         self.live: dict | None = None
 
 
@@ -207,7 +212,9 @@ def route_program(p: Program, cap: int | None = None) -> Saturation:
     the fact "a." in it), so that the dropped facts never join. Computed
     once per Program instance and kept with its peak, so a later call whose
     cap lies below that peak still raises CapacityError; the one saturation
-    given a live table (live_in).
+    given a live table (live_in). A saturation that raises CapacityError is
+    remembered too, by the cap it exceeded: a later call with a cap at or
+    below it raises at once, and one with a larger cap saturates again.
 
     Under false atoms L that miss the unit atoms, it has the unreduced
     saturation's live table (live_in): a dropped fact keeps a unit atom a
@@ -218,7 +225,14 @@ def route_program(p: Program, cap: int | None = None) -> Saturation:
     limit = DEFAULT_LFT_CAP if cap is None else cap
     q = p._reduced
     if q is None:
-        q = p._reduced = saturated_program(p, limit, 0)
+        if limit <= p._exceeded:
+            raise CapacityError(f"saturation exceeded {limit} stored rules")
+        try:
+            q = saturated_program(p, limit, 0)
+        except CapacityError:
+            p._exceeded = limit
+            raise
+        p._reduced = q
         q.live = {}
     elif q.peak > limit:
         raise CapacityError(f"saturation exceeded {limit} stored rules")
@@ -291,13 +305,20 @@ def superseded(facts: Iterable[Rule], assumed_false=frozenset()) -> frozenset:
 def live_in(q: Saturation | Program, false: int = 0) -> frozenset:
     """q's fact pairs (fact_masks) that no strictly stronger one s-implies
     once the atoms of the mask false are discounted, the only ones a route
-    reads. Kept per mask in q's table when q is a Saturation that has one,
-    and only the route memo has (route_program): there wfds sweeps it in
-    every admissibility round, uwfs reads it in every W step and dwfs_star
-    in its first reduction pass. On any other program it is built afresh."""
+    reads. Kept in q's table when q is a Saturation that has one, and only
+    the route memo has (route_program): there wfds sweeps it in every
+    admissibility round, uwfs reads it in every W step and dwfs_star in its
+    first reduction pass. On any other program it is built afresh.
+
+    The table is keyed by false & q.negs, the false atoms that lie in some
+    fact's negative body: discounting reads only n & ~false, which is
+    n & ~(false & negs) for each negative body n within negs, so both masks
+    give the same live facts. A false set that meets no negative body reads
+    the table of no false atom."""
     table = q.live if isinstance(q, Saturation) else None
     if table is None:
         return _live_facts(q, false)
+    false &= q.negs
     got = table.get(false)
     if got is None:
         got = table[false] = _live_facts(q, false)

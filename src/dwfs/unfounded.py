@@ -122,19 +122,24 @@ def _singleton_union(rows: list, n: int) -> int:
     return ((1 << n) - 1) & ~founded
 
 
+def _greatest_mask(p: residual.Saturation | Program, s: ModelState) -> int | None:
+    """The atom mask of the greatest unfounded set, or None when none
+    exists: greatest_unfounded without the decode, which w_operator reads."""
+    rows = _rule_rows(p, s)
+    union = _singleton_union(rows, len(p.atom_names))
+    return union if _unfounded(rows, union) else None
+
+
 def greatest_unfounded(p: residual.Saturation | Program, s: ModelState):
     """The unfounded set containing every unfounded set, or NO_GREATEST.
 
     Every subset of an unfounded set is unfounded (the module docstring
     gives the argument), so the union of all unfounded sets is the set of
     atoms whose singleton is unfounded, read off the row table in one pass
-    and exact at every size.
+    and exact at every size (_greatest_mask).
     """
-    rows = _rule_rows(p, s)
-    union = _singleton_union(rows, len(p.atom_names))
-    if _unfounded(rows, union):
-        return mask_atoms(union)
-    return NO_GREATEST
+    union = _greatest_mask(p, s)
+    return NO_GREATEST if union is None else mask_atoms(union)
 
 
 def _consequences(p: residual.Saturation | Program, false: int) -> list:
@@ -150,15 +155,16 @@ def t_operator(p: residual.Saturation | Program, s: ModelState) -> frozenset:
 
 def w_operator(p: residual.Saturation | Program, s: ModelState) -> ModelState:
     """One well-founded step: add immediate consequences and negate the
-    greatest unfounded set, accumulating the given state."""
-    u = greatest_unfounded(p, s)
-    if isinstance(u, NoGreatest):
+    greatest unfounded set, accumulating the given state. The set is read
+    as a mask (_greatest_mask), never decoded."""
+    u = _greatest_mask(p, s)
+    if u is None:
         raise NoGreatestUnfoundedSetError(
             "well-founded operator undefined: no greatest unfounded set"
         )
     false = s.false_mask
     core = [*s.core_masks, *_consequences(p, false)]
-    return ModelState._of_masks(core, false | atom_mask(u))
+    return ModelState._of_masks(core, false | u)
 
 
 def uwfs(p: Program) -> ModelState:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import dwfs.unfounded as unfounded
-from dwfs import NO_GREATEST, Hypothesis, ModelState, parse_program
+from dwfs import Hypothesis, ModelState, parse_program
 from dwfs.argumentation import _Session
 
 # Reduct / least-model-state demo: one positive chain plus a guarded
@@ -120,13 +120,14 @@ def state(p, pos=(), false: str = "") -> ModelState:
 
 
 def no_greatest_when_atom_a(monkeypatch):
-    """Make uwfs's W operator undefined on every program with an atom a."""
-    real = unfounded.greatest_unfounded
+    """Make uwfs's W operator undefined on every program with an atom a: the
+    greatest unfounded set's mask, which the W operator reads, is None."""
+    real = unfounded._greatest_mask
 
     def patched(p, s):
-        return NO_GREATEST if "a" in p.atom_names else real(p, s)
+        return None if "a" in p.atom_names else real(p, s)
 
-    monkeypatch.setattr(unfounded, "greatest_unfounded", patched)
+    monkeypatch.setattr(unfounded, "_greatest_mask", patched)
 
 
 def admissibility_loses_assumptions(monkeypatch):

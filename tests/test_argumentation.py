@@ -634,7 +634,8 @@ def test_one_shot_calls_about_unit_atoms_finish_on_the_300_atom_normal_family(mo
 
 def test_later_routes_hit_the_tables_wfds_keeps(monkeypatch):
     # Inside check_equivalence, wfds builds each live table the routes read
-    # once, and every lookup of the routes after it hits the memo.
+    # once, and every lookup of the routes after it hits the memo. A table
+    # is keyed by the false atoms that lie in some negative body (q.negs).
     real = residual.live_in
     route = []
     lookups = {}
@@ -642,7 +643,7 @@ def test_later_routes_hit_the_tables_wfds_keeps(monkeypatch):
     def spy(q, false=0):
         got = lookups.setdefault(route[-1], [0, 0])
         got[0] += 1
-        got[1] += false in q.live
+        got[1] += false & q.negs in q.live
         return real(q, false)
 
     inner = harness.compute_semantics
@@ -665,3 +666,18 @@ def test_later_routes_hit_the_tables_wfds_keeps(monkeypatch):
     for name in ("wfds-raw", "dwfs-star", "uwfs"):
         calls, hits = lookups[name]
         assert hits == calls > 100, name
+
+
+def test_session_fills_its_memo_and_reduct_rules_on_first_read():
+    # Both are plain attributes once filled; a canonical session never builds
+    # the raw engine's reduct_rules, and the memo is the route memo.
+    p = random_program(GeneratorConfig(3, 10, 16, 2, 2, 2))
+    canonical = _Session(p, Engine.CANONICAL)
+    assert "memo" not in vars(canonical) and "reduct_rules" not in vars(canonical)
+    lits = canonical.wfdh_literals()
+    assert vars(canonical)["memo"] is residual.route_program(p)
+    assert "reduct_rules" not in vars(canonical)
+    raw = _Session(p, Engine.RAW)
+    assert raw.wfdh_literals() == lits
+    rules = vars(raw)["reduct_rules"]
+    assert raw.reduct_rules is rules and raw.memo is canonical.memo

@@ -21,7 +21,7 @@ from dwfs import (
     tps_step,
     wfds,
 )
-from dwfs.core import canonicalize, mask_atoms
+from dwfs.core import atom_mask, canonicalize, mask_atoms
 from dwfs.fixpoint import _close, _lfp_masks, _Rounds
 from dwfs.harness import atom_names
 from conftest import atoms
@@ -147,6 +147,41 @@ def test_lfp_resumes_from_a_prefix_fixpoint(rules, data):
     _close(rounds, known, rules[:k])
     assert _close(rounds, known, rules[k:]) == whole
     assert {mask_atoms(d) for d in whole} == _oracle_lfp(_as_program(rules))
+
+
+def test_kernel_matches_the_oracle_on_bodies_of_up_to_three_slots():
+    # _lfp_masks, and _close grown in two parts with and without a held-clause
+    # index, on random rule sets whose bodies have 0 to 3 slots; the cap
+    # passes at the limit's size and raises one below it, an empty limit
+    # (cap -1) included.
+    rnd = random.Random(29)
+    empty = three_slots = 0
+    for _ in range(400):
+        n = rnd.randint(1, 6)
+        rules = []
+        for _ in range(rnd.randint(0, 8)):
+            head = atom_mask(rnd.sample(range(n), rnd.randint(1, min(3, n))))
+            body = atom_mask(rnd.sample(range(n), rnd.randint(0, min(3, n))))
+            rules.append((head, body))
+            three_slots += body.bit_count() == 3
+        want = _oracle_lfp(_as_program(rules))
+        got = _lfp_masks(rules)
+        assert {mask_atoms(d) for d in got} == want, rules
+        k = rnd.randint(0, len(rules))
+        for index in (None, {}):
+            rounds, known = _Rounds(), set()
+            _close(rounds, known, rules[:k], None, index)
+            _close(rounds, known, rules[k:], None, index)
+            if index is None:
+                assert known == got, rules
+            else:
+                assert known <= got, rules
+                assert canonicalize({mask_atoms(d) for d in known}) == canonicalize(want)
+        assert _lfp_masks(rules, len(got)) == got
+        with pytest.raises(CapacityError):
+            _lfp_masks(rules, len(got) - 1)
+        empty += not got
+    assert empty > 20 and three_slots > 100
 
 
 def test_raw_engine_computes_each_reduct_once(monkeypatch):

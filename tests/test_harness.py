@@ -301,7 +301,7 @@ def test_capacity_errors_are_not_route_failures(monkeypatch):
     def capped(p, s):
         raise CapacityError("capped")
 
-    monkeypatch.setattr(unfounded, "greatest_unfounded", capped)
+    monkeypatch.setattr(unfounded, "_greatest_mask", capped)
     report = check_equivalence(parse_program(TRAVEL))
     assert set(report.errors) == {"uwfs"} and report.route_errors == {}
     assert report.capacity_errors == report.errors

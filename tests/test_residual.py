@@ -495,8 +495,9 @@ def test_indexed_scans_match_all_pairs_on_sparse_saturations():
 
 def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
     # Every route reads the route memo's supersession table, so across
-    # check_equivalence's routes and rounds no (saturation, false set) pair
-    # reaches _superseded_masks, the supersession behind live_in, twice.
+    # check_equivalence's routes and rounds no (saturation, key) pair
+    # reaches _superseded_masks, the supersession behind live_in, twice. The
+    # key is the false set's atoms that lie in some negative body (negs).
     real = residual._superseded_masks
     calls = []
 
@@ -516,17 +517,17 @@ def test_each_false_set_is_superseded_once_per_saturation(monkeypatch):
                                        max_head=2, max_pos_body=2, max_neg_body=2))
         for seed in range(12)
     ]
-    on_saturation = 0
+    several = 0  # programs whose saturation got more than one table
     for p in programs:
         calls.clear()
         report = check_equivalence(p)
         assert report.equal and not report.errors
-        facts = residual.fact_masks(residual.route_program(p))
-        false_sets = [false for got, false in calls if got == facts]
-        assert len(false_sets) == len(set(false_sets)), p
-        assert 0 in false_sets
-        on_saturation += len(false_sets)
-    assert on_saturation > 2 * len(programs)
+        q = residual.route_program(p)
+        keys = [false for got, false in calls if got == q.facts]
+        assert len(keys) == len(set(keys)), p
+        assert 0 in keys and all(not false & ~q.negs for false in keys)
+        several += len(keys) > 1
+    assert several > len(programs) // 3
 
 
 def _fixpoint(step, n):
@@ -759,6 +760,85 @@ def test_recorded_peak_is_the_exact_cap_boundary():
             assert (fresh.peak, fresh.facts, fresh.units) == (q.peak, q.facts, q.units)
             with pytest.raises(CapacityError):
                 memo(parse_program(text), q.peak - 1)
+
+
+def test_route_memo_matches_iterating_tpg_step():
+    # The route memo is the subset-minimal facts of the limit of tpg_step
+    # less those whose negative body meets a unit atom, on bodies of up to
+    # three atoms; its peak is the exact cap boundary.
+    programs = [random_program(GeneratorConfig(seed, 6, 8)) for seed in range(100, 160)]
+    programs += [random_program(GeneratorConfig(seed, 5, 6, 3, 3, 3, 0.0))
+                 for seed in range(20)]
+    for p in programs:
+        naive: frozenset = frozenset()
+        while (nxt := naive | tpg_step(p, naive)) != naive:
+            naive = nxt
+        q = residual.route_program(p)
+        units = heads_mask(r.head_mask for r in naive if r.is_fact and len(r.head) == 1)
+        want = {r for r in _subsumption_minimal(naive) if not r.neg_mask & units}
+        assert decode_facts(q.facts) == want, p
+        assert q.units == units
+        text = render_program(p)
+        assert residual.route_program(parse_program(text), q.peak).peak == q.peak
+        with pytest.raises(CapacityError):
+            residual.route_program(parse_program(text), q.peak - 1)
+
+
+def test_a_failing_saturation_runs_once_per_cap(monkeypatch):
+    # The route memo remembers the cap its saturation exceeded: every route
+    # of check_equivalence raises CapacityError off one saturation, a later
+    # call at or below that cap raises without saturating again, and a
+    # larger cap saturates again and succeeds.
+    real = residual.saturated_program
+    runs = []
+
+    def spy(p, cap=None, keep=-1):
+        runs.append(cap)
+        return real(p, cap, keep)
+
+    text = render_program(random_program(GeneratorConfig(1, 10, 16, 2, 2, 2)))
+    peak = residual.route_program(parse_program(text)).peak
+    monkeypatch.setattr(residual, "saturated_program", spy)
+    monkeypatch.setattr(residual, "DEFAULT_LFT_CAP", peak - 1)
+    p = parse_program(text)
+    report = check_equivalence(p)
+    assert set(report.errors) == {"wfds", "wfds-raw", "dwfs-star", "uwfs"}
+    assert all(isinstance(e, CapacityError) for e in report.errors.values())
+    assert runs == [peak - 1]
+    for cap in (None, peak - 1, 0):
+        with pytest.raises(CapacityError):
+            residual.route_program(p, cap)
+    assert runs == [peak - 1]
+    q = residual.route_program(p, peak)
+    assert q.peak == peak and residual.route_program(p, peak) is q
+    assert runs == [peak - 1, peak]
+
+
+def test_live_tables_are_keyed_by_the_false_atoms_in_negative_bodies():
+    # Discounting false atoms reads only the negative bodies, so the route
+    # memo's table under false atoms f is that under f & negs: it equals the
+    # live facts built afresh, and false atoms outside negs read it again.
+    rnd = random.Random(29)
+    outside = 0
+    programs = list(_residual_programs())
+    programs += [random_program(GeneratorConfig(seed, 5, 6, 3, 3, 3, 0.0))
+                 for seed in range(20)]
+    for p in programs:
+        q = residual.route_program(p)
+        width = len(p.atom_names)
+        assert q.negs == heads_mask(n for _, n in q.facts)
+        for _ in range(4):
+            f = rnd.getrandbits(width)
+            got = residual.live_in(q, f)
+            assert got == residual._live_facts(q, f), (p, f)
+            g = rnd.getrandbits(width) & ~q.negs
+            assert residual.live_in(q, f | g) is got
+            assert residual.live_in(q, f & q.negs) is got
+            outside += bool(g and f & ~g)
+        assert all(not key & ~q.negs for key in q.live)
+        if not q.negs:  # a positive program builds one table
+            assert list(q.live) == [0]
+    assert outside > 500
 
 
 def test_routes_never_decode_the_saturation(monkeypatch):

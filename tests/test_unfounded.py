@@ -30,6 +30,7 @@ from dwfs.residual import (
     saturation,
 )
 from dwfs.core import atom_mask, decode_facts, mask_atoms
+import dwfs.unfounded as unfounded
 from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
 
@@ -392,3 +393,24 @@ def test_unfounded_api_keeps_no_live_table():
     assert 0 < undefined < 600
     uwfs(p)
     assert route_program(p).live and programs[0].live is None
+
+
+def test_w_steps_read_the_greatest_unfounded_set_as_a_mask(monkeypatch):
+    # greatest_unfounded decodes the mask the W operator reads undecoded:
+    # the two agree on random states, and uwfs decodes no unfounded set.
+    rng = random.Random(4200)
+    for seed in range(120):
+        p = random_program(GeneratorConfig(seed + 4200, 3 + seed % 4, 5, 2, 2, 2))
+        n = route_program(p)
+        s = _random_state(rng, len(n.atom_names))
+        union = unfounded._greatest_mask(n, s)
+        want = NO_GREATEST if union is None else mask_atoms(union)
+        assert greatest_unfounded(n, s) == want
+
+    def decoded(m):
+        raise AssertionError("a W step decoded its unfounded set")
+
+    monkeypatch.setattr(unfounded, "mask_atoms", decoded)
+    for seed in range(40):
+        p = random_program(GeneratorConfig(seed, 6, 8))
+        assert uwfs(p) == wfds(p)
