@@ -17,7 +17,10 @@ only literal assumptions), and attacking a smaller assumption set attacks
 every superset, so this per-fact check covers all hypotheses. Each round of
 the admissibility iteration decides every atom at once, in one sweep over
 the facts that no stronger fact supersedes under the round's false atoms
-(_Session.armed over residual.live_in).
+(_armed). A round reads that table (residual.live_in) once: the canonical
+engine's support members come off the same table, and the members of the
+last round give the wfds state's core. The one-shot admissible runs the
+same sweep.
 
 The canonical engine reads a hypothesis's support off the live facts its
 round sweeps: under literals L, the live facts whose negative body lies
@@ -127,15 +130,17 @@ class _Session:
     to atom sets only at the API edge (cons, attack witnesses, the wfds
     state). The canonical engine reads a support set off the saturation's
     live facts for the literals (live), the table its admissibility round
-    sweeps. A route session keeps its tables on the memo (residual.live_in),
-    where every route reads them; a session of a one-shot API call (keep
-    false) keeps them to itself. The raw engine reads two closures of the
-    fixpoint kernel (fixpoint._close) over the reduct's rule masks,
-    tautologies left out (reduct_rules), each capped at
-    residual.DEFAULT_LFT_CAP clauses: support, the whole closure of one
-    reduct, kept per reduct, for derives and attack witnesses; and
+    sweeps; each round of the iteration (fixpoint) reads that table once,
+    for its support members and its sweep. A route session keeps its
+    tables on the memo (residual.live_in), where every route reads them; a
+    session of a one-shot API call (keep false) keeps them to itself. The
+    raw engine reads two closures of the fixpoint kernel (fixpoint._close)
+    over the reduct's rule masks, tautologies left out (reduct_rules), each
+    capped at residual.DEFAULT_LFT_CAP clauses: support, the whole closure
+    of one reduct, kept per reduct, for derives and attack witnesses; and
     minimal_support, one held closure pruned by subsumption and grown along
-    the chain of reducts, for armed and cons.
+    the chain of reducts, for the admissibility sweep and cons. Only a raw
+    session holds that closure's state.
     """
 
     def __init__(self, program: Program, engine: Engine, keep: bool = True):
@@ -143,12 +148,13 @@ class _Session:
         self.engine = engine
         self._keep = keep
         self._own: dict = {}  # lits -> live facts not kept on the memo
-        self._raw: dict = {}  # reduct -> its raw closure
-        self._rounds = _Rounds()
-        self._held: set = set()
-        self._index: dict = {}  # the held clauses by lowest atom
-        self._kept: frozenset = frozenset()  # the held closure's positive rules
-        self._members: tuple = ()  # the held closure, as of its last growth
+        if engine is Engine.RAW:
+            self._raw: dict = {}  # reduct -> its raw closure
+            self._rounds = _Rounds()
+            self._held: set = set()
+            self._index: dict = {}  # the held clauses by lowest atom
+            self._kept: frozenset = frozenset()  # the held closure's positive rules
+            self._members: tuple = ()  # the held closure, as of its last growth
 
     def _reduct(self, lits: int) -> frozenset:
         """The reduct under lits, named by the indices of the distinct
@@ -160,10 +166,7 @@ class _Session:
         canonical engine the reduct's least model state, under the raw one
         the reduct's whole closure, kept per reduct."""
         if self.engine is Engine.CANONICAL:
-            # The reduct's least model state: a live fact whose negative
-            # body lies within lits has a subset-minimal head among those
-            # facts' heads, and each such head has a live fact.
-            return {h for h, n in self.live(lits) if not n & ~lits}
+            return _heads_within(self.live(lits), lits)
         kept = self._reduct(lits)
         got = self._raw.get(kept)
         if got is None:
@@ -179,8 +182,8 @@ class _Session:
         the positive parts it newly keeps, one that drops a kept part starts
         again), pruned by subsumption (fixpoint._close with an index) and
         capped at residual.DEFAULT_LFT_CAP held clauses; or support(lits)
-        when a held member lies within lits, so that remainders and cons
-        are exact (see remainders)."""
+        when a held member lies within lits, so that the admissibility sweep
+        and cons are exact (see _armed)."""
         if self.engine is Engine.CANONICAL:
             return self.support(lits)
         kept = self._reduct(lits)
@@ -267,79 +270,121 @@ class _Session:
             got = self._own[lits] = residual._live_facts(q, lits)
         return got
 
-    def remainders(self, lits: int) -> dict[int, list]:
-        """The distinct nonempty members of minimal_support(lits) minus lits,
-        under the one-atom mask of their lowest atom. They have the
-        subset-minimal remainders of support(lits), which is all armed
-        reads: a non-minimal member contains a minimal one, and its
-        remainder contains that one's, which is empty only when the minimal
-        member lies within lits; then minimal_support is support(lits).
-        Not cached: each round of the iteration asks for a new hypothesis."""
-        got: dict[int, list] = {}
-        for rest in {b & ~lits for b in self.minimal_support(lits)}:
-            if rest:
-                got.setdefault(rest & -rest, []).append(rest)
-        return got
+    def members(self, live: frozenset, lits: int):
+        """minimal_support(lits), given live, the live facts for lits: the
+        canonical engine reads its support off them, not off a second
+        read of the table."""
+        if self.engine is Engine.CANONICAL:
+            return _heads_within(live, lits)
+        return self.minimal_support(lits)
 
     def armed(self, delta_lits: int) -> int:
         """The atoms a whose assumption "not a" is not admissible with
-        respect to delta_lits, in one sweep over the saturation's live facts
-        for delta_lits; a superseded fact arms nothing.
-
-        A live fact arms each head atom a that it turns into a derivation no
-        hypothesis can answer. An attacker must assume false t = (neg |
-        head) minus delta_lits, less a itself unless the fact negates a, and
-        the fact is disarmed for a when some remainder (a nonempty support
-        member minus delta_lits) lies within that target. The remainders
-        within t are read off the lowest-atom index under t's atoms. With
-        none, the fact arms its whole head; otherwise it arms the head atoms
-        outside neg that every such remainder contains. Both tests depend
-        only on the subset-minimal remainders: a non-minimal one within t
-        contains a minimal one within t, so it changes neither the test for
-        none nor the intersection. So the remainders of minimal_support
-        serve, and armed is what the whole support set gives.
-        """
+        respect to delta_lits (_armed), for a one-shot admissible call."""
         # The live facts first: a route memo that raises CapacityError
         # (residual.route_program) does so before a raw closure grows.
         live = self.live(delta_lits)
-        remainders = self.remainders(delta_lits)
-        armed = 0
-        for head, neg in live:
-            t = (neg | head) & ~delta_lits
-            common = -1  # the atoms of every remainder within t; -1 while none is
-            for a in mask_bits(t):
-                for rest in remainders.get(a, ()):
-                    if not rest & ~t:
-                        common &= rest
-            armed |= head if common < 0 else head & ~neg & common
-        return armed
+        return _armed(live, self.members(live, delta_lits), delta_lits)
 
-    def wfdh_literals(self) -> int:
+    def fixpoint(self) -> tuple[int, object]:
+        """The admissibility iteration's least fixpoint, as a literal mask,
+        with the support members of its last round: each round reads its
+        live table once, for its support members and its sweep (_armed)."""
         n = len(self.program.atom_names)
         full = (1 << n) - 1
         delta = 0
         for _ in range(n + 2):
-            nxt = full & ~self.armed(delta)
+            live = self.live(delta)
+            members = self.members(live, delta)
+            nxt = full & ~_armed(live, members, delta)
             if delta & ~nxt:
                 raise AdmissibilityError("admissibility iteration lost assumptions")
             if nxt == delta:
-                return delta
+                return delta, members
             delta = nxt
         raise AdmissibilityError("admissibility iteration exceeded the atom-count bound")
 
+    def wfdh_literals(self) -> int:
+        return self.fixpoint()[0]
+
     def cons(self, lits: int) -> list:
         """Atom masks whose minimal ones are the canonical core of all lits
-        supports: each support member minus lits, or else each of its atoms.
-        Reads minimal_support, exact by the argument of remainders: an atom
-        of a member within lits lies outside every remainder."""
-        core = []
-        for b in self.minimal_support(lits):
-            rest = b & ~lits
-            if rest:
-                core.append(rest)
+        supports (_cons)."""
+        return _cons(self.minimal_support(lits), lits)
+
+
+def _heads_within(live: frozenset, lits: int) -> set:
+    """The canonical engine's support set for the literals lits, read off
+    live, the live facts for lits: the reduct's least model state. A live
+    fact whose negative body lies within lits has a subset-minimal head
+    among those facts' heads, and each such head has a live fact."""
+    return {h for h, n in live if not n & ~lits}
+
+
+def _armed(live: frozenset, members, lits: int) -> int:
+    """The atoms a whose assumption "not a" is not admissible with respect
+    to the literals lits, in one sweep over live, the saturation's live
+    facts for lits, given members, the support members for lits
+    (_Session.members); a superseded fact arms nothing.
+
+    A live fact arms each head atom a that it turns into a derivation no
+    hypothesis can answer. An attacker must assume false t = (neg | head)
+    minus lits, less a itself unless the fact negates a, and the fact is
+    disarmed for a when some remainder (a nonempty member minus lits) lies
+    within that target. The remainders, deduplicated, are indexed under the
+    one-atom mask of their lowest atom, and those within t are read off the
+    index under those of t's atoms that it holds. With none, the fact arms
+    its whole head; otherwise it arms the head atoms outside neg that every
+    such remainder contains. Both tests depend only on the subset-minimal
+    remainders: a non-minimal one within t contains a minimal one within
+    t, so it changes neither the test for none nor the intersection. So
+    members need only hold the subset-minimal members of the engine's
+    support set (_Session.minimal_support), and the sweep arms what the
+    whole set gives: a non-minimal member contains a minimal one, whose
+    remainder lies within its own and is empty only when that member lies
+    within lits; then minimal_support is the whole support set.
+    """
+    remainders: dict[int, list] = {}
+    lows = 0  # the atoms under which remainders holds a mask
+    for rest in {b & ~lits for b in members}:
+        if rest:
+            low = rest & -rest
+            lows |= low
+            bucket = remainders.get(low)
+            if bucket is None:
+                remainders[low] = [rest]
             else:
-                core.extend(mask_bits(b))
-        return core
+                bucket.append(rest)
+    armed = 0
+    for head, neg in live:
+        t = (neg | head) & ~lits
+        m = t & lows
+        common = -1  # the atoms of every remainder within t; -1 while none is
+        while m:
+            a = m & -m
+            m ^= a
+            for rest in remainders[a]:
+                if not rest & ~t:
+                    common &= rest
+        armed |= head if common < 0 else head & ~neg & common
+    return armed
+
+
+def _cons(members, lits: int) -> list:
+    """Atom masks whose minimal ones are the canonical core of all the
+    literals lits support, given members, the support members for lits
+    (_Session.members): each member minus lits, or else each of its atoms.
+    Exact for the subset-minimal members alone: an atom of a member within
+    lits lies outside every remainder, and then members is the whole
+    support set (_Session.minimal_support)."""
+    core = []
+    for b in members:
+        rest = b & ~lits
+        if rest:
+            core.append(rest)
+        else:
+            core.extend(mask_bits(b))
+    return core
 
 
 def derives(
@@ -396,6 +441,5 @@ def wfdh(p: Program, engine: Engine = Engine.CANONICAL) -> Hypothesis:
 
 def wfds(p: Program, engine: Engine = Engine.CANONICAL) -> ModelState:
     """The well-founded state: admissible assumptions plus what they support."""
-    session = _Session(p, engine)
-    lits = session.wfdh_literals()
-    return ModelState._of_masks(session.cons(lits), lits)
+    lits, members = _Session(p, engine).fixpoint()
+    return ModelState._of_masks(_cons(members, lits), lits)

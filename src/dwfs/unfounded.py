@@ -35,15 +35,19 @@ atoms and its head atoms outside X. Neither stops holding when X shrinks,
 and a subset of X meets the heads of fewer rules, so every subset of an
 unfounded set is unfounded. The union of all unfounded sets is therefore
 the set of atoms a with {a} unfounded, and one more test tells whether that
-union is itself unfounded. The result is exact at every base size. A rule
-blocked whatever X is decides neither test, so both read rows of the other
-rules only (_rule_rows).
+union is itself unfounded. The result is exact at every base size.
+
+Both tests, and is_unfounded, read one table per state, built in one pass
+over the live facts (_w_rows): the atoms whose singleton is not unfounded,
+and rows for the facts with a witness only. A rule blocked whatever X is
+decides neither test, and a rule with no witness founds its whole head,
+which no unfounded set meets. The pass reads the state's core members
+through an index by atom, so each fact reads only the members that meet
+its head or negative body, the only ones that can block it. uwfs iterates
+the W step on masks and builds one ModelState, at the fixpoint.
 """
 
 from __future__ import annotations
-
-from functools import reduce
-from operator import and_
 
 from . import residual
 from .core import (
@@ -53,6 +57,7 @@ from .core import (
     atom_mask,
     canonical_sets,
     mask_atoms,
+    minimal_masks,
 )
 
 
@@ -78,29 +83,74 @@ class NoGreatestUnfoundedSetError(RouteError):
     exists."""
 
 
-def _rule_rows(p: residual.Saturation | Program, s: ModelState) -> list:
-    """Per live conditional fact whose body is not false: its head mask and
-    its witness masks; a witness blocks the fact for X iff its mask is
-    disjoint from X.
+def _w_rows(live, false: int, core) -> tuple[int, list]:
+    """The W step's table for the state with false-atom mask false and core
+    member masks core, in one pass over live, the state's live fact pairs
+    (residual.live_in): (founded, rows). founded is the mask of the atoms a
+    whose singleton {a} is not unfounded. rows holds, per fact with a
+    witness, its head mask and its witness masks; a witness blocks the fact
+    for X iff its mask is disjoint from X.
 
-    The facts are p's live fact pairs for the state's false atoms
-    (residual.live_in): on the route memo that uwfs reads, wfds and
-    dwfs_star read the same table; on any other p they are built afresh
-    and kept nowhere. Of those, a fact whose body is false has no row: a
-    core member lies within its negated atoms and not every negated atom
-    is false. The state's false atoms and core members are read as the
-    masks it holds.
+    The core members are indexed by atom once per call, each kept as its
+    atoms outside false. A member is a witness when it lies within the
+    fact's head, negated and false atoms, and it then meets the head or the
+    negated atoms; its witness mask is its atoms in the head outside the
+    negated and false atoms. So only the members under the atoms of the
+    fact's head and negative body are read. An empty witness mask (a member
+    within the negated and false atoms: the body is false, or the state
+    satisfies a disjunction of them) blocks the fact whatever X is: it
+    keeps no row and founds nothing. A fact with no witness founds its
+    whole head and keeps no row either. A fact with witnesses founds the
+    head atoms that every witness holds.
+
+    The mask arithmetic uses & and ^ on nonnegative ints only: on a wide
+    base a complemented mask is a long negative int, and & with one costs
+    about three times as much.
     """
-    false, core = s.false_mask, s.core_masks
+    if 0 in core:  # the empty member lies within every negative body
+        live = [(h, n) for h, n in live if n & false == n]
+    by_atom: dict[int, list] = {}  # bit length of an atom's mask -> members
+    covered = 0
+    for c in core:
+        covered |= c
+        rest = c ^ (c & false)
+        m = c
+        while m:
+            k = m.bit_length()
+            m ^= 1 << k - 1
+            bucket = by_atom.get(k)
+            if bucket is None:
+                by_atom[k] = [rest]
+            else:
+                bucket.append(rest)
+    founded = 0
     rows = []
-    for h, n in residual.live_in(p, false):
-        if n & ~false and any(not c & ~n for c in core):
+    for h, n in live:
+        hn = h | n
+        m = hn & covered
+        if not m:
+            founded |= h
             continue
-        enabling = n | false
-        scope = h | enabling
-        free = h & ~enabling
-        rows.append((h, [c & free for c in core if not c & ~scope and c & (h | n)]))
-    return rows
+        witnesses = []
+        while m:
+            k = m.bit_length()
+            m ^= 1 << k - 1
+            for c in by_atom[k]:
+                if c & hn == c:
+                    w = c ^ (c & n)
+                    if not w:
+                        break
+                    witnesses.append(w)
+            else:
+                continue
+            break  # blocked whatever X is
+        else:
+            if witnesses:
+                rows.append((h, witnesses))
+                for w in witnesses:
+                    h &= w
+            founded |= h
+    return founded, rows
 
 
 def _unfounded(rows: list, x: int) -> bool:
@@ -109,24 +159,22 @@ def _unfounded(rows: list, x: int) -> bool:
 
 
 def is_unfounded(p: residual.Saturation | Program, s: ModelState, x) -> bool:
-    """True iff every rule whose head meets x is blocked with respect to s."""
-    return _unfounded(_rule_rows(p, s), atom_mask(x))
+    """True iff every rule whose head meets x is blocked with respect to s.
+    A set that meets founded holds an atom whose singleton is not
+    unfounded, and every subset of an unfounded set is unfounded."""
+    false = s.false_mask
+    founded, rows = _w_rows(residual.live_in(p, false), false, s.core_masks)
+    x = atom_mask(x)
+    return not x & founded and _unfounded(rows, x)
 
 
-def _singleton_union(rows: list, n: int) -> int:
-    """The atoms a with {a} unfounded: a row whose head holds a is blocked
-    for {a} unless every witness contains a."""
-    founded = 0
-    for hm, witnesses in rows:
-        founded |= reduce(and_, witnesses, hm)
-    return ((1 << n) - 1) & ~founded
-
-
-def _greatest_mask(p: residual.Saturation | Program, s: ModelState) -> int | None:
-    """The atom mask of the greatest unfounded set, or None when none
-    exists: greatest_unfounded without the decode, which w_operator reads."""
-    rows = _rule_rows(p, s)
-    union = _singleton_union(rows, len(p.atom_names))
+def _greatest_mask(p: residual.Saturation | Program, false: int, core) -> int | None:
+    """The atom mask of the greatest unfounded set for the state with
+    false-atom mask false and core member masks core, or None when none
+    exists: the atoms outside founded, if that set is unfounded. Every W
+    step reads it, undecoded."""
+    founded, rows = _w_rows(residual.live_in(p, false), false, core)
+    union = ((1 << len(p.atom_names)) - 1) & ~founded
     return union if _unfounded(rows, union) else None
 
 
@@ -135,16 +183,18 @@ def greatest_unfounded(p: residual.Saturation | Program, s: ModelState):
 
     Every subset of an unfounded set is unfounded (the module docstring
     gives the argument), so the union of all unfounded sets is the set of
-    atoms whose singleton is unfounded, read off the row table in one pass
-    and exact at every size (_greatest_mask).
+    atoms whose singleton is unfounded, read off the W step's table in one
+    pass and exact at every size (_greatest_mask).
     """
-    union = _greatest_mask(p, s)
+    union = _greatest_mask(p, s.false_mask, s.core_masks)
     return NO_GREATEST if union is None else mask_atoms(union)
 
 
 def _consequences(p: residual.Saturation | Program, false: int) -> list:
     """t_operator's members under the false-atom mask false, as atom masks."""
-    return [h & ~false for h, n in residual.fact_masks(p) if not n & ~false and h & ~false]
+    return [
+        h ^ (h & false) for h, n in residual.fact_masks(p) if n & false == n and h & false != h
+    ]
 
 
 def t_operator(p: residual.Saturation | Program, s: ModelState) -> frozenset:
@@ -153,28 +203,39 @@ def t_operator(p: residual.Saturation | Program, s: ModelState) -> frozenset:
     return canonical_sets(_consequences(p, s.false_mask))
 
 
-def w_operator(p: residual.Saturation | Program, s: ModelState) -> ModelState:
-    """One well-founded step: add immediate consequences and negate the
-    greatest unfounded set, accumulating the given state. The set is read
-    as a mask (_greatest_mask), never decoded."""
-    u = _greatest_mask(p, s)
+def _w_step(p: residual.Saturation | Program, false: int, core) -> tuple[frozenset, int]:
+    """One well-founded step on masks: the canonical core and the false-atom
+    mask that follow the state with false-atom mask false and core member
+    masks core."""
+    u = _greatest_mask(p, false, core)
     if u is None:
         raise NoGreatestUnfoundedSetError(
             "well-founded operator undefined: no greatest unfounded set"
         )
-    false = s.false_mask
-    core = [*s.core_masks, *_consequences(p, false)]
-    return ModelState._of_masks(core, false | u)
+    # Consequences already in the core leave it as it is.
+    new = set(_consequences(p, false)).difference(core)
+    if new:
+        core = frozenset(minimal_masks([*core, *new]))
+    return core, false | u
+
+
+def w_operator(p: residual.Saturation | Program, s: ModelState) -> ModelState:
+    """One well-founded step: add immediate consequences and negate the
+    greatest unfounded set, accumulating the given state. The set is read
+    as a mask (_greatest_mask), never decoded."""
+    core, false = _w_step(p, s.false_mask, s.core_masks)
+    return ModelState._of_masks(core, false)
 
 
 def uwfs(p: Program) -> ModelState:
     """Least fixpoint of the well-founded operator, computed over the
     saturation of the program into conditional facts (the saturated program
-    kept on p, see residual.route_program)."""
+    kept on p, see residual.route_program). The W steps run on masks, and
+    one ModelState is built, at the fixpoint."""
     saturated = residual.route_program(p)
-    state = ModelState()
+    core, false = frozenset(), 0
     while True:
-        nxt = w_operator(saturated, state)
-        if nxt == state:
-            return state
-        state = nxt
+        nxt_core, nxt_false = _w_step(saturated, false, core)
+        if nxt_false == false and nxt_core == core:
+            return ModelState._of_masks(core, false)
+        core, false = nxt_core, nxt_false

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import dwfs.argumentation as argumentation
 import dwfs.unfounded as unfounded
 from dwfs import Hypothesis, ModelState, parse_program
-from dwfs.argumentation import _Session
 
 # Reduct / least-model-state demo: one positive chain plus a guarded
 # disjunctive fact.
@@ -124,8 +124,8 @@ def no_greatest_when_atom_a(monkeypatch):
     greatest unfounded set's mask, which the W operator reads, is None."""
     real = unfounded._greatest_mask
 
-    def patched(p, s):
-        return None if "a" in p.atom_names else real(p, s)
+    def patched(p, false, core):
+        return None if "a" in p.atom_names else real(p, false, core)
 
     monkeypatch.setattr(unfounded, "_greatest_mask", patched)
 
@@ -133,4 +133,4 @@ def no_greatest_when_atom_a(monkeypatch):
 def admissibility_loses_assumptions(monkeypatch):
     """Make the admissibility sweep arm no atom for the empty hypothesis and
     every atom for any other, so the second round drops assumptions."""
-    monkeypatch.setattr(_Session, "armed", lambda self, lits: -1 if lits else 0)
+    monkeypatch.setattr(argumentation, "_armed", lambda live, members, lits: -1 if lits else 0)

@@ -9,6 +9,7 @@ from dwfs import (
     Engine,
     GeneratorConfig,
     Hypothesis,
+    ModelState,
     admissible,
     attacks,
     check_equivalence,
@@ -24,7 +25,7 @@ from dwfs import (
     wfdh,
     wfds,
 )
-from dwfs import harness, residual
+from dwfs import argumentation, harness, residual
 from dwfs.argumentation import _Session
 from dwfs.core import CapacityError, atom_mask, heads_mask, mask_atoms, minimal_masks
 from conftest import (
@@ -236,7 +237,7 @@ def _reference_admissible(session, delta_lits, atom):
     attacker must make, its negated atoms and its other head atoms not
     already assumed false. The facts come from the unreduced saturation,
     not from the route memo the session reads."""
-    rests = [r for group in session.remainders(delta_lits).values() for r in group]
+    rests = {b & ~delta_lits for b in session.minimal_support(delta_lits)} - {0}
     for head, neg in residual.live_in(residual.saturated_program(session.program), delta_lits):
         if not head >> atom & 1:
             continue
@@ -265,16 +266,18 @@ def _admissibility_programs():
 def test_admissibility_sweep_matches_per_atom_definition(monkeypatch):
     # Every round mask of both engines, for every hypothesis the iteration
     # reaches and for random subsets of the base, equals the per-atom
-    # definition; so does the public admissible.
+    # definition; so does the public admissible. The rounds are collected
+    # at the sweep the iteration calls (argumentation._armed), and each is
+    # asked again of a session's armed, the one-shot admissible's path.
     reached = []
-    real = _Session.armed
+    real = argumentation._armed
 
-    def spy(self, delta_lits):
-        got = real(self, delta_lits)
-        reached.append((self, delta_lits, got))
+    def spy(live, members, delta_lits):
+        got = real(live, members, delta_lits)
+        reached.append((delta_lits, got))
         return got
 
-    monkeypatch.setattr(_Session, "armed", spy)
+    monkeypatch.setattr(argumentation, "_armed", spy)
     rnd = random.Random(3)
     rounds = 0
     for p in _admissibility_programs():
@@ -282,19 +285,49 @@ def test_admissibility_sweep_matches_per_atom_definition(monkeypatch):
         for engine in Engine:
             reached.clear()
             wfdh(p, engine)
-            session = reached[0][0]
-            deltas = [d for _, d, _ in reached]
+            session = _Session(p, engine)
+            swept = dict(reached)  # the iteration's rounds: literals -> armed
+            deltas = list(swept)
             deltas += [rnd.getrandbits(n) for _ in range(3)]
             for delta in deltas:
                 want = atom_mask(
                     a for a in range(n) if _reference_admissible(session, delta, a)
                 )
-                assert ((1 << n) - 1) & ~real(session, delta) == want
+                assert ((1 << n) - 1) & ~session.armed(delta) == want
+                if delta in swept:
+                    assert ((1 << n) - 1) & ~swept[delta] == want
                 rounds += 1
             a = rnd.randrange(n)
             hyp = Hypothesis(mask_atoms(deltas[-1]))
             assert admissible(p, hyp, a, engine) == bool(want >> a & 1)
     assert rounds > 1000
+
+
+def test_wfds_iterates_the_session_sweep_round_by_round():
+    # wfds reads each round's live table once and hands the last round's
+    # support members to cons; iterating a fresh session's armed (the
+    # one-shot admissible's path) round by round, then its cons, gives the
+    # same state under both engines.
+    states = 0
+    for p in _admissibility_programs():
+        n = len(p.atom_names)
+        full = (1 << n) - 1
+        for engine in Engine:
+            session = _Session(p, engine, keep=False)
+            delta = 0
+            for _ in range(n + 2):
+                nxt = full & ~session.armed(delta)
+                assert not delta & ~nxt
+                if nxt == delta:
+                    break
+                delta = nxt
+            else:
+                raise AssertionError("the admissibility iteration did not end")
+            want = ModelState._of_masks(session.cons(delta), delta)
+            assert wfds(p, engine) == want
+            assert wfdh(p, engine) == Hypothesis(mask_atoms(delta))
+            states += bool(delta)
+    assert states > 150
 
 
 def test_wfdh_values():

@@ -298,7 +298,7 @@ def test_check_equivalence_records_route_failures(monkeypatch):
 
 
 def test_capacity_errors_are_not_route_failures(monkeypatch):
-    def capped(p, s):
+    def capped(p, false, core):
         raise CapacityError("capped")
 
     monkeypatch.setattr(unfounded, "_greatest_mask", capped)

@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+from collections import Counter
 
 import pytest
 
@@ -31,8 +33,64 @@ from dwfs.residual import (
 )
 from dwfs.core import atom_mask, decode_facts, mask_atoms
 import dwfs.unfounded as unfounded
-from dwfs.unfounded import NoGreatestUnfoundedSetError, _rule_rows
+from dwfs.unfounded import NoGreatestUnfoundedSetError, _w_rows
 from conftest import ATTACK_DEMO, EVEN_LOOP, GUARD, atoms, state
+
+
+def _rule_rows(p, s) -> list:
+    """The W step's rows by their definition, one per live fact whose body
+    is not false: its head mask and its witness masks, read off every core
+    member. A witness blocks the fact for X iff its mask is disjoint from
+    X. The reference for unfounded._w_rows."""
+    false, core = s.false_mask, s.core_masks
+    rows = []
+    for h, n in live_in(p, false):
+        if n & ~false and any(not c & ~n for c in core):
+            continue
+        enabling = n | false
+        scope = h | enabling
+        free = h & ~enabling
+        rows.append((h, [c & free for c in core if not c & ~scope and c & (h | n)]))
+    return rows
+
+
+def _singleton_union(rows: list, n: int) -> int:
+    """The atoms a with {a} unfounded: a row whose head holds a is blocked
+    for {a} unless every witness contains a."""
+    founded = 0
+    for hm, witnesses in rows:
+        for w in witnesses:
+            hm &= w
+        founded |= hm
+    return ((1 << n) - 1) & ~founded
+
+
+def _unfounded(rows: list, x: int) -> bool:
+    """True iff every row whose head meets the atom mask x is blocked for x."""
+    return all(not all(w & x for w in witnesses) for hm, witnesses in rows if hm & x)
+
+
+def _reference_mask(p, s):
+    """The greatest unfounded set's mask by the reference rows, or None."""
+    rows = _rule_rows(p, s)
+    union = _singleton_union(rows, len(p.atom_names))
+    return union if _unfounded(rows, union) else None
+
+
+def _table(p, s):
+    """unfounded._w_rows for s, with each row's witnesses as a set."""
+    founded, rows = _w_rows(live_in(p, s.false_mask), s.false_mask, s.core_masks)
+    return founded, Counter((h, frozenset(ws)) for h, ws in rows)
+
+
+def _reference_table(p, s):
+    """_table by the reference rows: the atoms outside the singleton union,
+    and the rows with a witness and no empty witness. A row with an empty
+    witness is blocked for every X, and one with no witness founds its
+    whole head; neither decides a test."""
+    rows = _rule_rows(p, s)
+    founded = ((1 << len(p.atom_names)) - 1) & ~_singleton_union(rows, len(p.atom_names))
+    return founded, Counter((h, frozenset(ws)) for h, ws in rows if ws and 0 not in ws)
 
 
 def test_blocked_by_false_body():
@@ -225,6 +283,7 @@ def test_reachable_states_agree_with_exhaustive_union():
         for n, s in _w_sequence(random_program(cfg), saturate):
             size = len(n.atom_names)
             rows = _rule_rows(n, s)
+            assert _table(n, s) == _reference_table(n, s)
             union = _truth_table_union(rows, size)
             expected = union if is_unfounded(n, s, union) else NO_GREATEST
             assert greatest_unfounded(n, s) == expected
@@ -259,14 +318,19 @@ def test_mask_body_tests_match_body_status():
                 fired = {rest} if status is Truth.TRUE and rest else set()
                 assert t_operator(Program([r], n.atom_names), s) == fired
             assert sorted(h for h, _ in _rule_rows(n, s)) == sorted(heads)
+            assert _table(n, s) == _reference_table(n, s)
     assert min(seen.values()) >= 50
 
 
 def test_rows_skip_superseded_and_false_body_facts():
     # a | c is superseded by a, and the body of e :- not b is false once b
     # holds: neither can be unblocked, so neither has a row.
+    # The W step's table keeps no row for a witnessless fact either: a
+    # founds itself, and nothing else is founded.
     p = parse_program("a. a | c. e :- not b.")
-    assert _rule_rows(p, state(p, pos=["b"])) == [(atom_mask(atoms(p, "a")), [])]
+    s = state(p, pos=["b"])
+    assert _rule_rows(p, s) == [(atom_mask(atoms(p, "a")), [])]
+    assert _w_rows(live_in(p, 0), 0, s.core_masks) == (atom_mask(atoms(p, "a")), [])
 
 
 def test_t_operator_fires_true_bodies_only():
@@ -403,7 +467,7 @@ def test_w_steps_read_the_greatest_unfounded_set_as_a_mask(monkeypatch):
         p = random_program(GeneratorConfig(seed + 4200, 3 + seed % 4, 5, 2, 2, 2))
         n = route_program(p)
         s = _random_state(rng, len(n.atom_names))
-        union = unfounded._greatest_mask(n, s)
+        union = unfounded._greatest_mask(n, s.false_mask, s.core_masks)
         want = NO_GREATEST if union is None else mask_atoms(union)
         assert greatest_unfounded(n, s) == want
 
@@ -414,3 +478,119 @@ def test_w_steps_read_the_greatest_unfounded_set_as_a_mask(monkeypatch):
     for seed in range(40):
         p = random_program(GeneratorConfig(seed, 6, 8))
         assert uwfs(p) == wfds(p)
+
+
+def _kernel_test_programs():
+    """Criterion-2, sparse 18 to 24 atom and dense 10 x 16 programs."""
+    programs = [random_program(GeneratorConfig(seed, num_atoms=6, num_rules=8))
+                for seed in range(60)]
+    programs += [
+        random_program(GeneratorConfig(seed, num_atoms=18 + seed % 7, num_rules=18 + seed % 7,
+                                       max_head=2, max_pos_body=1, max_neg_body=2))
+        for seed in range(60)
+    ]
+    programs += [random_program(GeneratorConfig(seed, 10, 16, 2, 2, 2)) for seed in range(1, 31)]
+    return programs
+
+
+def test_w_step_kernel_matches_definition_on_reachable_states():
+    # Every W-reachable state over the saturation uwfs reads: the one-pass
+    # table (_w_rows, its core index and its founded atoms) equals the rows
+    # read off every core member, and the W step's greatest set equals the
+    # singleton union and unfounded test on those rows.
+    checked = rows = 0
+    for p in _kernel_test_programs():
+        q = route_program(p)
+        s = ModelState()
+        while True:
+            table = _table(q, s)
+            assert table == _reference_table(q, s)
+            assert unfounded._greatest_mask(q, s.false_mask, s.core_masks) == _reference_mask(q, s)
+            checked += 1
+            rows += sum(table[1].values())
+            try:
+                nxt = w_operator(q, s)
+            except NoGreatestUnfoundedSetError:
+                break
+            if nxt == s:
+                break
+            s = nxt
+    assert checked > 300 and rows > 900
+
+
+def test_w_step_kernel_matches_definition_on_random_states():
+    # Random states, reachable or not, with core members within the false
+    # atoms, members that meet neither a fact's head nor its negative body
+    # (the members the index skips), and now and then the empty member.
+    rng = random.Random(9100)
+    within_false = skipped = empty = verdicts = 0
+    for p in _kernel_test_programs():
+        q = route_program(p)
+        n = len(q.atom_names)
+        for i in range(8):
+            false = rng.getrandbits(n) & rng.getrandbits(n)
+            core = [rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                    for _ in range(rng.randrange(6))]
+            core = [c for c in core if c]
+            if false:
+                core.append(false & rng.getrandbits(n) or false)
+            if i == 7 and rng.random() < 0.3:
+                core.append(0)
+            s = ModelState._of_masks(core, false)
+            empty += 0 in s.core_masks
+            assert _table(q, s) == _reference_table(q, s)
+            want = _reference_mask(q, s)
+            assert unfounded._greatest_mask(q, false, s.core_masks) == want
+            verdicts += want is None
+            for _ in range(3):
+                x = rng.getrandbits(n)
+                assert is_unfounded(q, s, mask_atoms(x)) == _unfounded(_rule_rows(q, s), x)
+            for h, neg in live_in(q, false):
+                for c in s.core_masks:
+                    within_false += bool(c and not c & ~false and c & (h | neg))
+                    skipped += not c & (h | neg)
+    assert within_false > 500 and skipped > 5000 and empty > 5 and verdicts > 5
+
+
+def test_uwfs_iterates_the_public_w_operator():
+    # uwfs runs its W steps on masks and builds one state at the fixpoint;
+    # the public w_operator, iterated from the empty state over the same
+    # saturation, reaches the same state, or fails where uwfs fails.
+    undefined = 0
+    for p in _kernel_test_programs():
+        q = route_program(p)
+        s = ModelState()
+        try:
+            while True:
+                nxt = w_operator(q, s)
+                if nxt == s:
+                    break
+                s = nxt
+        except NoGreatestUnfoundedSetError:
+            undefined += 1
+            with pytest.raises(NoGreatestUnfoundedSetError):
+                uwfs(p)
+            continue
+        assert uwfs(p) == s
+    assert undefined < 10
+
+
+def test_uwfs_scales_on_the_sparse_ladder():
+    # GeneratorConfig(0, 2560, 2560, 2, 1, 2), saturation precomputed: with
+    # every core member read against every live fact, uwfs took about 2 s;
+    # reading each fact's members through the core index, under 0.1 s on a
+    # 2-core machine. An alarm stops a regression instead of letting it hang.
+    p = random_program(GeneratorConfig(0, 2560, 2560, 2, 1, 2))
+    route_program(p)
+
+    def expired(signum, frame):
+        raise TimeoutError("uwfs ran past 1 s on the 2,560-atom sparse ladder")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(1)
+    try:
+        s = uwfs(p)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert s.false_mask and s.core_masks
